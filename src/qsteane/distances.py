@@ -1,15 +1,26 @@
 """Exact weight and distance scans.
 
-Everything here is exhaustive: minimum distance and the second
-generalized Hamming weight by codeword/pair enumeration, and the exact
-quantum distance by walking the full row space of a stabilizer
-generator matrix.  Scans above ~2^18 words take a numpy-vectorized
-split path (single-word codes only, n <= 63); larger n falls back to a
-pure big-int loop.
+Everything here is exhaustive.  Minimum distance and the second
+generalized Hamming weight walk every codeword (and codeword pair).
+
+The exact quantum distance is certified from the error side first:
+Pauli errors are visited by weight, 1, 2, ..., and each is tested for
+membership in C = span(Gx|Gz) by its syndrome against the symplectic
+dual S.  The first weight holding an element of C outside S is the
+distance.  That side costs C(n,w)*3^w errors per weight; when the total
+would exceed the 2^r elements of C, or the syndrome does not fit one
+uint64 word, the scan falls back to walking the whole row space.
+
+Row-space walks above ~2^18 words take a numpy-vectorized split path
+(single-word codes only, n <= 63); larger n falls back to a pure
+big-int loop.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -20,6 +31,7 @@ from .gf2 import (
     BinaryVector,
     EnumerationCapError,
     LinearCode,
+    dual,
     enumerate_span,
     lex_key,
 )
@@ -29,6 +41,9 @@ if TYPE_CHECKING:
 
 _VECTOR_SPLIT = 13  # half-space size for the numpy split path
 _PURE_LOOP_MAX_K = 17  # below this a plain Python Gray walk is fast enough
+# Most rows in the error side's suffix table, one uint64 syndrome each.
+# Weight layers are never stored whole, so this bounds the scan's memory.
+_TABLE_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -46,11 +61,17 @@ class SymplecticVector:
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """Result of an exhaustive distance scan, with attaining witness."""
+    """Result of an exhaustive distance scan, with attaining witness.
+
+    `method` names the scan that answered: "span" walked every element
+    of the row space, "errors" visited Pauli errors by weight.
+    `enumerated_count` counts the elements visited by that method.
+    """
 
     value: int
     witness: tuple
     enumerated_count: int
+    method: str
     note: str = ""
 
 
@@ -87,6 +108,7 @@ def min_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
         value=best,
         witness=(BinaryVector(C.n, best_word),),
         enumerated_count=1 << C.k,
+        method="span",
     )
 
 
@@ -169,16 +191,24 @@ def second_gdw(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
         value=best,
         witness=tuple(BinaryVector(C.n, w) for w in best_pair[1]),
         enumerated_count=1 << C.k,
+        method="span",
     )
 
 
 def quantum_distance_exact(Q: "QuantumCode", cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
-    """Exact quantum distance by enumerating the full row space of (Gx|Gz).
+    """Exact quantum distance of the stabilizer code with generators (Gx|Gz).
 
     Returns the minimum generalized weight over vectors of C that are
     not symplectically orthogonal to all of C (i.e. lie outside the
     stabilizer C-perp).  When C equals its symplectic dual the minimum
     is taken over all nonzero elements instead, and the report says so.
+
+    Pauli errors are visited by weight first (method "errors"); the
+    first weight with such a vector is the distance.  When that side
+    would visit more than the 2^r elements of C, or n > 64, or the
+    symplectic dual of C has more than 64 dimensions, the full row
+    space is walked instead (method "span").  Either way the witness is
+    the lexicographically smallest (ux, uz) attaining the minimum.
     """
     gx = Q.Gx.row_ints()
     gz = Q.Gz.row_ints()
@@ -189,30 +219,134 @@ def quantum_distance_exact(Q: "QuantumCode", cap: int = DEFAULT_ENUM_CAP) -> Dis
         )
     # Symplectic syndrome of each generator against all generators:
     # incremental tracking makes the orthogonality test O(1) per step.
-    syn = []
-    for j in range(r):
-        s = 0
-        for i in range(r):
-            p = ((gx[j] & gz[i]).bit_count() + (gz[j] & gx[i]).bit_count()) & 1
-            s |= p << i
-        syn.append(s)
+    syn = [_syndrome(x, z, gx, gz) for x, z in zip(gx, gz)]
 
     self_orthogonal = all(s == 0 for s in syn)
     note = "self-dual convention: minimum over nonzero elements of C" if self_orthogonal else ""
 
-    if n <= 63:
-        value, wit = _quantum_scan_split(gx, gz, syn, n, self_orthogonal)
+    found = _quantum_scan_errors(gx, gz, n, self_orthogonal, budget=1 << r)
+    if found is not None:
+        value, wit, visited = found
+        method = "errors"
     else:
-        value, wit = _quantum_scan_pure(gx, gz, syn, n, self_orthogonal)
+        scan = _quantum_scan_split if n <= 63 else _quantum_scan_pure
+        value, wit = scan(gx, gz, syn, n, self_orthogonal)
+        visited, method = 1 << r, "span"
     if wit is None:
         raise ValueError("no vector outside the stabilizer: empty scan")
     ux, uz = wit
     return DistanceReport(
         value=value,
         witness=(BinaryVector(n, ux), BinaryVector(n, uz)),
-        enumerated_count=1 << r,
+        enumerated_count=visited,
+        method=method,
         note=note,
     )
+
+
+def _syndrome(ux: int, uz: int, rx: list[int], rz: list[int]) -> int:
+    """Bit i is the symplectic product of (ux|uz) with row (rx[i]|rz[i])."""
+    s = 0
+    for i, (x, z) in enumerate(zip(rx, rz)):
+        s |= (((ux & z).bit_count() + (uz & x).bit_count()) & 1) << i
+    return s
+
+
+def _transpose(rows: list[int], n: int) -> list[int]:
+    """cols[q] has bit i set iff rows[i] has bit q set."""
+    cols = [0] * n
+    for i, row in enumerate(rows):
+        while row:
+            cols[(row & -row).bit_length() - 1] |= 1 << i
+            row &= row - 1
+    return cols
+
+
+def _pauli_layer(table: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Syndromes of every Pauli error on each support.
+
+    `table[q]` holds the syndromes of X, Z and Y on qubit q.  Row
+    s * 3^t + p of the result is support s (a row of `supports`) under
+    pattern p, whose base-3 digits pick X, Z or Y for each qubit in
+    turn, so rows keep the order of the supports.
+    """
+    out = np.zeros((len(supports), 1), dtype=np.uint64)
+    for c in range(supports.shape[1]):
+        out = (out[:, :, None] ^ table[supports[:, c]][:, None, :]).reshape(len(supports), -1)
+    return out.ravel()
+
+
+def _pauli_bits(qubits: tuple, pattern: int) -> tuple[int, int]:
+    """(ux, uz) of the Pauli error with base-3 pattern on the given qubits."""
+    ux = uz = 0
+    for q in reversed(qubits):
+        pattern, p = divmod(pattern, 3)
+        ux |= (p != 1) << q  # X or Y
+        uz |= (p != 0) << q  # Z or Y
+    return ux, uz
+
+
+def _quantum_scan_errors(gx, gz, n, self_orthogonal, budget):
+    """Error-side quantum distance scan.
+
+    Visits Pauli errors e by weight w = 1, 2, ... .  e lies in C iff its
+    syndrome against a basis of S, the symplectic dual of C, is 0; the
+    syndrome is an XOR of per-qubit columns.  Such an e counts when it
+    is outside S (any nonzero e in the self-orthogonal case).  The
+    whole first weight with such an e is visited, for the
+    lexicographically smallest witness.
+
+    Each weight is split as a prefix over the lowest qubits, looped in
+    Python, and a suffix from a table of every weight-t error (at most
+    _TABLE_ROWS rows) ordered by lowest qubit, so the suffixes above a
+    prefix form one contiguous slice.  Returns (value, (ux, uz),
+    visited), or None when n > 64, S needs more than 64 syndrome bits,
+    or the errors up to the next weight would exceed `budget`.
+    """
+    if n > 64:
+        return None
+    S = dual(LinearCode([z | (x << n) for x, z in zip(gx, gz)], 2 * n))
+    if S.k > 64:
+        return None
+    mask = (1 << n) - 1
+    # Bit i of the syndrome of X_q is bit q of the z-half of row i of S;
+    # of Z_q, bit q of its x-half.
+    bx = _transpose([h >> n for h in S.basis_ints()], n)
+    bz = _transpose([h & mask for h in S.basis_ints()], n)
+    table = np.array([bx, bz, [a ^ b for a, b in zip(bx, bz)]], dtype=np.uint64).T.copy()
+
+    visited = 0
+    for w in range(1, n + 1):
+        layer = math.comb(n, w) * 3**w
+        visited += layer
+        if visited > budget:
+            return None
+        if layer <= _TABLE_ROWS:
+            t = w
+            supports = list(itertools.combinations(range(n), t))
+            suffix = _pauli_layer(table, np.array(supports, dtype=np.intp))
+            # start[q]: first suffix row whose lowest qubit is above q.
+            lowest = [s[0] for s in supports]
+            start = [bisect.bisect_right(lowest, q) * 3**t for q in range(n)]
+        best = None
+        for prefix in itertools.combinations(range(n), w - t):
+            lo = start[prefix[-1]] if prefix else 0
+            if lo == len(suffix):
+                continue
+            tail = suffix[lo:]
+            pre = _pauli_layer(table, np.array([prefix], dtype=np.intp)).tolist()
+            for i, syn in enumerate(pre):
+                for j in (np.flatnonzero(tail == syn) + lo).tolist():
+                    s, p = divmod(j, 3**t)
+                    ux, uz = _pauli_bits(prefix + supports[s], i * 3**t + p)
+                    if not self_orthogonal and _syndrome(ux, uz, gx, gz) == 0:
+                        continue  # an element of the stabilizer S
+                    key = _pair_lex(ux, uz, n)
+                    if best is None or key < best[0]:
+                        best = (key, (ux, uz))
+        if best is not None:
+            return w, best[1], visited
+    return None
 
 
 def _pair_lex(ux: int, uz: int, n: int) -> tuple[int, int]:

@@ -11,20 +11,26 @@ from qsteane.distances import (
     DistanceReport,
     SymplecticVector,
     _min_weight_split,
+    _quantum_scan_errors,
+    _quantum_scan_pure,
+    _quantum_scan_split,
+    _syndrome,
     generalized_weight,
     min_distance,
     quantum_distance_exact,
     second_gdw,
 )
 from qsteane.gf2 import (
+    BinaryMatrix,
     BinaryVector,
     EnumerationCapError,
     LinearCode,
+    dual,
     even_weight_code,
     extend_parity,
     repetition_code,
 )
-from qsteane.steane import QuantumCode, steane_enlarge
+from qsteane.steane import Permutation, QuantumCode, steane_enlarge
 
 from conftest import brute_min_distance, brute_second_gdw, random_code
 
@@ -181,3 +187,101 @@ class TestQuantumDistance:
     def test_report_type(self):
         rep = quantum_distance_exact(css_code(HAMMING_7_4, HAMMING_7_4))
         assert isinstance(rep, DistanceReport)
+
+
+def random_self_orthogonal(rng: random.Random, n: int, k: int) -> LinearCode:
+    """A random self-orthogonal [n, <= k] code: even-weight rows, pairwise orthogonal."""
+    rows = []
+    for _ in range(8 * k):
+        v = rng.randrange(1, 1 << n)
+        if v.bit_count() % 2 == 0 and all((v & u).bit_count() % 2 == 0 for u in rows):
+            rows.append(v)
+            if LinearCode(rows, n).k == k:
+                break
+    return LinearCode(rows or [0b11], n)
+
+
+def random_derangement(rng: random.Random, n: int) -> Permutation:
+    while True:
+        image = list(range(n))
+        rng.shuffle(image)
+        if all(image[i] != i for i in range(n)):
+            return Permutation(n, tuple(image))
+
+
+def random_scan_case(seed: int) -> QuantumCode:
+    """Seeded small code with at most 18 generators: an enlargement code
+    (explicit derangement or row mixing), a CSS code, or a
+    self-orthogonal CSS code on a self-orthogonal classical code."""
+    rng = random.Random(seed)
+    n = rng.randrange(4, 15)
+    kind = seed % 4
+    if kind == 3:
+        D = random_self_orthogonal(rng, n, rng.randrange(1, n // 2 + 1))
+        return css_code(D, D)
+    if kind == 2:
+        return css_code(random_code(rng, n, rng.randrange(1, 10), min_k=1),
+                        random_code(rng, n, rng.randrange(1, 10), min_k=1))
+    while True:
+        # C = D-perp is dual-containing; C' adds rows until k' > k.
+        C = dual(random_self_orthogonal(rng, n, rng.randrange(max(1, n - 8), n // 2 + 1)))
+        extra = [rng.randrange(1, 1 << n) for _ in range(rng.randrange(1, 4))]
+        Cp = LinearCode(C.basis_ints() + extra, n)
+        if Cp.k > C.k and C.k + Cp.k <= 18:
+            break
+    P = random_derangement(rng, n) if kind == 0 or Cp.k == C.k + 1 else None
+    return steane_enlarge(C, Cp, P, d_lower=1)
+
+
+class TestErrorSideScan:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 100_000).map(random_scan_case))
+    def test_agrees_with_span_walk(self, Q):
+        gx, gz = Q.Gx.row_ints(), Q.Gz.row_ints()
+        syn = [_syndrome(x, z, gx, gz) for x, z in zip(gx, gz)]
+        so = not any(syn)
+        value, witness, visited = _quantum_scan_errors(gx, gz, Q.n, so, budget=4**Q.n)
+        assert (value, witness) == _quantum_scan_split(gx, gz, syn, Q.n, so)
+        if len(gx) <= 12:
+            assert (value, witness) == _quantum_scan_pure(gx, gz, syn, Q.n, so)
+        assert visited == sum(math.comb(Q.n, w) * 3**w for w in range(1, value + 1))
+
+    def test_self_orthogonal_convention(self):
+        Q = QuantumCode(
+            n=2,
+            Gx=BinaryMatrix.from_rows([0b11, 0b00], 2),
+            Gz=BinaryMatrix.from_rows([0b00, 0b11], 2),
+            K=0,
+            d_lower=1,
+        )
+        gx, gz = Q.Gx.row_ints(), Q.Gz.row_ints()
+        assert _quantum_scan_errors(gx, gz, 2, True, budget=16) == (2, (0b00, 0b11), 2 * 3 + 1 * 9)
+
+    def test_closed_form_count_on_f4(self, f4_desk):
+        rep = quantum_distance_exact(f4_desk)
+        assert rep.method == "errors"
+        assert rep.value == 3
+        assert rep.enumerated_count == 16 * 3 + 120 * 9 + 560 * 27 == 16_248
+        # The cap is checked before either side runs, however cheap.
+        with pytest.raises(EnumerationCapError):
+            quantum_distance_exact(f4_desk, cap=f4_desk.num_generators - 1)
+
+    def test_over_budget_hands_over_to_span(self):
+        # [[7,1,3]]: 21 + 189 + 945 = 1,155 errors exceed the 2^8 elements of C.
+        Q = css_code(HAMMING_7_4, HAMMING_7_4)
+        rep = quantum_distance_exact(Q)
+        assert rep.method == "span"
+        assert rep.enumerated_count == 1 << 8
+        with pytest.raises(EnumerationCapError):
+            quantum_distance_exact(Q, cap=7)
+
+    def test_wide_syndrome_takes_span(self):
+        # 2n - r = 66 syndrome bits do not fit one uint64 word, although
+        # the 7,140 errors of weight <= 2 are within the 2^14 budget.
+        code = LinearCode([0b11, 0b101] + [0x7F << (4 + 7 * i) for i in range(5)], 40)
+        rep = quantum_distance_exact(css_code(code, code))
+        assert (rep.method, rep.value) == ("span", 2)
+
+    def test_classical_scans_report_span(self):
+        assert min_distance(HAMMING_7_4).method == "span"
+        assert second_gdw(HAMMING_7_4).method == "span"
