@@ -31,8 +31,6 @@ from .bounds import (
 )
 from .distances import (
     DistanceReport,
-    SymplecticVector,
-    generalized_weight,
     min_distance,
     quantum_distance_exact,
     second_gdw,
@@ -56,17 +54,12 @@ from .gf2 import (
     rref,
 )
 from .steane import (
-    Permutation,
     QuantumCode,
     certified_enlarge,
-    default_permutation,
     find_self_dual_subcode,
-    find_supporting_permutation,
     is_stabilizer_code,
     mix_completion_rows,
-    permutation_candidates,
     steane_enlarge,
-    supports_distance_bound,
     symplectic_dual,
 )
 from .table1 import TABLE1_ROWS, Table1Row, check_all_rows, check_row, load_fixture

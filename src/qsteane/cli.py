@@ -104,6 +104,7 @@ def cmd_family(args) -> int:
         print(line + " bound holds by construction")
     else:
         print(line + " distance bound unverified")
+        return EXIT_VERIFY_FAIL
     return EXIT_OK
 
 

@@ -47,19 +47,6 @@ _TABLE_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
-class SymplecticVector:
-    """X/Z halves of a length-2n binary vector (u_x | u_z)."""
-
-    n: int
-    ux: BinaryVector
-    uz: BinaryVector
-
-    def __post_init__(self):
-        if self.ux.length != self.n or self.uz.length != self.n:
-            raise ValueError("halves must both have length n")
-
-
-@dataclass(frozen=True)
 class DistanceReport:
     """Result of an exhaustive distance scan, with attaining witness.
 
@@ -73,11 +60,6 @@ class DistanceReport:
     enumerated_count: int
     method: str
     note: str = ""
-
-
-def generalized_weight(v: SymplecticVector) -> int:
-    """Hamming weight of the bitwise OR of the X and Z halves."""
-    return (v.ux.bits | v.uz.bits).bit_count()
 
 
 def min_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:

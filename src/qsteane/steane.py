@@ -4,18 +4,20 @@ Builds the 2n-column generator
 
     (G  | 0  )
     (0  | G  )
-    (G' | PG')
+    (G' | H' )
 
 from a dual-containing C with generator G and an enlargement C' whose
-basis extends G by G', with P a fix-point-free coordinate permutation.
-Also provides the stabilizer checks and the isotropic-subspace search
-that recovers a self-dual code sitting between C'-perp and C'.
+basis extends G by G'.  H' is G' under a fix-point-free invertible
+linear map of its rows, which proves the distance bound when G' has at
+least two rows; with one row, H' is swept over the cosets of C and
+each choice is certified by exhaustive scan.  Also provides the
+stabilizer checks and the isotropic-subspace search that recovers a
+self-dual code sitting between C'-perp and C'.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -27,37 +29,8 @@ from .gf2 import (
     LinearCode,
     dual,
     is_subcode,
-    lex_key,
     rref_ints,
 )
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {0..n-1} with no fixed point."""
-
-    n: int
-    image: tuple
-
-    def __post_init__(self):
-        if sorted(self.image) != list(range(self.n)):
-            raise ValueError("image is not a permutation")
-        if any(self.image[i] == i for i in range(self.n)):
-            raise ValueError("permutation has a fixed point")
-
-    def apply_bits(self, bits: int) -> int:
-        out = 0
-        for i in range(self.n):
-            if (bits >> i) & 1:
-                out |= 1 << self.image[i]
-        return out
-
-
-def default_permutation(n: int) -> Permutation:
-    """Cyclic shift by one coordinate; fix-point-free for every n >= 2."""
-    if n < 2:
-        raise ValueError("no fix-point-free map exists for n < 2")
-    return Permutation(n, tuple((i + 1) % n for i in range(n)))
 
 
 @dataclass
@@ -112,7 +85,7 @@ def mix_completion_rows(rows: Sequence[int]) -> list[int]:
 def steane_enlarge(
     C: LinearCode,
     Cp: LinearCode,
-    P: Optional[Permutation] = None,
+    halves: Optional[Sequence[int]] = None,
     *,
     d_lower: Optional[int] = None,
     cap: int = DEFAULT_ENUM_CAP,
@@ -124,11 +97,11 @@ def steane_enlarge(
     min(d1(C), d2(C')), computed here unless supplied by the caller
     (closed-form family builds pass it in to avoid huge pair scans).
 
-    With no explicit permutation and k' - k >= 2, the second halves of
-    the completion rows are produced by the fix-point-free linear row
-    mixing, which makes the distance bound provable outright.  An
-    explicit P, or the k' = k + 1 fallback (coordinate shift), gives a
-    code whose distance needs separate certification.
+    `halves` gives the second halves of the completion rows explicitly,
+    one word per row; the result is a stabilizer code for any choice,
+    but its distance needs separate certification.  Without `halves`
+    the fix-point-free linear row mixing produces them, which makes the
+    distance bound provable outright; that needs k' - k >= 2.
     """
     if C.n != Cp.n:
         raise CodeConstructionError("C and C' have different lengths")
@@ -141,19 +114,16 @@ def steane_enlarge(
             f"k' too small: enlargement needs k' > k, got k'={Cp.k}, k={C.k}"
         )
     n = C.n
-    if P is not None and P.n != n:
-        raise CodeConstructionError("permutation size mismatch")
-
     g_rows = C.basis_ints()
     gp_rows = _completion_rows(C, Cp)
-    proven = False
-    if P is not None:
-        mixed = [P.apply_bits(r) for r in gp_rows]
-    elif len(gp_rows) >= 2:
+    if halves is None:
         mixed = mix_completion_rows(gp_rows)
-        proven = True
+    elif len(halves) == len(gp_rows):
+        mixed = list(halves)
     else:
-        mixed = [default_permutation(n).apply_bits(r) for r in gp_rows]
+        raise CodeConstructionError(
+            f"{len(halves)} halves given for {len(gp_rows)} completion rows"
+        )
     gx = [r for r in g_rows] + [0] * len(g_rows) + gp_rows
     gz = [0] * len(g_rows) + [r for r in g_rows] + mixed
 
@@ -165,7 +135,7 @@ def steane_enlarge(
         Gz=BinaryMatrix.from_rows(gz, n),
         K=C.k + Cp.k - n,
         d_lower=d_lower,
-        bound_proven=proven,
+        bound_proven=halves is None,
     )
 
 
@@ -181,107 +151,25 @@ def _completion_rows(C: LinearCode, Cp: LinearCode) -> list[int]:
     return out
 
 
-def _span_nonzero(rows: Sequence[int]) -> list[int]:
-    """All nonzero elements of the span of the given rows (Gray order)."""
-    out = []
-    acc = 0
-    for step in range(1, 1 << len(rows)):
-        acc ^= rows[(step & -step).bit_length() - 1]
-        out.append(acc)
-    return out
-
-
-def permutation_candidates(
-    n: int, *, seed: int = 12345, max_random: int = 20000
-) -> Iterator[Permutation]:
-    """Deterministic stream of fix-point-free permutations of n points.
-
-    Yields the n-1 cyclic shifts first, then seeded random derangements
-    (rejection sampling), so repeated runs explore identical candidates.
-    """
-    for s in range(1, n):
-        yield Permutation(n, tuple((i + s) % n for i in range(n)))
-    rng = random.Random(seed)
-    points = list(range(n))
-    produced = 0
-    while produced < max_random:
-        rng.shuffle(points)
-        if any(points[i] == i for i in range(n)):
-            continue
-        produced += 1
-        yield Permutation(n, tuple(points))
-
-
-def supports_distance_bound(
-    P: Permutation, C: LinearCode, Cp: LinearCode
-) -> bool:
-    """Sufficient condition for exact distance >= d2(C').
-
-    Writing W for the completion of C inside C', every undetectable
-    error not in the stabilizer has the form (c1 + w | c2 + Pw) with
-    nonzero w in span(W).  If Pw stays in C', avoids C, and w + Pw
-    avoids C, the two halves are distinct nonzero codewords of C', so
-    their joint support has size at least the second generalized
-    Hamming weight of C'.
-    """
-    completion = _completion_rows(C, Cp)
-    for row in completion:
-        if not Cp.contains_word(P.apply_bits(row)):
-            return False
-    for w in _span_nonzero(completion):
-        pw = P.apply_bits(w)
-        if C.contains_word(pw) or C.contains_word(w ^ pw):
-            return False
-    return True
-
-
-def _weakly_admissible(
-    P: Permutation, C: LinearCode, span_w: Sequence[int]
-) -> bool:
-    """Necessary part of the bound condition: both halves of every
-    undetectable error are nonzero and distinct (Pw and w + Pw avoid C).
-    Candidates passing only this check still need an exhaustive scan."""
-    for w in span_w:
-        pw = P.apply_bits(w)
-        if C.contains_word(pw) or C.contains_word(w ^ pw):
-            return False
-    return True
-
-
-def find_supporting_permutation(
-    C: LinearCode,
-    Cp: LinearCode,
-    *,
-    seed: int = 12345,
-    max_tries: int = 2000,
-) -> Optional[Permutation]:
-    """First candidate permutation provably yielding the distance bound,
-    or None if none of the deterministically generated ones qualifies."""
-    for P in permutation_candidates(C.n, seed=seed, max_random=max_tries):
-        if supports_distance_bound(P, C, Cp):
-            return P
-    return None
-
-
 def certified_enlarge(
     C: LinearCode,
     Cp: LinearCode,
     *,
     d_lower: Optional[int] = None,
     cap: int = DEFAULT_ENUM_CAP,
-    seed: int = 12345,
-    max_candidates: int = 64,
 ) -> QuantumCode:
     """Enlargement whose distance bound is proved or exhaustively checked.
 
     With at least two completion rows the fix-point-free row mixing
     applies and the bound min(d1(C), d2(C')) holds by construction.
-    The k' = k + 1 case admits no such map, so candidate coordinate
-    permutations are tried and certified one by one with the exhaustive
-    distance scan; the best candidate seen is returned (exact distance
-    recorded) even when none reaches the bound.  When the scan is out
-    of reach (too many generators) the first admissible candidate is
-    returned uncertified.
+    The k' = k + 1 case admits no such map.  Its one completion row w
+    gets a second half v, and span{(C|0), (0|C), (w|v)} depends only on
+    the coset v + C, so one representative per coset covers every
+    choice: the words supported off the pivot columns of rref(C), in
+    increasing order from 0.  Each is certified with the exact
+    distance scan; the first to reach the bound is returned, else the
+    first of highest exact distance.  When the scan is out of reach
+    (too many generators) the first candidate is returned uncertified.
     """
     if d_lower is None:
         d_lower = min(min_distance(C, cap=cap).value, second_gdw(Cp, cap=cap).value)
@@ -289,28 +177,19 @@ def certified_enlarge(
     if Cp.k - C.k >= 2:
         return steane_enlarge(C, Cp, d_lower=d_lower, cap=cap)
 
-    span_w = _span_nonzero(_completion_rows(C, Cp))
-    scannable = C.k + Cp.k <= cap
+    pivots = set(C._pivots)
+    free = [c for c in range(C.n) if c not in pivots]
     best: Optional[QuantumCode] = None
-    tested = 0
-    for P in permutation_candidates(C.n, seed=seed):
-        if not _weakly_admissible(P, C, span_w):
-            continue
-        Q = steane_enlarge(C, Cp, P, d_lower=d_lower, cap=cap)
-        if not scannable:
+    for i in range(1 << len(free)):
+        v = sum(1 << c for j, c in enumerate(free) if (i >> j) & 1)
+        Q = steane_enlarge(C, Cp, [v], d_lower=d_lower, cap=cap)
+        if C.k + Cp.k > cap:
             return Q
         Q.d_exact = quantum_distance_exact(Q, cap=cap).value
         if Q.d_exact >= d_lower:
             return Q
         if best is None or Q.d_exact > best.d_exact:
             best = Q
-        tested += 1
-        if tested >= max_candidates:
-            break
-    if best is None:
-        raise CodeConstructionError(
-            "no admissible fix-point-free permutation found"
-        )
     return best
 
 

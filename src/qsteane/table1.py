@@ -60,15 +60,19 @@ def _self_dual_from_fixture(name: str) -> LinearCode:
     return find_self_dual_subcode(load_fixture(name))
 
 
+# The C' fixture of each row, keyed by (n, k'); rows without one use
+# the even-weight code.
+_ROW_FIXTURES = {
+    (12, 10): "c12_10_2a.txt",
+    (14, 9): "c14_9_2.txt",
+    (14, 10): "c14_10_2.txt",
+    (18, 12): "c18_12_4.txt",
+}
+
+
 def enlargement_code_for_row(row: Table1Row) -> LinearCode:
     """The C' used for a row: appendix fixture or even-weight fallback."""
-    fixtures = {
-        (12, 10): "c12_10_2a.txt",
-        (14, 9): "c14_9_2.txt",
-        (14, 10): "c14_10_2.txt",
-        (18, 12): "c18_12_4.txt",
-    }
-    name = fixtures.get((row.n, row.kprime))
+    name = _ROW_FIXTURES.get((row.n, row.kprime))
     if name is not None:
         return load_fixture(name)
     return even_weight_code(row.n)
@@ -79,13 +83,7 @@ def self_dual_code_for_row(row: Table1Row) -> LinearCode:
         # No search target: any self-dual code is automatically inside
         # the even-weight code, so reuse the one found for k'=10.
         return _self_dual_from_fixture("c12_10_2a.txt")
-    fixtures = {
-        (12, 10): "c12_10_2a.txt",
-        (14, 9): "c14_9_2.txt",
-        (14, 10): "c14_10_2.txt",
-        (18, 12): "c18_12_4.txt",
-    }
-    name = fixtures.get((row.n, row.kprime))
+    name = _ROW_FIXTURES.get((row.n, row.kprime))
     if name is not None:
         return _self_dual_from_fixture(name)
     return find_self_dual_subcode(even_weight_code(row.n))

@@ -156,6 +156,18 @@ def random_code(rng: random.Random, n: int, k_target: int, min_k: int = 2) -> Li
             return code
 
 
+def random_self_orthogonal(rng: random.Random, n: int, k: int) -> LinearCode:
+    """A random self-orthogonal [n, <= k] code: even-weight rows, pairwise orthogonal."""
+    rows = []
+    for _ in range(8 * k):
+        v = rng.randrange(1, 1 << n)
+        if v.bit_count() % 2 == 0 and all((v & u).bit_count() % 2 == 0 for u in rows):
+            rows.append(v)
+            if LinearCode(rows, n).k == k:
+                break
+    return LinearCode(rows or [0b11], n)
+
+
 @pytest.fixture(scope="session")
 def table_checks():
     """All published-table row checks, computed once per session."""

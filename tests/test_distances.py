@@ -9,20 +9,17 @@ from hypothesis import strategies as st
 
 from qsteane.distances import (
     DistanceReport,
-    SymplecticVector,
     _min_weight_split,
     _quantum_scan_errors,
     _quantum_scan_pure,
     _quantum_scan_split,
     _syndrome,
-    generalized_weight,
     min_distance,
     quantum_distance_exact,
     second_gdw,
 )
 from qsteane.gf2 import (
     BinaryMatrix,
-    BinaryVector,
     EnumerationCapError,
     LinearCode,
     dual,
@@ -30,25 +27,15 @@ from qsteane.gf2 import (
     extend_parity,
     repetition_code,
 )
-from qsteane.steane import Permutation, QuantumCode, steane_enlarge
+from qsteane.steane import QuantumCode, _completion_rows, steane_enlarge
 
-from conftest import brute_min_distance, brute_second_gdw, random_code
+from conftest import brute_min_distance, brute_second_gdw, random_code, random_self_orthogonal
 
 HAMMING_7_4 = LinearCode([0b1101000, 0b0110100, 0b1110010, 0b1010001], 7)
 
 random_small_codes = st.integers(0, 10_000).map(
     lambda seed: random_code(random.Random(seed), n=12, k_target=6)
 )
-
-
-class TestGeneralizedWeight:
-    def test_or_weight(self):
-        v = SymplecticVector(4, BinaryVector(4, 0b0011), BinaryVector(4, 0b0110))
-        assert generalized_weight(v) == 3
-
-    def test_half_length_mismatch(self):
-        with pytest.raises(ValueError):
-            SymplecticVector(4, BinaryVector(4, 0), BinaryVector(5, 0))
 
 
 class TestMinDistance:
@@ -189,24 +176,16 @@ class TestQuantumDistance:
         assert isinstance(rep, DistanceReport)
 
 
-def random_self_orthogonal(rng: random.Random, n: int, k: int) -> LinearCode:
-    """A random self-orthogonal [n, <= k] code: even-weight rows, pairwise orthogonal."""
-    rows = []
-    for _ in range(8 * k):
-        v = rng.randrange(1, 1 << n)
-        if v.bit_count() % 2 == 0 and all((v & u).bit_count() % 2 == 0 for u in rows):
-            rows.append(v)
-            if LinearCode(rows, n).k == k:
-                break
-    return LinearCode(rows or [0b11], n)
-
-
-def random_derangement(rng: random.Random, n: int) -> Permutation:
+def random_derangement(rng: random.Random, n: int) -> list[int]:
     while True:
         image = list(range(n))
         rng.shuffle(image)
         if all(image[i] != i for i in range(n)):
-            return Permutation(n, tuple(image))
+            return image
+
+
+def permute_bits(image: list[int], bits: int) -> int:
+    return sum(1 << image[i] for i in range(len(image)) if (bits >> i) & 1)
 
 
 def random_scan_case(seed: int) -> QuantumCode:
@@ -229,8 +208,11 @@ def random_scan_case(seed: int) -> QuantumCode:
         Cp = LinearCode(C.basis_ints() + extra, n)
         if Cp.k > C.k and C.k + Cp.k <= 18:
             break
-    P = random_derangement(rng, n) if kind == 0 or Cp.k == C.k + 1 else None
-    return steane_enlarge(C, Cp, P, d_lower=1)
+    halves = None
+    if kind == 0 or Cp.k == C.k + 1:
+        image = random_derangement(rng, n)
+        halves = [permute_bits(image, w) for w in _completion_rows(C, Cp)]
+    return steane_enlarge(C, Cp, halves, d_lower=1)
 
 
 class TestErrorSideScan:

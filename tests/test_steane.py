@@ -1,36 +1,29 @@
-"""Enlargement construction, permutation/mixing maps, self-dual search."""
+"""Enlargement construction, row mixing, coset sweep, self-dual search."""
 
-import math
+import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from qsteane.distances import min_distance, quantum_distance_exact, second_gdw
+from qsteane.distances import min_distance, quantum_distance_exact
 from qsteane.gf2 import (
     CodeConstructionError,
     LinearCode,
     dual,
     even_weight_code,
-    extend_parity,
     is_subcode,
 )
 from qsteane.steane import (
-    Permutation,
+    _completion_rows,
     certified_enlarge,
-    default_permutation,
     find_self_dual_subcode,
-    find_supporting_permutation,
     is_stabilizer_code,
     mix_completion_rows,
-    permutation_candidates,
     rref_subspaces,
     steane_enlarge,
-    supports_distance_bound,
     symplectic_dual,
 )
 
-from conftest import EXT_HAMMING_8_4
+from conftest import EXT_HAMMING_8_4, random_self_orthogonal
 
 
 def gaussian_binomial(q: int, r: int) -> int:
@@ -41,40 +34,10 @@ def gaussian_binomial(q: int, r: int) -> int:
     return num // den
 
 
-class TestPermutation:
-    def test_rejects_fixed_points(self):
-        with pytest.raises(ValueError):
-            Permutation(3, (0, 2, 1))
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            Permutation(3, (1, 1, 0))
-
-    def test_apply_bits(self):
-        p = Permutation(3, (1, 2, 0))
-        assert p.apply_bits(0b001) == 0b010
-        assert p.apply_bits(0b110) == 0b101
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(2, 40))
-    def test_default_permutation_is_fix_point_free_cycle(self, n):
-        p = default_permutation(n)
-        assert all(p.image[i] != i for i in range(n))
-        assert sorted(p.image) == list(range(n))
-
-    def test_candidates_are_deterministic(self):
-        a = [p.image for p in _take(permutation_candidates(8), 20)]
-        b = [p.image for p in _take(permutation_candidates(8), 20)]
-        assert a == b
-
-
-def _take(it, count):
-    out = []
-    for x in it:
-        out.append(x)
-        if len(out) == count:
-            break
-    return out
+def shift_halves(C, Cp):
+    """Completion rows of C' under the cyclic coordinate shift by one."""
+    n = C.n
+    return [((w << 1) | (w >> (n - 1))) & ((1 << n) - 1) for w in _completion_rows(C, Cp)]
 
 
 class TestMixCompletionRows:
@@ -117,11 +80,22 @@ class TestSteaneEnlarge:
         Q = steane_enlarge(EXT_HAMMING_8_4, even_weight_code(8))
         assert quantum_distance_exact(Q).value >= Q.d_lower
 
-    def test_explicit_permutation_is_not_proven(self):
-        Q = steane_enlarge(
-            EXT_HAMMING_8_4, even_weight_code(8), default_permutation(8)
-        )
+    def test_explicit_halves_are_not_proven(self):
+        C, Cp = EXT_HAMMING_8_4, even_weight_code(8)
+        Q = steane_enlarge(C, Cp, shift_halves(C, Cp))
         assert not Q.bound_proven
+        assert is_stabilizer_code(Q)
+
+    def test_rejects_halves_count_mismatch(self):
+        C, Cp = EXT_HAMMING_8_4, even_weight_code(8)
+        with pytest.raises(CodeConstructionError, match="halves"):
+            steane_enlarge(C, Cp, shift_halves(C, Cp)[:2])
+
+    def test_single_row_needs_explicit_halves(self):
+        C = EXT_HAMMING_8_4
+        Cp = LinearCode(C.basis_ints() + [0b00000011], 8)
+        with pytest.raises(CodeConstructionError, match="mixing"):
+            steane_enlarge(C, Cp)
 
     def test_rejects_non_dual_containing(self):
         C = LinearCode([0b11110000, 0b00001111], 8)  # C-perp not inside C
@@ -148,21 +122,16 @@ class TestSteaneEnlarge:
 
 
 class TestSupportingPermutations:
-    def test_supporting_permutation_certifies(self):
-        C, Cp = EXT_HAMMING_8_4, even_weight_code(8)
-        P = find_supporting_permutation(C, Cp)
-        assert P is not None
-        assert supports_distance_bound(P, C, Cp)
-        Q = steane_enlarge(C, Cp, P)
-        bound = min(min_distance(C).value, second_gdw(Cp).value)
-        assert quantum_distance_exact(Q).value >= bound
-
     def test_cyclic_shift_fails_condition_here(self):
-        # The naive coordinate shift does not support the bound on this
-        # instance (its exact distance drops below min(d1, d2')).
+        # The naive coordinate shift P does not support the bound on this
+        # instance: for some nonzero completion word w, Pw or w + Pw lies
+        # in C, and the exact distance drops below min(d1, d2').
         C, Cp = EXT_HAMMING_8_4, even_weight_code(8)
-        assert not supports_distance_bound(default_permutation(8), C, Cp)
-        Q = steane_enlarge(C, Cp, default_permutation(8), d_lower=3)
+        pairs = [(0, 0)]
+        for w, pw in zip(_completion_rows(C, Cp), shift_halves(C, Cp)):
+            pairs += [(a ^ w, b ^ pw) for a, b in pairs]
+        assert any(C.contains_word(pw) or C.contains_word(w ^ pw) for w, pw in pairs[1:])
+        Q = steane_enlarge(C, Cp, shift_halves(C, Cp), d_lower=3)
         assert quantum_distance_exact(Q).value < 3
 
 
@@ -182,6 +151,41 @@ class TestCertifiedEnlarge:
         assert not Q.bound_proven
         assert Q.d_exact is not None
         assert Q.d_exact == quantum_distance_exact(Q).value
+
+    def test_coset_sweep_is_complete(self):
+        # Every v in GF(2)^n, not only the library's coset representatives.
+        reached = set()
+        for seed in range(40):
+            C, Cp = single_row_case(seed)
+            Q = certified_enlarge(C, Cp)
+            best = max(
+                quantum_distance_exact(steane_enlarge(C, Cp, [v], d_lower=1)).value
+                for v in range(1 << C.n)
+            )
+            assert (Q.d_exact >= Q.d_lower) == (best >= Q.d_lower)
+            if best < Q.d_lower:
+                assert Q.d_exact == best
+            assert Q.d_exact == quantum_distance_exact(Q).value
+            assert certified_enlarge(C, Cp).Gz.row_ints() == Q.Gz.row_ints()
+            reached.add(best >= Q.d_lower)
+        assert reached == {True, False}  # both outcomes are exercised
+
+    def test_out_of_reach_returns_uncertified(self):
+        C = EXT_HAMMING_8_4
+        Cp = LinearCode(C.basis_ints() + [0b00000011], 8)
+        Q = certified_enlarge(C, Cp, d_lower=3, cap=C.k + Cp.k - 1)
+        assert Q.d_exact is None and not Q.bound_proven
+
+
+def single_row_case(seed: int):
+    """Seeded dual-containing C < C' with k' = k + 1 and n <= 8."""
+    rng = random.Random(seed)
+    while True:
+        n = rng.randrange(4, 9)
+        C = dual(random_self_orthogonal(rng, n, rng.randrange(1, n // 2 + 1)))
+        Cp = LinearCode(C.basis_ints() + [rng.randrange(1, 1 << n)], n)
+        if Cp.k == C.k + 1:
+            return C, Cp
 
 
 class TestRrefSubspaces:
