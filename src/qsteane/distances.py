@@ -1,7 +1,10 @@
 """Exact weight and distance scans.
 
-Everything here is exhaustive.  Minimum distance and the second
-generalized Hamming weight walk every codeword (and codeword pair).
+Everything here is exhaustive.  Minimum distance walks every codeword.
+The second generalized Hamming weight d2 is read off residual codes:
+for each light codeword a, one numpy pass over the other codewords b
+finds the fewest coordinates outside supp a that b covers; the passes
+stop once a weighs more than 2/3 of the best d2 so far.
 
 The exact quantum distance is certified from the error side first:
 Pauli errors are visited by weight, 1, 2, ..., and each is tested for
@@ -11,7 +14,9 @@ distance.  That side costs C(n,w)*3^w errors per weight; when the total
 would exceed the 2^r elements of C, or the syndrome does not fit one
 uint64 word, the scan falls back to walking the whole row space.
 
-Row-space walks above ~2^18 words take a numpy-vectorized split path
+Spans are numpy arrays built by doubling, ceil(n/64) uint64 limbs per
+word, laid out so that numeric order is lexicographic order.  Row-space
+walks above ~2^18 words take a numpy-vectorized split path
 (single-word codes only, n <= 63); larger n falls back to a pure
 big-int loop.
 """
@@ -32,7 +37,6 @@ from .gf2 import (
     EnumerationCapError,
     LinearCode,
     dual,
-    enumerate_span,
     lex_key,
 )
 
@@ -44,6 +48,9 @@ _PURE_LOOP_MAX_K = 17  # below this a plain Python Gray walk is fast enough
 # Most rows in the error side's suffix table, one uint64 syndrome each.
 # Weight layers are never stored whole, so this bounds the scan's memory.
 _TABLE_ROWS = 1 << 14
+# Words per block of a second_gdw pass, which bounds its temporaries.
+_BLOCK_ROWS = 1 << 16
+_LIMB = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,8 @@ class DistanceReport:
     """Result of an exhaustive distance scan, with attaining witness.
 
     `method` names the scan that answered: "span" walked every element
-    of the row space, "errors" visited Pauli errors by weight.
+    of the row space, "errors" visited Pauli errors by weight,
+    "residual" ran one pass over a pool of codewords per light word.
     `enumerated_count` counts the elements visited by that method.
     """
 
@@ -94,45 +102,87 @@ def min_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
     )
 
 
-def _gray_span_array(basis: list[int]) -> np.ndarray:
-    arr = np.empty(1 << len(basis), dtype=np.uint64)
-    word = 0
-    arr[0] = 0
-    for i in range(1, 1 << len(basis)):
-        word ^= basis[(i & -i).bit_length() - 1]
-        arr[i] = word
-    return arr
+def _span_limbs(basis: list[int], n: int) -> np.ndarray:
+    """Every word of span(basis), one row of ceil(n/64) uint64 limbs each.
+
+    Built by doubling: rows [2^j, 2^(j+1)) are rows [0, 2^j) XOR
+    basis[j], so row i is the sum of the basis rows picked by the bits
+    of i.  Coordinate c sits in limb c // 64 at bit 63 - c % 64, so
+    comparing rows limb by limb as unsigned integers compares them as
+    coordinate strings, the order of `lex_key`.
+    """
+    limbs = -(-n // 64)
+    span = np.zeros((1 << len(basis), limbs), dtype=np.uint64)
+    for j, row in enumerate(basis):
+        v = lex_key(row, n) << (64 * limbs - n)
+        row_limbs = np.array([(v >> (64 * (limbs - 1 - i))) & _LIMB for i in range(limbs)], dtype=np.uint64)
+        np.bitwise_xor(span[: 1 << j], row_limbs, out=span[1 << j : 2 << j])
+    return span
+
+
+def _lex_ints(rows: np.ndarray) -> list[int]:
+    """Rows of limbs as ints whose order is the lexicographic order."""
+    out = [0] * len(rows)
+    for limb in rows.T.tolist():
+        out = [(v << 64) | x for v, x in zip(out, limb)]
+    return out
+
+
+def _word(lex_int: int, n: int) -> int:
+    """The codeword (coordinate c at bit c) of an int from `_lex_ints`."""
+    return lex_key(lex_int >> (64 * -(-n // 64) - n), n)
+
+
+def _weights(rows: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(rows).sum(axis=1, dtype=np.int16)
+
+
+def _split_span(rows: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spans of the first _VECTOR_SPLIT rows and of the rest, as single
+    uint64 words (n <= 64): every word is one of each, XORed."""
+    return _span_limbs(rows[:_VECTOR_SPLIT], n)[:, 0], _span_limbs(rows[_VECTOR_SPLIT:], n)[:, 0]
 
 
 def _min_weight_split(basis: list[int], n: int) -> tuple[int, int]:
     """Minimum nonzero weight over span(basis); numpy inner half-space."""
-    kb = min(len(basis), _VECTOR_SPLIT)
-    lo = _gray_span_array(basis[:kb])
+    lo, hi = _split_span(basis, n)
     best, best_word = n + 1, None
-    word = 0
-    outer = basis[kb:]
-    for i in range(1 << len(outer)):
-        if i:
-            word ^= outer[(i & -i).bit_length() - 1]
-        vals = np.bitwise_count(np.uint64(word) ^ lo)
+    for i, outer in enumerate(hi):
+        words = outer ^ lo
+        vals = np.bitwise_count(words)
         if i == 0:
             vals[0] = n + 1  # skip the zero codeword
         bmin = int(vals.min())
         if bmin <= best:
-            for idx in np.flatnonzero(vals == bmin):
-                cand = word ^ int(lo[idx])
-                if bmin < best or lex_key(cand, n) < lex_key(best_word, n):
-                    best, best_word = bmin, cand
-    return best, best_word
+            cand = int(words[vals == bmin].min())
+            if bmin < best or cand < best_word:
+                best, best_word = bmin, cand
+    return best, _word(best_word, n)
 
 
 def second_gdw(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
-    """Exact second generalized Hamming weight.
+    """Exact second generalized Hamming weight d2.
 
-    Minimum OR-weight over pairs of distinct nonzero codewords (the
-    minimum support of a 2-dimensional subcode).  The pair scan is
-    pruned: any pair's OR-weight is at least the larger of the two
-    weights, so codewords at or above the current best are skipped.
+    The minimum support of a 2-dimensional subcode {a, b, a^b}.  As
+    wt(a) + wt(b) + wt(a^b) = 2 d2 for a minimising subcode, its
+    lightest word a weighs at most 2 d2 / 3, and its support has
+    wt(a) + wt(b & ~a) coordinates.  So each nonzero a, in increasing
+    weight while 3 wt(a) <= 2 best, takes one numpy pass for the
+    minimum of wt(b & ~a) over the other nonzero words b (the residual
+    code of C on the complement of supp a; V. K. Wei, IEEE Trans. IT,
+    1991).  Every word of a minimising subcode weighs at most d2, so
+    after each pass the words heavier than the best value so far leave
+    the pool of b.  `enumerated_count` sums the pool words compared.
+
+    The witness is the lexicographically smallest pair among the
+    minimisers: over the minimising subcodes, the smallest pair of its
+    two lexicographically smallest words.
+
+    Memory: the span takes 2^k * ceil(n/64) * 8 bytes (512 MB at the
+    cap k = 26 for n <= 64), the weights 2 bytes per word, and the pool
+    at most the span again, plus an 8-byte index per word of the weight
+    being passed.  Passes run over blocks of _BLOCK_ROWS words, so
+    their temporaries stay bounded.
     """
     if C.k < 2:
         raise ValueError("no 2-dimensional subcode: k < 2")
@@ -140,41 +190,55 @@ def second_gdw(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
         raise EnumerationCapError(
             f"second_gdw over 2^{C.k} codewords exceeds cap k <= {cap}"
         )
-    words = [w for w in enumerate_span(C.basis_ints(), cap=cap) if w]
-    words.sort(key=lambda w: (w.bit_count(), lex_key(w, C.n)))
-    wts = [w.bit_count() for w in words]
-
-    best = C.n + 1
-    for i in range(len(words)):
-        if wts[i] >= best:
-            break
-        wi = words[i]
-        for j in range(i + 1, len(words)):
-            if wts[j] >= best:
-                break
-            w = (wi | words[j]).bit_count()
-            if w < best:
-                best = w
-
-    # Deterministic witness: lexicographically smallest pair among the
-    # minimizers (only codewords of weight <= best can participate).
-    light = [w for w in words if w.bit_count() <= best]
-    best_pair = None
-    for i in range(len(light)):
-        for j in range(i + 1, len(light)):
-            if (light[i] | light[j]).bit_count() == best:
-                pair = tuple(sorted((light[i], light[j]), key=lambda w: lex_key(w, C.n)))
-                key = (lex_key(pair[0], C.n), lex_key(pair[1], C.n))
-                if best_pair is None or key < best_pair[0]:
-                    best_pair = (key, pair)
-    assert best_pair is not None
+    pool = _span_limbs(C.basis_ints(), C.n)[1:]
+    wt = _weights(pool)
+    best, best_pair, compared = C.n + 1, None, 0
+    w = int(wt.min())
+    while 3 * w <= 2 * best:
+        # Words of weight w never leave the pool (w < best), and leaving
+        # keeps the order of the rest, so `done` counts them throughout.
+        light = np.flatnonzero(wt == w)
+        done = 0
+        while done < len(light) and 3 * w <= 2 * best:
+            (a,) = _lex_ints(pool[light[done], None])
+            rest, hits = _residual_pass(pool, light[done], C.n)
+            done += 1
+            compared += len(pool)
+            if w + rest > best:
+                continue
+            pair = min(sorted((a, b, a ^ b))[:2] for b in _lex_ints(hits))
+            if w + rest < best:
+                best, best_pair = w + rest, pair
+                keep = wt <= best
+                pool, wt = pool[keep], wt[keep]
+                light = np.flatnonzero(wt == w)
+            else:
+                best_pair = min(best_pair, pair)
+        w += 1
     C.cached_d2 = best
     return DistanceReport(
         value=best,
-        witness=tuple(BinaryVector(C.n, w) for w in best_pair[1]),
-        enumerated_count=1 << C.k,
-        method="span",
+        witness=tuple(BinaryVector(C.n, _word(v, C.n)) for v in best_pair),
+        enumerated_count=compared,
+        method="residual",
     )
+
+
+def _residual_pass(pool: np.ndarray, i: int, n: int) -> tuple[int, np.ndarray]:
+    """Minimum of wt(b & ~a) over the rows b != a of pool, a = pool[i],
+    and the rows attaining it."""
+    a = pool[i]
+    rest, hits = n + 1, []
+    for start in range(0, len(pool), _BLOCK_ROWS):
+        outside = _weights(pool[start : start + _BLOCK_ROWS] & ~a)
+        if start <= i < start + _BLOCK_ROWS:
+            outside[i - start] = n + 1  # b = a
+        m = int(outside.min())
+        if m < rest:
+            rest, hits = m, []
+        if m == rest:
+            hits.append(pool[start + np.flatnonzero(outside == m)])
+    return rest, np.concatenate(hits)
 
 
 def quantum_distance_exact(Q: "QuantumCode", cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
@@ -336,36 +400,30 @@ def _pair_lex(ux: int, uz: int, n: int) -> tuple[int, int]:
 
 
 def _quantum_scan_split(gx, gz, syn, n, self_orthogonal):
-    r = len(gx)
-    kb = min(r, _VECTOR_SPLIT)
-    bx = _gray_span_array(gx[:kb])
-    bz = _gray_span_array(gz[:kb])
-    bs = _gray_span_array(syn[:kb])
-    ox, oz, osyn = gx[kb:], gz[kb:], syn[kb:]
-    ax = az = asyn = 0
+    bx, ox = _split_span(gx, n)
+    bz, oz = _split_span(gz, n)
+    bs, osyn = _split_span(syn, len(syn))  # only compared with 0: bit order is moot
     best, best_wit = n + 1, None
-    for i in range(1 << (r - kb)):
-        if i:
-            j = (i & -i).bit_length() - 1
-            ax ^= ox[j]
-            az ^= oz[j]
-            asyn ^= osyn[j]
-        ux = np.uint64(ax) ^ bx
-        uz = np.uint64(az) ^ bz
+    for ax, az, asyn in zip(ox, oz, osyn):
+        ux = ax ^ bx
+        uz = az ^ bz
         vals = np.bitwise_count(ux | uz)
         if self_orthogonal:
             live = vals != 0
         else:
-            live = (np.uint64(asyn) ^ bs) != 0
+            live = (asyn ^ bs) != 0
         if not live.any():
             continue
         bmin = int(vals[live].min())
         if bmin <= best:
-            for idx in np.flatnonzero(live & (vals == bmin)):
-                cand = (ax ^ int(bx[idx]), az ^ int(bz[idx]))
-                if bmin < best or _pair_lex(*cand, n) < _pair_lex(*best_wit, n):
-                    best, best_wit = bmin, cand
-    return best, best_wit
+            tie = live & (vals == bmin)
+            cx = ux[tie].min()
+            cand = (int(cx), int(uz[tie & (ux == cx)].min()))
+            if bmin < best or cand < best_wit:
+                best, best_wit = bmin, cand
+    if best_wit is None:
+        return best, None
+    return best, (_word(best_wit[0], n), _word(best_wit[1], n))
 
 
 def _quantum_scan_pure(gx, gz, syn, n, self_orthogonal):

@@ -48,6 +48,45 @@ def brute_second_gdw(code: LinearCode) -> int:
     return int(wts.min())
 
 
+def reference_second_gdw(code: LinearCode) -> tuple[int, tuple[int, int]]:
+    """Reference d2 and witness by the pruned pair loop over all words.
+
+    The witness is the pair of codewords, lexicographically smallest
+    as coordinate strings, that is smallest among the minimising pairs.
+    """
+    n = code.n
+
+    def lex(w: int) -> str:
+        return format(w, f"0{n}b")[::-1]
+
+    words = [w for w in span_words(code) if w]
+    words.sort(key=lambda w: (w.bit_count(), lex(w)))
+    wts = [w.bit_count() for w in words]
+
+    best = n + 1
+    for i in range(len(words)):
+        if wts[i] >= best:
+            break
+        wi = words[i]
+        for j in range(i + 1, len(words)):
+            if wts[j] >= best:
+                break
+            w = (wi | words[j]).bit_count()
+            if w < best:
+                best = w
+
+    light = [w for w in words if w.bit_count() <= best]
+    best_pair = None
+    for i in range(len(light)):
+        for j in range(i + 1, len(light)):
+            if (light[i] | light[j]).bit_count() == best:
+                pair = tuple(sorted((light[i], light[j]), key=lex))
+                key = (lex(pair[0]), lex(pair[1]))
+                if best_pair is None or key < best_pair[0]:
+                    best_pair = (key, pair)
+    return best, best_pair[1]
+
+
 def fixture_rows(name: str) -> list[int]:
     """Rows of a shipped matrix file as plain ints (column i is bit i),
     read here rather than by the library's parser."""

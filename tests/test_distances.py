@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -29,13 +30,37 @@ from qsteane.gf2 import (
 )
 from qsteane.steane import QuantumCode, _completion_rows, steane_enlarge
 
-from conftest import brute_min_distance, brute_second_gdw, random_code, random_self_orthogonal
+from conftest import (
+    brute_min_distance,
+    brute_second_gdw,
+    random_code,
+    random_self_orthogonal,
+    reference_second_gdw,
+)
 
 HAMMING_7_4 = LinearCode([0b1101000, 0b0110100, 0b1110010, 0b1010001], 7)
 
 random_small_codes = st.integers(0, 10_000).map(
     lambda seed: random_code(random.Random(seed), n=12, k_target=6)
 )
+
+
+def reference_cases(seed: int = 2026) -> list[LinearCode]:
+    """Random codes whose lengths cross the 64- and 128-bit limb
+    boundaries, then sparse-row codes full of tied minima; k in 2..11."""
+    rng = random.Random(seed)
+    codes = []
+    for lo, hi in ((4, 20), (60, 70), (125, 135)):
+        for _ in range(80):
+            n = rng.randint(lo, hi)
+            codes.append(random_code(rng, n, k_target=rng.randint(2, min(11, n))))
+    while len(codes) < 300:
+        n = rng.randint(6, 24)
+        rows = [sum(1 << c for c in rng.sample(range(n), rng.randint(1, 3))) for _ in range(rng.randint(2, 11))]
+        code = LinearCode(rows, n)
+        if code.k >= 2:
+            codes.append(code)
+    return codes
 
 
 class TestMinDistance:
@@ -105,6 +130,23 @@ class TestSecondGdw:
         d2 = second_gdw(code).value
         assert d2 >= d1 + 1
         assert d2 >= math.ceil(3 * d1 / 2)
+
+    def test_matches_reference_value_and_witness(self):
+        for code in reference_cases():
+            rep = second_gdw(code)
+            got = (rep.value, tuple(w.bits for w in rep.witness))
+            assert got == reference_second_gdw(code), (code.n, code.basis_ints())
+
+    def test_memory_is_bounded_by_the_span(self):
+        code = random_code(random.Random(48), n=48, k_target=22, min_k=22)
+        span_bytes = (1 << 22) * 8
+        tracemalloc.start()
+        try:
+            second_gdw(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * span_bytes
 
     def test_deterministic_witness(self):
         a = second_gdw(LinearCode([0b110011, 0b011110, 0b101010], 6))
@@ -266,4 +308,4 @@ class TestErrorSideScan:
 
     def test_classical_scans_report_span(self):
         assert min_distance(HAMMING_7_4).method == "span"
-        assert second_gdw(HAMMING_7_4).method == "span"
+        assert second_gdw(HAMMING_7_4).method == "residual"
