@@ -44,7 +44,6 @@ from .gf2 import (
     LinearCode,
     MatrixParseError,
     dual,
-    enumerate_codewords,
     even_weight_code,
     extend_parity,
     is_subcode,

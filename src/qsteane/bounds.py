@@ -96,7 +96,10 @@ def pair_count_identity(t: int) -> PairCountIdentity:
 
 
 def emit_curve(delta_min: float, delta_max: float, step: float) -> list[BoundCurvePoint]:
-    """Evaluate all four bounds on a regular grid, clamping rates at 0."""
+    """Evaluate all four bounds on a regular grid, clamping rates at 0.
+
+    Grids of more than 10^6 points are refused before anything is built.
+    """
     if not 0.0 <= delta_min <= delta_max <= 0.5:
         raise ValueError("need 0 <= delta_min <= delta_max <= 1/2")
     if delta_min < delta_max and step <= 0.0:
@@ -105,6 +108,8 @@ def emit_curve(delta_min: float, delta_max: float, step: float) -> list[BoundCur
         deltas = [delta_min]
     else:
         count = int(math.floor((delta_max - delta_min) / step + 1e-9)) + 1
+        if count > 10**6:
+            raise ValueError(f"grid of {count} points exceeds 10^6; use a larger step")
         deltas = [min(delta_min + i * step, delta_max) for i in range(count)]
     return [
         BoundCurvePoint(

@@ -15,15 +15,18 @@ would exceed the 2^r elements of C, or the syndrome does not fit one
 uint64 word, the scan falls back to walking the whole row space.
 
 Spans are numpy arrays built by doubling, ceil(n/64) uint64 limbs per
-word, laid out so that numeric order is lexicographic order.  Row-space
-walks above ~2^18 words take a numpy-vectorized split path
-(single-word codes only, n <= 63); larger n falls back to a pure
-big-int loop.
+word, laid out so that numeric order is lexicographic order.  Every
+row-space walk with 2^_PURE_LOOP_MAX_K words or more, at any n, runs
+one numpy kernel (`_span_min`): the lightest element of span{(x | z)}
+by wt(x | z), optionally among those of nonzero syndrome.  Only
+minimum distance keeps a Python Gray-code walk, for the small spans
+where numpy's per-call cost would dominate.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,8 +46,8 @@ from .gf2 import (
 if TYPE_CHECKING:
     from .steane import QuantumCode
 
-_VECTOR_SPLIT = 13  # half-space size for the numpy split path
-_PURE_LOOP_MAX_K = 17  # below this a plain Python Gray walk is fast enough
+_VECTOR_SPLIT = 14  # a block of _span_min holds 2^14 words over all halves
+_PURE_LOOP_MAX_K = 10  # below this a plain Python Gray walk is faster
 # Most rows in the error side's suffix table, one uint64 syndrome each.
 # Weight layers are never stored whole, so this bounds the scan's memory.
 _TABLE_ROWS = 1 << 14
@@ -73,8 +76,10 @@ class DistanceReport:
 def min_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
     """Exact minimum distance by full codeword enumeration.
 
-    The witness is the lexicographically smallest codeword attaining
-    the minimum, so results do not depend on how the scan is split.
+    Codes of dimension below _PURE_LOOP_MAX_K take a Python Gray-code
+    walk; the rest take the numpy kernel `_span_min`, whatever n.  The
+    witness is the lexicographically smallest codeword attaining the
+    minimum, so results do not depend on which path ran.
     """
     if C.k == 0:
         raise ValueError("distance undefined for zero code")
@@ -83,7 +88,7 @@ def min_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
             f"min_distance over 2^{C.k} codewords exceeds cap k <= {cap}"
         )
     basis = C.basis_ints()
-    if C.k < _PURE_LOOP_MAX_K or C.n > 63:
+    if C.k < _PURE_LOOP_MAX_K:
         best, best_word = C.n + 1, None
         word = 0
         for i in range(1, 1 << C.k):
@@ -92,7 +97,7 @@ def min_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
             if w < best or (w == best and lex_key(word, C.n) < lex_key(best_word, C.n)):
                 best, best_word = w, word
     else:
-        best, best_word = _min_weight_split(basis, C.n)
+        best, (best_word,) = _span_min([basis], C.n)
     C.cached_d1 = best
     return DistanceReport(
         value=best,
@@ -137,27 +142,62 @@ def _weights(rows: np.ndarray) -> np.ndarray:
     return np.bitwise_count(rows).sum(axis=1, dtype=np.int16)
 
 
-def _split_span(rows: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Spans of the first _VECTOR_SPLIT rows and of the rest, as single
-    uint64 words (n <= 64): every word is one of each, XORed."""
-    return _span_limbs(rows[:_VECTOR_SPLIT], n)[:, 0], _span_limbs(rows[_VECTOR_SPLIT:], n)[:, 0]
+def _span_min(halves: list[list[int]], n: int, syn: Optional[list[int]] = None) -> tuple[int, Optional[tuple]]:
+    """Lightest element of span{(x_i | z_i)} by wt(x | z), with witness.
 
+    `halves` holds the rows of each half: [rows] for a classical code,
+    [xs, zs] for a quantum one.  With `syn`, the syndrome of each row
+    as an int, only elements of nonzero syndrome count; without it,
+    every nonzero element does.  The witness is the lexicographically
+    smallest element attaining the minimum, compared half by half.
 
-def _min_weight_split(basis: list[int], n: int) -> tuple[int, int]:
-    """Minimum nonzero weight over span(basis); numpy inner half-space."""
-    lo, hi = _split_span(basis, n)
-    best, best_word = n + 1, None
-    for i, outer in enumerate(hi):
-        words = outer ^ lo
-        vals = np.bitwise_count(words)
-        if i == 0:
-            vals[0] = n + 1  # skip the zero codeword
+    The span of the first rows is one numpy block per half, built by
+    `_span_limbs`, with 2^_VECTOR_SPLIT words over all halves; each
+    element of the span of the other rows is XORed into it in turn, so
+    every n takes the same path.  Returns (weight, one word per half),
+    or (n + 1, None) when no element counts.
+    """
+    # Blocks are held as (limb, word) arrays, so each limb is contiguous.
+    split = _VECTOR_SPLIT + 1 - len(halves)
+    inner = [_span_limbs(rows[:split], n).T.copy() for rows in halves]
+    outer = [_span_limbs(rows[split:], n)[:, :, None] for rows in halves]
+    if syn is not None:
+        # Syndromes are only compared with 0, so their bit order is moot.
+        syn_inner = _span_limbs(syn[:split], len(syn)).T.copy()
+        syn_outer = _span_limbs(syn[split:], len(syn))[:, :, None]
+    best, best_wit = n + 1, None
+    for i in range(len(outer[0])):
+        words = [o[i] ^ block for o, block in zip(outer, inner)]
+        counts = np.bitwise_count(functools.reduce(np.bitwise_or, words))
+        vals = counts[0] if len(counts) == 1 else counts.sum(axis=0, dtype=np.int16)
+        if syn is not None:
+            vals[((syn_outer[i] ^ syn_inner) == 0).all(axis=0)] = n + 1
         bmin = int(vals.min())
-        if bmin <= best:
-            cand = int(words[vals == bmin].min())
-            if bmin < best or cand < best_word:
-                best, best_word = bmin, cand
-    return best, _word(best_word, n)
+        if bmin == 0:
+            # The zero element, which never counts.  With independent
+            # rows it is only row 0 of the first block.
+            vals[vals == 0] = n + 1
+            bmin = int(vals.min())
+        if bmin > min(best, n):
+            continue
+        # Lexicographic minimum of the tied words, limb by limb, x first.
+        tie = vals == bmin
+        limbs = [limb[tie] for w in words for limb in w]
+        wit = []
+        for j, limb in enumerate(limbs):
+            m = limb.min()
+            wit.append(int(m))
+            limbs[j + 1 :] = [rest[limb == m] for rest in limbs[j + 1 :]]
+        wit = tuple(wit)
+        if bmin < best or wit < best_wit:
+            best, best_wit = bmin, wit
+    if best_wit is None:
+        return best, None
+    per_half = len(best_wit) // len(halves)
+    return best, tuple(
+        _word(functools.reduce(lambda v, limb: v << 64 | limb, best_wit[h : h + per_half]), n)
+        for h in range(0, len(best_wit), per_half)
+    )
 
 
 def second_gdw(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
@@ -275,8 +315,7 @@ def quantum_distance_exact(Q: "QuantumCode", cap: int = DEFAULT_ENUM_CAP) -> Dis
         value, wit, visited = found
         method = "errors"
     else:
-        scan = _quantum_scan_split if n <= 63 else _quantum_scan_pure
-        value, wit = scan(gx, gz, syn, n, self_orthogonal)
+        value, wit = _span_min([gx, gz], n, None if self_orthogonal else syn)
         visited, method = 1 << r, "span"
     if wit is None:
         raise ValueError("no vector outside the stabilizer: empty scan")
@@ -397,49 +436,3 @@ def _quantum_scan_errors(gx, gz, n, self_orthogonal, budget):
 
 def _pair_lex(ux: int, uz: int, n: int) -> tuple[int, int]:
     return (lex_key(ux, n), lex_key(uz, n))
-
-
-def _quantum_scan_split(gx, gz, syn, n, self_orthogonal):
-    bx, ox = _split_span(gx, n)
-    bz, oz = _split_span(gz, n)
-    bs, osyn = _split_span(syn, len(syn))  # only compared with 0: bit order is moot
-    best, best_wit = n + 1, None
-    for ax, az, asyn in zip(ox, oz, osyn):
-        ux = ax ^ bx
-        uz = az ^ bz
-        vals = np.bitwise_count(ux | uz)
-        if self_orthogonal:
-            live = vals != 0
-        else:
-            live = (asyn ^ bs) != 0
-        if not live.any():
-            continue
-        bmin = int(vals[live].min())
-        if bmin <= best:
-            tie = live & (vals == bmin)
-            cx = ux[tie].min()
-            cand = (int(cx), int(uz[tie & (ux == cx)].min()))
-            if bmin < best or cand < best_wit:
-                best, best_wit = bmin, cand
-    if best_wit is None:
-        return best, None
-    return best, (_word(best_wit[0], n), _word(best_wit[1], n))
-
-
-def _quantum_scan_pure(gx, gz, syn, n, self_orthogonal):
-    r = len(gx)
-    ux = uz = s = 0
-    best, best_wit = n + 1, None
-    for i in range(1, 1 << r):
-        j = (i & -i).bit_length() - 1
-        ux ^= gx[j]
-        uz ^= gz[j]
-        s ^= syn[j]
-        if (s == 0) != self_orthogonal:
-            continue
-        if self_orthogonal and ux == 0 and uz == 0:
-            continue
-        w = (ux | uz).bit_count()
-        if w < best or (w == best and _pair_lex(ux, uz, n) < _pair_lex(*best_wit, n)):
-            best, best_wit = w, (ux, uz)
-    return best, best_wit

@@ -9,7 +9,7 @@ BCH construction) works on these bitsets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 MAX_LENGTH = 1024
 DEFAULT_ENUM_CAP = 26
@@ -67,12 +67,12 @@ class BinaryVector:
 
 
 def lex_key(bits: int, n: int) -> int:
-    # Reverse the bit order so integer comparison matches comparing
-    # coordinate strings b0 b1 ... b_{n-1} lexicographically.
-    out = 0
-    for i in range(n):
-        out = (out << 1) | ((bits >> i) & 1)
-    return out
+    """Key ordering words as coordinate strings b0 b1 ... b_{n-1}.
+
+    Reverses the n low bits, so integer comparison of keys compares the
+    strings lexicographically.  Needs 0 <= bits < 2^n.
+    """
+    return int(format(bits, f"0{n}b")[::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -218,28 +218,6 @@ def is_subcode(A: LinearCode, B: LinearCode) -> bool:
     if A.n != B.n:
         raise ValueError(f"length mismatch: {A.n} != {B.n}")
     return all(B.contains_word(r) for r in A._basis)
-
-
-def enumerate_codewords(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Iterator[BinaryVector]:
-    """Yield all 2^k codewords in Gray-code order over the message space."""
-    for bits in enumerate_span(C.basis_ints(), cap=cap):
-        yield BinaryVector(C.n, bits)
-
-
-def enumerate_span(basis: Sequence[int], cap: int = DEFAULT_ENUM_CAP) -> Iterator[int]:
-    """Gray-code walk over the span of `basis`: starts at 0, each step
-    XORs a single basis element, visits every element exactly once."""
-    k = len(basis)
-    if k > cap:
-        raise EnumerationCapError(
-            f"enumeration of 2^{k} codewords exceeds cap k <= {cap}; "
-            f"raise the cap explicitly to override"
-        )
-    word = 0
-    yield word
-    for i in range(1, 1 << k):
-        word ^= basis[(i & -i).bit_length() - 1]
-        yield word
 
 
 def parse_matrix(text: str) -> BinaryMatrix:

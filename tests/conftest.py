@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the library's scan machinery: plain
 itertools/numpy reimplementations used to cross-check the optimized
-paths.  The certificate checkers (fixture rows, span membership,
+paths, among them the Gray-code walks that check the numpy span
+kernel.  The certificate checkers (fixture rows, span membership,
 symplectic product, the Gleason-shadow obstruction) work on plain ints
 and exact fractions only.
 """
@@ -12,13 +13,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 import pytest
 
 from qsteane.bch import FamilySpec, build_family_code
-from qsteane.gf2 import LinearCode, extend_parity
+from qsteane.gf2 import BinaryVector, LinearCode, extend_parity
 from qsteane.table1 import TABLE1_ROWS, check_row
 
 
@@ -35,8 +36,57 @@ def span_words(code: LinearCode) -> list[int]:
     return words
 
 
+def enumerate_span(basis: Sequence[int]) -> Iterator[int]:
+    """Gray-code walk over the span of `basis`: starts at 0, each step
+    XORs a single basis element, visits every element exactly once."""
+    word = 0
+    yield word
+    for i in range(1, 1 << len(basis)):
+        word ^= basis[(i & -i).bit_length() - 1]
+        yield word
+
+
+def enumerate_codewords(code: LinearCode) -> Iterator[BinaryVector]:
+    """All 2^k codewords in Gray-code order over the message space."""
+    for bits in enumerate_span(code.basis_ints()):
+        yield BinaryVector(code.n, bits)
+
+
+def lex(word: int, n: int) -> str:
+    """A word as its coordinate string, coordinate 0 first."""
+    return format(word, f"0{n}b")[::-1]
+
+
 def brute_min_distance(code: LinearCode) -> int:
     return min(w.bit_count() for w in span_words(code) if w)
+
+
+def reference_min_word(words, n: int) -> tuple[int, int]:
+    """Weight and lexicographically smallest word among the lightest
+    nonzero words."""
+    word = min((w for w in words if w), key=lambda w: (w.bit_count(), lex(w, n)))
+    return word.bit_count(), word
+
+
+def reference_quantum_scan(gx, gz, syn, n, self_orthogonal):
+    """Quantum distance and witness by a Gray-code walk over all 2^r
+    combinations of the rows (gx[i] | gz[i]), with syndrome syn[i].
+
+    Counts the elements of nonzero syndrome, or every nonzero element
+    when self_orthogonal; the witness is the lexicographically smallest
+    (ux, uz) of least weight wt(ux | uz), or None when nothing counts.
+    """
+    best, best_wit = n + 1, None
+    rows = [(s << 2 * n) | (x << n) | z for x, z, s in zip(gx, gz, syn)]
+    mask = (1 << n) - 1
+    for v in enumerate_span(rows):
+        ux, uz, s = (v >> n) & mask, v & mask, v >> 2 * n
+        if (s == 0) != self_orthogonal or not ux | uz:
+            continue
+        key = ((ux | uz).bit_count(), lex(ux, n), lex(uz, n))
+        if best_wit is None or key < best:
+            best, best_wit = key, (ux, uz)
+    return (best[0], best_wit) if best_wit else (n + 1, None)
 
 
 def brute_second_gdw(code: LinearCode) -> int:
@@ -55,12 +105,8 @@ def reference_second_gdw(code: LinearCode) -> tuple[int, tuple[int, int]]:
     as coordinate strings, that is smallest among the minimising pairs.
     """
     n = code.n
-
-    def lex(w: int) -> str:
-        return format(w, f"0{n}b")[::-1]
-
     words = [w for w in span_words(code) if w]
-    words.sort(key=lambda w: (w.bit_count(), lex(w)))
+    words.sort(key=lambda w: (w.bit_count(), lex(w, n)))
     wts = [w.bit_count() for w in words]
 
     best = n + 1
@@ -80,8 +126,8 @@ def reference_second_gdw(code: LinearCode) -> tuple[int, tuple[int, int]]:
     for i in range(len(light)):
         for j in range(i + 1, len(light)):
             if (light[i] | light[j]).bit_count() == best:
-                pair = tuple(sorted((light[i], light[j]), key=lex))
-                key = (lex(pair[0]), lex(pair[1]))
+                pair = tuple(sorted((light[i], light[j]), key=lambda w: lex(w, n)))
+                key = (lex(pair[0], n), lex(pair[1], n))
                 if best_pair is None or key < best_pair[0]:
                     best_pair = (key, pair)
     return best, best_pair[1]

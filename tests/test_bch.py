@@ -20,11 +20,12 @@ from qsteane.gf2 import (
     CodeConstructionError,
     LinearCode,
     dual,
-    enumerate_codewords,
     is_subcode,
     lex_key,
 )
 from qsteane.steane import is_stabilizer_code
+
+from conftest import enumerate_codewords
 
 
 class TestGf2mField:

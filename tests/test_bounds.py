@@ -147,6 +147,13 @@ class TestEmitCurve:
         with pytest.raises(ValueError):
             emit_curve(0.0, 0.5, 0.0)
 
+    def test_oversized_grid_refused(self):
+        # 5 * 10^11 points would exhaust memory; the refusal comes first.
+        with pytest.raises(ValueError, match="exceeds 10\\^6"):
+            emit_curve(0.0, 0.5, 1e-12)
+        with pytest.raises(ValueError, match="1000001 points"):
+            emit_curve(0.0, 0.5, 0.5 / 10**6)
+
     def test_csv_format(self):
         buf = io.StringIO()
         write_curve_csv(emit_curve(0.0, 0.002, 0.001), buf)

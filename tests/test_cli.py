@@ -119,3 +119,9 @@ class TestBounds:
 
     def test_bad_range(self, capsys):
         assert main(["bounds", "0.4", "0.2", "0.01", "/tmp/x.csv"]) == EXIT_INPUT_ERROR
+
+    def test_oversized_grid_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert main(["bounds", "0", "0.5", "1e-12", str(out)]) == EXIT_INPUT_ERROR
+        assert "exceeds 10^6" in capsys.readouterr().err
+        assert not out.exists()

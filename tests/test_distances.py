@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsteane.distances import (
+    _PURE_LOOP_MAX_K,
     DistanceReport,
-    _min_weight_split,
     _quantum_scan_errors,
-    _quantum_scan_pure,
-    _quantum_scan_split,
+    _span_min,
     _syndrome,
     min_distance,
     quantum_distance_exact,
@@ -33,9 +32,13 @@ from qsteane.steane import QuantumCode, _completion_rows, steane_enlarge
 from conftest import (
     brute_min_distance,
     brute_second_gdw,
+    enumerate_span,
     random_code,
     random_self_orthogonal,
+    reference_min_word,
+    reference_quantum_scan,
     reference_second_gdw,
+    span_words,
 )
 
 HAMMING_7_4 = LinearCode([0b1101000, 0b0110100, 0b1110010, 0b1010001], 7)
@@ -83,12 +86,40 @@ class TestMinDistance:
         assert min_distance(code).value == brute_min_distance(code)
 
     def test_split_path_agrees_with_pure_loop(self):
-        # k = 18 triggers the numpy split scan; compare on a seeded code.
+        # k = 18 takes the numpy kernel over several blocks; the oracle
+        # is a plain Gray-code walk over the same span.
         code = random_code(random.Random(99), n=24, k_target=18, min_k=18)
         report = min_distance(code)
-        assert report.value == brute_min_distance(code)
-        best, word = _min_weight_split(code.basis_ints(), code.n)
-        assert (best, word) == (report.value, report.witness[0].bits)
+        expected = reference_min_word(enumerate_span(code.basis_ints()), code.n)
+        assert (report.value, report.witness[0].bits) == expected
+        best, (word,) = _span_min([code.basis_ints()], code.n)
+        assert (best, word) == expected
+
+    def test_matches_lex_oracle_on_both_paths(self):
+        # Lengths cross the 64- and 128-bit limb boundaries; k falls on
+        # both sides of the switch from the Gray walk to the kernel, and
+        # the kernel also runs directly on the small codes.
+        rng = random.Random(2027)
+        ks = set()
+        for lo, hi in ((4, 20), (60, 70), (125, 135)):
+            for _ in range(100):
+                n = rng.randint(lo, hi)
+                code = random_code(rng, n, k_target=rng.randint(1, min(15, n)), min_k=1)
+                expected = reference_min_word(span_words(code), n)
+                report = min_distance(code)
+                assert (report.value, report.witness[0].bits) == expected, (n, code.basis_ints())
+                best, (word,) = _span_min([code.basis_ints()], n)
+                assert (best, word) == expected, (n, code.basis_ints())
+                ks.add(code.k)
+        assert min(ks) < _PURE_LOOP_MAX_K < max(ks)
+
+    def test_kernel_skips_zero_words_of_dependent_rows(self):
+        # Repeated rows put the zero word in every block of the kernel.
+        rng = random.Random(5)
+        for n in (12, 70):
+            code = random_code(rng, n, k_target=9, min_k=9)
+            value, word = reference_min_word(span_words(code), n)
+            assert _span_min([code.basis_ints() * 2], n) == (value, (word,))
 
     def test_cap_and_zero_code_errors(self):
         with pytest.raises(EnumerationCapError):
@@ -265,9 +296,9 @@ class TestErrorSideScan:
         syn = [_syndrome(x, z, gx, gz) for x, z in zip(gx, gz)]
         so = not any(syn)
         value, witness, visited = _quantum_scan_errors(gx, gz, Q.n, so, budget=4**Q.n)
-        assert (value, witness) == _quantum_scan_split(gx, gz, syn, Q.n, so)
+        assert (value, witness) == _span_min([gx, gz], Q.n, None if so else syn)
         if len(gx) <= 12:
-            assert (value, witness) == _quantum_scan_pure(gx, gz, syn, Q.n, so)
+            assert (value, witness) == reference_quantum_scan(gx, gz, syn, Q.n, so)
         assert visited == sum(math.comb(Q.n, w) * 3**w for w in range(1, value + 1))
 
     def test_self_orthogonal_convention(self):
@@ -309,3 +340,40 @@ class TestErrorSideScan:
     def test_classical_scans_report_span(self):
         assert min_distance(HAMMING_7_4).method == "span"
         assert second_gdw(HAMMING_7_4).method == "residual"
+
+
+def multi_limb_case(rng: random.Random, i: int) -> QuantumCode:
+    """A code on 65..140 qubits, where only the span kernel answers: CSS,
+    self-orthogonal CSS (with every row repeated in the second variant,
+    so that rows are dependent), or random rows (gx | gz); r <= 16."""
+    n = rng.randint(65, 140)
+    kind = i % 4
+    if kind == 0:
+        return css_code(random_code(rng, n, rng.randint(1, 8), min_k=1),
+                        random_code(rng, n, rng.randint(1, 8), min_k=1))
+    if kind in (1, 2):
+        D = random_self_orthogonal(rng, n, rng.randint(1, 8 if kind == 1 else 4))
+        Q = css_code(D, D)
+        if kind == 1:
+            return Q
+        gx, gz = Q.Gx.row_ints() * 2, Q.Gz.row_ints() * 2
+    else:
+        r = rng.randint(2, 16)
+        gx = [rng.randrange(1 << n) for _ in range(r)]
+        gz = [rng.randrange(1 << n) for _ in range(r)]
+    return QuantumCode(n=n, Gx=BinaryMatrix.from_rows(gx, n), Gz=BinaryMatrix.from_rows(gz, n), K=0, d_lower=1)
+
+
+class TestSpanKernel:
+    def test_multi_limb_quantum_matches_gray_walk(self):
+        rng = random.Random(65)
+        for i in range(60):
+            Q = multi_limb_case(rng, i)
+            gx, gz = Q.Gx.row_ints(), Q.Gz.row_ints()
+            syn = [_syndrome(x, z, gx, gz) for x, z in zip(gx, gz)]
+            so = not any(syn)
+            expected = reference_quantum_scan(gx, gz, syn, Q.n, so)
+            assert _span_min([gx, gz], Q.n, None if so else syn) == expected
+            rep = quantum_distance_exact(Q)
+            assert rep.method == "span"
+            assert (rep.value, tuple(w.bits for w in rep.witness)) == expected

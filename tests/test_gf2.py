@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsteane.distances import min_distance, second_gdw
 from qsteane.gf2 import (
     BinaryMatrix,
     BinaryVector,
@@ -13,8 +14,6 @@ from qsteane.gf2 import (
     LinearCode,
     MatrixParseError,
     dual,
-    enumerate_codewords,
-    enumerate_span,
     even_weight_code,
     extend_parity,
     in_rowspan,
@@ -27,7 +26,7 @@ from qsteane.gf2 import (
     rref_ints,
 )
 
-from conftest import span_words
+from conftest import enumerate_codewords, enumerate_span, span_words
 
 
 small_matrices = st.integers(2, 10).flatmap(
@@ -178,8 +177,9 @@ class TestSubcodeAndEnumeration:
 
     def test_cap_enforced(self):
         big = LinearCode([1 << i for i in range(12)], 12)
-        with pytest.raises(EnumerationCapError):
-            list(enumerate_codewords(big, cap=10))
+        for scan in (min_distance, second_gdw):
+            with pytest.raises(EnumerationCapError):
+                scan(big, cap=10)
 
 
 class TestStandardCodes:
@@ -203,3 +203,11 @@ class TestStandardCodes:
             strings = sorted([a, b], key=lambda x: str(BinaryVector(4, x)))
             keys = sorted([a, b], key=lambda x: lex_key(x, 4))
             assert strings == keys
+
+    def test_lex_key_reads_the_coordinate_string(self):
+        # The key is the coordinate string read as a binary number, for
+        # single-word, limb-boundary and big-int lengths alike.
+        rng = random.Random(64)
+        for n in (1, 63, 64, 65, 128, 1024):
+            for bits in [0, 1, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(20)]:
+                assert lex_key(bits, n) == int(str(BinaryVector(n, bits)), 2)
