@@ -98,10 +98,13 @@ def pair_count_identity(t: int) -> PairCountIdentity:
 def emit_curve(delta_min: float, delta_max: float, step: float) -> list[BoundCurvePoint]:
     """Evaluate all four bounds on a regular grid, clamping rates at 0.
 
-    Grids of more than 10^6 points are refused before anything is built.
+    A step that is not finite, and grids of more than 10^6 points, are
+    refused before anything is built.
     """
     if not 0.0 <= delta_min <= delta_max <= 0.5:
         raise ValueError("need 0 <= delta_min <= delta_max <= 1/2")
+    if not math.isfinite(step):
+        raise ValueError(f"step must be finite, got {step}")
     if delta_min < delta_max and step <= 0.0:
         raise ValueError("step must be positive")
     if delta_min == delta_max:

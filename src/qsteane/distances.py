@@ -142,6 +142,32 @@ def _weights(rows: np.ndarray) -> np.ndarray:
     return np.bitwise_count(rows).sum(axis=1, dtype=np.int16)
 
 
+def _coset_weights(perp: list[int], reps: list[int], n: int) -> list[int]:
+    """Weight of the lightest word of each coset lift(v) + span(perp).
+
+    lift(v) is the sum of the rows of `reps` picked by the bits of v,
+    and the rows of perp + reps must be independent.  Entry 0 is the
+    lightest nonzero word of span(perp), or n + 1 when perp is empty.
+    Walks all 2^(len(perp) + len(reps)) words of the span of perp + reps
+    in blocks of 2^_VECTOR_SPLIT words; word i lies in coset i >> len(perp).
+    """
+    basis = perp + reps
+    p, s = len(perp), min(len(basis), _VECTOR_SPLIT)
+    inner = _span_limbs(basis[:s], n)
+    table = np.full(1 << len(reps), n + 1, dtype=np.int16)
+    for j, row in enumerate(_span_limbs(basis[s:], n)):
+        wts = _weights(inner ^ row)
+        if j == 0:
+            wts[0] = n + 1  # the zero word
+        mins = wts.reshape(-1, 1 << min(p, s)).min(axis=1)
+        if p <= s:
+            table[j << (s - p) : (j + 1) << (s - p)] = mins
+        else:
+            v = j >> (p - s)
+            table[v] = min(table[v], mins[0])
+    return table.tolist()
+
+
 def _span_min(halves: list[list[int]], n: int, syn: Optional[list[int]] = None) -> tuple[int, Optional[tuple]]:
     """Lightest element of span{(x_i | z_i)} by wt(x | z), with witness.
 

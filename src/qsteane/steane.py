@@ -11,21 +11,23 @@ basis extends G by G'.  H' is G' under a fix-point-free invertible
 linear map of its rows, which proves the distance bound when G' has at
 least two rows; with one row, H' is swept over the cosets of C and
 each choice is certified by exhaustive scan.  Also provides the
-stabilizer checks and the isotropic-subspace search that recovers a
-self-dual code sitting between C'-perp and C'.
+stabilizer checks and the search that recovers a self-dual code sitting
+between C'-perp and C': a depth-first walk over the isotropic subspaces
+of C'/C'-perp, which reads each candidate's distance off a table of
+coset weights and cuts every branch lighter than the best code found.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .distances import min_distance, quantum_distance_exact, second_gdw
+from .distances import _coset_weights, min_distance, quantum_distance_exact, second_gdw
 from .gf2 import (
     DEFAULT_ENUM_CAP,
     BinaryMatrix,
     CodeConstructionError,
+    EnumerationCapError,
     LinearCode,
     dual,
     is_subcode,
@@ -219,35 +221,83 @@ def is_stabilizer_code(Q: QuantumCode) -> bool:
     return True
 
 
-def rref_subspaces(q: int, r: int) -> Iterator[list[int]]:
-    """All r-dimensional subspaces of GF(2)^q, one canonical rref basis
-    each, in a fixed deterministic order (pivot columns, then free bits)."""
-    if not 0 <= r <= q:
-        raise ValueError("need 0 <= r <= q")
-    for pivots in itertools.combinations(range(q), r):
-        pivset = set(pivots)
-        # Free positions: in row i, columns right of pivots[i] that are
-        # not pivot columns themselves.
-        free = [
-            [c for c in range(pivots[i] + 1, q) if c not in pivset]
-            for i in range(r)
-        ]
-        slots = [(i, c) for i in range(r) for c in free[i]]
-        for assign in range(1 << len(slots)):
-            rows = [1 << pivots[i] for i in range(r)]
-            for b, (i, c) in enumerate(slots):
-                if (assign >> b) & 1:
-                    rows[i] |= 1 << c
-            yield rows
+def _lift(v: int, rows: Sequence[int]) -> int:
+    """Sum of the rows picked by the bits of v."""
+    w = 0
+    for i, row in enumerate(rows):
+        if v >> i & 1:
+            w ^= row
+    return w
+
+
+def _isotropic_bases(
+    reps: Sequence[int], r: int, weights: Sequence[int], prune: Callable[[int], bool]
+) -> Iterator[tuple[list[int], int]]:
+    """Depth-first walk over the r-dimensional isotropic subspaces V of
+    GF(2)^q, q = len(reps).
+
+    A vector v stands for lift(v), the sum of the reps its bits pick; V
+    is isotropic when every lift in it has even weight and any two are
+    orthogonal.  Yields (rows, m) per V: its canonical rref basis, each
+    row's pivot its lowest set bit, pivots ascending, and m, the minimum
+    of `weights` over V with weights[0] counted.
+
+    Rows are filled from the last to the first, so a row's free columns
+    are known once every later pivot is fixed.  A row is rejected as
+    soon as its lift is odd or not orthogonal to a chosen row's lift,
+    and a branch is cut when prune(m) holds for the minimum m over its
+    partial span, which can only fall as rows are added.
+    """
+    q = len(reps)
+    # Gram data of the representatives: row i of the induced bilinear
+    # form, and the self-product (parity of weight), linear over GF(2).
+    # A lift is odd or meets a chosen lift oddly iff v has odd overlap
+    # with `odd` or with that lift's Gram row.
+    gram = [sum(((reps[i] & reps[j]).bit_count() & 1) << j for j in range(q)) for i in range(q)]
+    odd = sum((rep.bit_count() & 1) << i for i, rep in enumerate(reps))
+
+    def extend(rows, checks, span, m, top, pivots):
+        i = r - 1 - len(rows)  # the row to fill; its pivot lies in [i, top)
+        for p in range(i, top):
+            free = ((1 << q) - (2 << p)) & ~pivots
+            sub = free
+            while True:
+                v = (1 << p) | sub
+                if not any((c & v).bit_count() & 1 for c in checks):
+                    new = [x ^ v for x in span]
+                    low = min(m, min([weights[x] for x in new]))
+                    if not prune(low):
+                        if i == 0:
+                            yield [v] + rows, low
+                        else:
+                            yield from extend(
+                                [v] + rows, checks + [_lift(v, gram)], span + new, low, p, pivots | 1 << p
+                            )
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+
+    yield from extend([], [odd], [0], weights[0], q, 0)
 
 
 def find_self_dual_subcode(Cp: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> LinearCode:
     """Search for a self-dual [n, n/2] code C with dual(C') <= C <= C'.
 
-    Scans every (k' - n/2)-dimensional subspace of the quotient
-    C'/dual(C'), keeps the isotropic ones, and lifts the winner: the
-    candidate of maximum minimum distance, ties broken by the
-    lexicographically smallest canonical generator matrix.
+    Every such C is dual(C') plus the lift of an r-dimensional isotropic
+    subspace of the quotient C'/dual(C'), r = k' - n/2.  A table holds
+    the lightest word of each coset of dual(C') in C' (and of dual(C')
+    itself), so a candidate's minimum distance is the table's minimum
+    over its subspace.  The search walks the isotropic subspaces depth
+    first and cuts every branch whose partial span already holds a word
+    lighter than the best candidate found; only the surviving leaves
+    become codes.  The winner is the candidate of maximum minimum
+    distance, ties broken by the lexicographically smallest canonical
+    generator matrix.  That key is unique per code, so the result does
+    not depend on the order of the walk.
+
+    A self-dual C' is returned as it is.  Otherwise the table walks all
+    2^k' words of C', so k' > cap raises EnumerationCapError before the
+    search starts.
     """
     n, kp = Cp.n, Cp.k
     if n % 2:
@@ -260,54 +310,25 @@ def find_self_dual_subcode(Cp: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Linea
         raise CodeConstructionError("k' < n/2: no self-dual code can fit inside C'")
     if r == 0:
         return Cp  # C' is already self-dual
+    if kp > cap:
+        raise EnumerationCapError(
+            f"coset-weight table over 2^{kp} words of C' exceeds cap k' <= {cap}"
+        )
 
     # Coset representatives spanning C'/dual(C').
-    reps = _completion_rows(Cperp, Cp)
-    q = len(reps)  # = 2k' - n
-
-    # Gram data of the representatives: the induced bilinear form and the
-    # (linear over GF(2)) self-product q(u) = parity of weight.
-    gram = [sum(((reps[i] & reps[j]).bit_count() & 1) << j for j in range(q)) for i in range(q)]
-    self_prod = [reps[i].bit_count() & 1 for i in range(q)]
-
-    def lift_ok(rows: Sequence[int]) -> bool:
-        lifted_forms = []
-        for v in rows:
-            g = 0
-            sq = 0
-            for i in range(q):
-                if (v >> i) & 1:
-                    g ^= gram[i]
-                    sq ^= self_prod[i]
-            if sq:
-                return False
-            lifted_forms.append(g)
-        for a in range(len(rows)):
-            for b in range(a + 1, len(rows)):
-                if (lifted_forms[a] & rows[b]).bit_count() & 1:
-                    return False
-        return True
-
     perp_basis = Cperp.basis_ints()
-    best: Optional[tuple[int, tuple, LinearCode]] = None
-    for rows in rref_subspaces(q, r):
-        if not lift_ok(rows):
-            continue
-        lifted = []
-        for v in rows:
-            w = 0
-            for i in range(q):
-                if (v >> i) & 1:
-                    w ^= reps[i]
-            lifted.append(w)
-        cand = LinearCode(perp_basis + lifted, n)
+    reps = _completion_rows(Cperp, Cp)
+    weights = _coset_weights(perp_basis, reps, n)
+    best_d, best_key, best = 0, None, None
+    for rows, d in _isotropic_bases(reps, r, weights, lambda m: m < best_d):
+        cand = LinearCode(perp_basis + [_lift(v, reps) for v in rows], n)
         assert cand.k == n // 2
-        d = min_distance(cand, cap=cap).value
-        key = (-d, cand.canonical_key())
-        if best is None or key < best[:2]:
-            best = (key[0], key[1], cand)
+        key = cand.canonical_key()
+        if best is None or d > best_d or key < best_key:
+            best_d, best_key, best = d, key, cand
     if best is None:
         raise CodeConstructionError(
             "no isotropic subspace of the required dimension exists"
         )
-    return best[2]
+    best.cached_d1 = best_d
+    return best

@@ -10,6 +10,7 @@ and exact fractions only.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from importlib import resources
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from qsteane.bch import FamilySpec, build_family_code
-from qsteane.gf2 import BinaryVector, LinearCode, extend_parity
+from qsteane.gf2 import BinaryVector, CodeConstructionError, LinearCode, dual, extend_parity
 from qsteane.table1 import TABLE1_ROWS, check_row
 
 
@@ -131,6 +132,71 @@ def reference_second_gdw(code: LinearCode) -> tuple[int, tuple[int, int]]:
                 if best_pair is None or key < best_pair[0]:
                     best_pair = (key, pair)
     return best, best_pair[1]
+
+
+def rref_subspaces(q: int, r: int) -> Iterator[list[int]]:
+    """All r-dimensional subspaces of GF(2)^q, one canonical rref basis
+    each, in a fixed deterministic order (pivot columns, then free bits)."""
+    if not 0 <= r <= q:
+        raise ValueError("need 0 <= r <= q")
+    for pivots in itertools.combinations(range(q), r):
+        pivset = set(pivots)
+        # Free positions: in row i, columns right of pivots[i] that are
+        # not pivot columns themselves.
+        free = [
+            [c for c in range(pivots[i] + 1, q) if c not in pivset]
+            for i in range(r)
+        ]
+        slots = [(i, c) for i in range(r) for c in free[i]]
+        for assign in range(1 << len(slots)):
+            rows = [1 << pivots[i] for i in range(r)]
+            for b, (i, c) in enumerate(slots):
+                if (assign >> b) & 1:
+                    rows[i] |= 1 << c
+            yield rows
+
+
+def reference_isotropic_subcodes(Cp: LinearCode) -> list[LinearCode]:
+    """Every self-dual C with dual(C') <= C <= C', by the flat search:
+    each (k' - n/2)-dimensional subspace of C'/dual(C') is lifted, and
+    kept when the lifts are even and pairwise orthogonal (the rows of
+    dual(C') are orthogonal to all of C').  Needs a dual-containing C'
+    of even length, k' > n/2."""
+    perp = dual(Cp).basis_ints()
+    reps: list[int] = []
+    for row in Cp.basis_ints():
+        if not in_span(row, perp + reps):
+            reps.append(row)
+    lift = [0]  # lift[v]: the sum of the reps picked by the bits of v
+    for rep in reps:
+        lift += [w ^ rep for w in lift]
+    even = [w.bit_count() % 2 == 0 for w in lift]
+    out = []
+    for rows in rref_subspaces(len(reps), Cp.k - Cp.n // 2):
+        if all(even[v] for v in rows) and all(
+            (lift[a] & lift[b]).bit_count() % 2 == 0 for a, b in itertools.combinations(rows, 2)
+        ):
+            out.append(LinearCode(perp + [lift[v] for v in rows], Cp.n))
+    return out
+
+
+def reference_self_dual_subcode(Cp: LinearCode) -> LinearCode:
+    """The self-dual code the search must return, with the same errors:
+    among `reference_isotropic_subcodes`, the one of maximum minimum
+    distance, ties broken by the smallest canonical key."""
+    n = Cp.n
+    if n % 2:
+        raise CodeConstructionError("odd length")
+    if not all(in_span(w, Cp.basis_ints()) for w in dual(Cp).basis_ints()):
+        raise CodeConstructionError("not dual-containing")
+    if Cp.k < n // 2:
+        raise CodeConstructionError("k' < n/2")
+    if Cp.k == n // 2:
+        return Cp
+    cands = reference_isotropic_subcodes(Cp)
+    if not cands:
+        raise CodeConstructionError("no isotropic subspace")
+    return min(cands, key=lambda C: (-brute_min_distance(C), C.canonical_key()))
 
 
 def fixture_rows(name: str) -> list[int]:

@@ -154,6 +154,12 @@ class TestEmitCurve:
         with pytest.raises(ValueError, match="1000001 points"):
             emit_curve(0.0, 0.5, 0.5 / 10**6)
 
+    @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
+    def test_non_finite_step_refused(self, step):
+        for hi in (0.0, 0.5):
+            with pytest.raises(ValueError, match=f"step must be finite, got {step}"):
+                emit_curve(0.0, hi, step)
+
     def test_csv_format(self):
         buf = io.StringIO()
         write_curve_csv(emit_curve(0.0, 0.002, 0.001), buf)

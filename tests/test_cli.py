@@ -52,6 +52,13 @@ class TestSteane:
         assert code == EXIT_INPUT_ERROR
         assert "dual-containing" in capsys.readouterr().err
 
+    def test_auto_above_cap_is_input_error(self, capsys):
+        # c14_10_2 has k' = 10, so the search's coset-weight table would
+        # walk 2^10 words: refused at cap 9 before the search starts.
+        code = main(["--cap", "9", "steane", "--auto", fixture_path("c14_10_2.txt")])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: coset-weight table over 2^10 words of C' exceeds cap k' <= 9\n"
+
     def test_missing_inner_code(self, capsys):
         assert main(["steane", fixture_path("c14_9_2.txt")]) == EXIT_INPUT_ERROR
 
@@ -124,4 +131,11 @@ class TestBounds:
         out = tmp_path / "curve.csv"
         assert main(["bounds", "0", "0.5", "1e-12", str(out)]) == EXIT_INPUT_ERROR
         assert "exceeds 10^6" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_step_is_input_error(self, tmp_path, capsys, step):
+        out = tmp_path / "curve.csv"
+        assert main(["bounds", "0", "0.5", step, str(out)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: step must be finite, got {step}\n"
         assert not out.exists()

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsteane import distances
 from qsteane.distances import (
     _PURE_LOOP_MAX_K,
     DistanceReport,
+    _coset_weights,
     _quantum_scan_errors,
     _span_min,
     _syndrome,
@@ -377,3 +379,27 @@ class TestSpanKernel:
             rep = quantum_distance_exact(Q)
             assert rep.method == "span"
             assert (rep.value, tuple(w.bits for w in rep.witness)) == expected
+
+
+class TestCosetWeights:
+    @pytest.mark.parametrize("split", [3, 14])
+    def test_matches_brute_force(self, monkeypatch, split):
+        # Split 3 walks several blocks, with cosets both larger and
+        # smaller than a block; split 14 walks one block.
+        monkeypatch.setattr(distances, "_VECTOR_SPLIT", split)
+        rng = random.Random(split)
+        for _ in range(80):
+            n = rng.choice([6, 12, 20, 70, 130])
+            rows = random_code(rng, n, rng.randint(1, 8), min_k=1).basis_ints()
+            for i in range(len(rows) - 1):  # leave rref, keep independence
+                rows[i] ^= rows[i + 1] * rng.randrange(2)
+            p = rng.randint(0, len(rows))
+            perp, reps = rows[:p], rows[p:]
+            words, lifts = [0], [0]  # lifts[v]: the reps picked by the bits of v
+            for row in perp:
+                words += [w ^ row for w in words]
+            for row in reps:
+                lifts += [w ^ row for w in lifts]
+            expected = [min([w.bit_count() for w in words[1:]], default=n + 1)]
+            expected += [min((lift ^ w).bit_count() for w in words) for lift in lifts[1:]]
+            assert _coset_weights(perp, reps, n) == expected

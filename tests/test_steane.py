@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from qsteane.distances import min_distance, quantum_distance_exact
+from qsteane.distances import _coset_weights, min_distance, quantum_distance_exact
 from qsteane.gf2 import (
     CodeConstructionError,
+    EnumerationCapError,
     LinearCode,
     dual,
     even_weight_code,
@@ -14,16 +15,26 @@ from qsteane.gf2 import (
 )
 from qsteane.steane import (
     _completion_rows,
+    _isotropic_bases,
+    _lift,
     certified_enlarge,
     find_self_dual_subcode,
     is_stabilizer_code,
     mix_completion_rows,
-    rref_subspaces,
     steane_enlarge,
     symplectic_dual,
 )
+from qsteane.table1 import load_fixture
 
-from conftest import EXT_HAMMING_8_4, random_self_orthogonal
+from conftest import (
+    EXT_HAMMING_8_4,
+    brute_min_distance,
+    random_code,
+    random_self_orthogonal,
+    reference_isotropic_subcodes,
+    reference_self_dual_subcode,
+    rref_subspaces,
+)
 
 
 def gaussian_binomial(q: int, r: int) -> int:
@@ -242,3 +253,93 @@ class TestFindSelfDualSubcode:
         Cp = even_weight_code(10)
         C = find_self_dual_subcode(Cp)
         assert is_subcode(dual(Cp), C) and is_subcode(C, Cp)
+
+    def test_matches_reference_on_fixtures_and_even_weight(self):
+        for Cp in [even_weight_code(n) for n in (6, 8, 10)] + [
+            load_fixture(name) for name in ("c12_10_2a.txt", "c12_10_2b.txt", "c14_9_2.txt", "c14_10_2.txt")
+        ]:
+            C = find_self_dual_subcode(Cp)
+            assert C == reference_self_dual_subcode(Cp)
+            assert C.cached_d1 == brute_min_distance(C)
+
+    def test_matches_reference_on_random_codes(self):
+        # Dual-containing C' = dual(S) always holds the all-ones word (the
+        # words of S are even), and then a self-dual subcode exists; the
+        # codes without that word are not dual-containing.
+        outcomes = set()
+        for seed in range(240):
+            Cp = random_search_case(seed)
+            try:
+                want = reference_self_dual_subcode(Cp)
+            except CodeConstructionError:
+                with pytest.raises(CodeConstructionError):
+                    find_self_dual_subcode(Cp)
+                outcomes.add("refused")
+                continue
+            assert Cp.contains_word((1 << Cp.n) - 1)
+            C = find_self_dual_subcode(Cp)
+            assert C == want
+            if Cp.k == Cp.n // 2:
+                outcomes.add("self-dual")
+            else:
+                assert C.cached_d1 == brute_min_distance(C)
+                outcomes.add("found")
+        assert outcomes == {"refused", "self-dual", "found"}
+
+    @pytest.mark.parametrize("n,count", [(6, 15), (8, 135), (10, 2295)])
+    def test_isotropic_leaves_match_mass_formula(self, n, count):
+        # Self-dual codes of length n: prod_{i=1}^{n/2-1} (2^i + 1), all
+        # of them inside the even-weight code.
+        assert len(isotropic_leaves(even_weight_code(n))) == count
+
+    def test_isotropic_leaves_match_reference(self):
+        for seed in range(80):
+            Cp = random_search_case(seed)
+            if Cp.n % 2 or not is_subcode(dual(Cp), Cp) or Cp.k == Cp.n // 2:
+                continue
+            leaves = isotropic_leaves(Cp)
+            codes = [C for C, _ in leaves]
+            assert len(set(codes)) == len(codes)
+            assert set(codes) == set(reference_isotropic_subcodes(Cp))
+            assert all(d == brute_min_distance(C) for C, d in leaves)
+
+    def test_cap_refused_before_the_search(self):
+        Cp = load_fixture("c12_10_2a.txt")
+        with pytest.raises(EnumerationCapError, match="k' <= 9"):
+            find_self_dual_subcode(Cp, cap=Cp.k - 1)
+        assert find_self_dual_subcode(Cp, cap=Cp.k) == find_self_dual_subcode(Cp)
+        # A self-dual C' needs no search, so no table and no cap.
+        assert find_self_dual_subcode(EXT_HAMMING_8_4, cap=1) == EXT_HAMMING_8_4
+
+
+def random_search_case(seed: int) -> LinearCode:
+    """Seeded C' for the self-dual search, even n from 4 to 14.
+
+    One seed in six gives a random code without the all-ones word, which
+    is never dual-containing; the rest give C' = dual(S) for a random
+    self-orthogonal S with 2 dim S >= n - 6, so that C'/dual(C') has
+    dimension at most 6 and the flat reference search stays cheap.
+    """
+    rng = random.Random(seed)
+    n = rng.randrange(4, 15, 2)
+    if seed % 6 == 5:
+        while True:
+            Cp = random_code(rng, n, rng.randrange(2, n))
+            if not Cp.contains_word((1 << n) - 1):
+                return Cp
+    while True:
+        S = random_self_orthogonal(rng, n, rng.randrange(max(1, (n - 5) // 2), n // 2 + 1))
+        if n - 2 * S.k <= 6:
+            return dual(S)
+
+
+def isotropic_leaves(Cp: LinearCode) -> list[tuple[LinearCode, int]]:
+    """Every leaf of the search on C' with pruning off: the lifted code
+    and the minimum of the coset-weight table over its subspace."""
+    perp = dual(Cp).basis_ints()
+    reps = _completion_rows(dual(Cp), Cp)
+    weights = _coset_weights(perp, reps, Cp.n)
+    return [
+        (LinearCode(perp + [_lift(v, reps) for v in rows], Cp.n), m)
+        for rows, m in _isotropic_bases(reps, Cp.k - Cp.n // 2, weights, lambda m: False)
+    ]
