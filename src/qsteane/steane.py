@@ -326,9 +326,9 @@ def find_self_dual_subcode(Cp: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Linea
         key = cand.canonical_key()
         if best is None or d > best_d or key < best_key:
             best_d, best_key, best = d, key, cand
-    if best is None:
-        raise CodeConstructionError(
-            "no isotropic subspace of the required dimension exists"
-        )
+    # Never None: a dual-containing C' of even length holds the all-ones
+    # word and hence a self-dual subcode, and nothing is pruned before the
+    # first leaf (best_d = 0).
+    assert best is not None
     best.cached_d1 = best_d
     return best

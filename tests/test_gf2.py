@@ -1,13 +1,18 @@
 """Bit-packed GF(2) linear algebra: parsing, rref, duals, enumeration."""
 
+import functools
+import operator
 import random
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsteane import gf2
 from qsteane.distances import min_distance, second_gdw
 from qsteane.gf2 import (
+    MAX_LENGTH,
     BinaryMatrix,
     BinaryVector,
     EnumerationCapError,
@@ -84,6 +89,55 @@ class TestParseRender:
     def test_empty_input(self):
         with pytest.raises(MatrixParseError):
             parse_matrix("# nothing\n\n")
+
+    @pytest.mark.parametrize("row", ["1_0", "+1", "0b1", "\uff11\uff10", "\u0661\u0660"])
+    def test_rows_int_would_accept_are_refused(self, row):
+        # int(row, 2) takes each of these (a digit separator, a sign, a
+        # prefix, fullwidth and Arabic-Indic digits); the parser must not.
+        with pytest.raises(MatrixParseError, match=r"^line 3: unexpected characters"):
+            parse_matrix(f"# header\n10\n{row}\n")
+
+    def test_spaces_and_tabs_between_digits_are_ignored(self):
+        M = parse_matrix("1 0\t1\n\t0  1\t 1 \n110\n")
+        assert M.row_ints() == [0b101, 0b110, 0b011]
+
+    def test_comment_lines_are_skipped(self):
+        M = parse_matrix("# a\n  # indented\n1 1\n#0 1 0\n0 1\n")
+        assert (M.rows, M.cols) == (2, 2)
+
+    def test_ragged_row_after_skipped_lines_reports_its_line(self):
+        with pytest.raises(MatrixParseError, match=r"^line 5: row has 2 columns, expected 3$"):
+            parse_matrix("101\n\n# c\n011\n01\n")
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1024])
+    def test_random_rows_at_limb_boundaries(self, n):
+        rng = random.Random(n)
+        M = BinaryMatrix.from_rows([0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(6)], n)
+        assert parse_matrix(render_matrix(M)) == M
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_matrices)
+    def test_small_matrices(self, data):
+        rows, n = data
+        M = BinaryMatrix.from_rows(rows, n)
+        assert parse_matrix(render_matrix(M)) == M
+
+    def test_shipped_fixtures(self):
+        files = [f for f in resources.files("qsteane.fixtures").iterdir() if f.name.endswith(".txt")]
+        assert len(files) == 5
+        for f in files:
+            M = parse_matrix(f.read_text())
+            assert parse_matrix(render_matrix(M)) == M
+            assert parse_matrix(str(M)) == M
+
+    def test_vector_string_reads_bit_by_bit(self):
+        rng = random.Random(5)
+        for n in (1, 7, 64, 65, 300):
+            v = BinaryVector(n, rng.getrandbits(n))
+            assert str(v) == "".join(str(v[i]) for i in range(n))
+            assert render_matrix(BinaryMatrix(n, (v,))) == " ".join(str(v))
 
 
 class TestRref:
@@ -211,3 +265,99 @@ class TestStandardCodes:
         for n in (1, 63, 64, 65, 128, 1024):
             for bits in [0, 1, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(20)]:
                 assert lex_key(bits, n) == int(str(BinaryVector(n, bits)), 2)
+
+
+@pytest.fixture
+def int_paths(monkeypatch):
+    """Route every matrix to the plain-int paths, the packed kernels' oracle."""
+    monkeypatch.setattr(gf2, "_PACKED_MIN_COLS", MAX_LENGTH + 1)
+
+
+def _xor_sum(rows):
+    return functools.reduce(operator.xor, rows, 0)
+
+
+def _case_rows(rng, kind, m, n):
+    """m rows of length n: random, rank-deficient, with duplicates, or with zero rows."""
+    if kind == "deficient":
+        span = [rng.getrandbits(n) for _ in range(rng.randrange(1, 6))]
+        return [_xor_sum(rng.sample(span, rng.randrange(len(span) + 1))) for _ in range(m)]
+    rows = [rng.getrandbits(n) for _ in range(m)]
+    if kind == "duplicates" and m:
+        rows = [rng.choice(rows[: max(1, m // 3)]) for _ in range(m)]
+    elif kind == "zeros":
+        rows = [r if rng.random() < 0.5 else 0 for r in rows]
+    return rows
+
+
+def _dual_containing(rng, half, t):
+    """[2 half, half + t] code span{(y|y)} + {(z_j|0)}, coordinates shuffled:
+    it holds its dual {(x|x) : x orthogonal to every z_j}."""
+    n = 2 * half
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [(1 << i) | (1 << (i + half)) for i in range(half)] + [rng.getrandbits(half) for _ in range(t)]
+    return LinearCode([sum(1 << perm[c] for c in range(n) if r >> c & 1) for r in rows], n)
+
+
+class TestPackedKernels:
+    KINDS = ("random", "deficient", "duplicates", "zeros")
+
+    def test_rref_matches_int_elimination(self, int_paths):
+        rng = random.Random(2024)
+        cases = [(n, min(48, rng.choice([0, 1, rng.randrange(2, 12), n + rng.randrange(1, 6)]))) for n in range(1, 301)]
+        cases += [(n, m) for n in (255, 256, 257, 320) for m in (0, 64, 90)] + [(1024, 0), (1024, 70), (1024, 130)]
+        for i, (n, m) in enumerate(cases):
+            rows = _case_rows(rng, self.KINDS[i % 4], m, n)
+            assert gf2._rref_packed(rows, n) == rref_ints(rows, n), (n, m)
+
+    def test_m_greater_than_n_and_empty(self, int_paths):
+        rng = random.Random(9)
+        for n in (1, 8, 9, 64, 70):
+            rows = _case_rows(rng, "random", n + 30, n)
+            assert gf2._rref_packed(rows, n) == rref_ints(rows, n)
+        assert gf2._rref_packed([], 300) == ([], 0, [])
+
+    def test_transpose(self):
+        rng = random.Random(3)
+        for m, n in ((1, 1), (7, 70), (64, 64), (65, 129), (130, 300)):
+            rows = [rng.getrandbits(n) for _ in range(m)]
+            cols = gf2._unpack(gf2._transpose(gf2._pack(rows, -(-n // 64))))
+            assert cols[:n] == [sum((r >> c & 1) << i for i, r in enumerate(rows)) for c in range(n)]
+            assert not any(cols[n:])
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 320])
+    def test_public_entry_points_agree_across_the_crossover(self, n, monkeypatch):
+        rng = random.Random(n)
+        rows = [rng.getrandbits(n) for _ in range(rng.randrange(64, 160))]
+        C = LinearCode(rows, n)
+        other = LinearCode(rows[: C.k // 2] + [rng.getrandbits(n) for _ in range(70)], n)
+        assert gf2._packed(n, C.basis_ints()) == (n >= 256)
+        packed = (C, dual(C), is_subcode(dual(C), C), is_subcode(other, C), is_subcode(C, C))
+        monkeypatch.setattr(gf2, "_PACKED_MIN_COLS", MAX_LENGTH + 1)
+        assert packed == (LinearCode(rows, n), dual(C), is_subcode(dual(C), C), is_subcode(other, C), True)
+        assert packed[3] is False
+
+    @pytest.mark.parametrize("half", [127, 128, 160])
+    def test_dual_containing_on_both_paths(self, half, monkeypatch):
+        rng = random.Random(half)
+        C = _dual_containing(rng, half, 20)
+        D = dual(C)
+        assert (C.k, D.k) == (half + 20, half - 20)
+        assert is_subcode(D, C)
+        assert all((a & b).bit_count() % 2 == 0 for a in C.basis_ints()[:20] for b in D.basis_ints())
+        # One row outside the dual-containing structure breaks containment.
+        broken = LinearCode(C.basis_ints()[:-1] + [rng.getrandbits(2 * half)], 2 * half)
+        assert not is_subcode(dual(broken), broken)
+        monkeypatch.setattr(gf2, "_PACKED_MIN_COLS", MAX_LENGTH + 1)
+        assert dual(C) == D and is_subcode(D, C)
+        assert not is_subcode(dual(broken), broken)
+
+    def test_residual_matches_in_rowspan(self):
+        rng = random.Random(11)
+        for n in (64, 256, 300):
+            C = LinearCode([rng.getrandbits(n) for _ in range(n // 2)], n)
+            words = [rng.getrandbits(n) for _ in range(5)] + [_xor_sum(rng.sample(C.basis_ints(), 5)) for _ in range(5)]
+            res = gf2._residual_packed(words, C.basis_ints(), C._pivots, n)
+            assert [not row.any() for row in res] == [C.contains_word(w) for w in words]
+            assert [not row.any() for row in res][5:] == [True] * 5
