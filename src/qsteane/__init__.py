@@ -19,7 +19,6 @@ from .bch import (
     verify_nesting,
 )
 from .bounds import (
-    BoundCurvePoint,
     bound_cs,
     bound_gf4,
     bound_steane,
@@ -46,6 +45,7 @@ from .gf2 import (
     dual,
     even_weight_code,
     extend_parity,
+    is_dual_containing,
     is_subcode,
     parse_matrix,
     render_matrix,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .gf2 import CodeConstructionError, LinearCode, dual, extend_parity, is_subcode, lex_key
+from .gf2 import CodeConstructionError, LinearCode, extend_parity, is_dual_containing, is_subcode, lex_key
 from .steane import QuantumCode, certified_enlarge
 
 # One canonical primitive polynomial per extension degree (bit i is the
@@ -211,7 +211,7 @@ def verify_nesting(m: int) -> bool:
     for smaller, larger in zip(codes[1:], codes):
         if not is_subcode(smaller, larger):
             return False
-    return all(is_subcode(dual(c), c) for c in codes)
+    return all(is_dual_containing(c) for c in codes)
 
 
 def family_params(spec: FamilySpec) -> tuple[int, int, int]:

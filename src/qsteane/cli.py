@@ -17,8 +17,7 @@ from .gf2 import (
     EnumerationCapError,
     LinearCode,
     MatrixParseError,
-    dual,
-    is_subcode,
+    is_dual_containing,
     parse_matrix,
 )
 from .steane import certified_enlarge, find_self_dual_subcode
@@ -41,7 +40,7 @@ def cmd_verify(args) -> int:
         parts.append(f"d={min_distance(C, cap=args.cap).value}")
     if C.k >= 2 and C.k <= args.cap:
         parts.append(f"d2={second_gdw(C, cap=args.cap).value}")
-    contains_dual = is_subcode(dual(C), C)
+    contains_dual = is_dual_containing(C)
     parts.append(f"dual_containing={'yes' if contains_dual else 'no'}")
     print(" ".join(parts))
     return EXIT_OK

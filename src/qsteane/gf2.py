@@ -388,11 +388,13 @@ class LinearCode:
         return f"LinearCode[n={self.n}, k={self.k}]"
 
 
-def dual(C: LinearCode) -> LinearCode:
-    """Euclidean dual: the [n, n-k] null space of the generator matrix."""
+def _dual_rows(C: LinearCode) -> list[int]:
+    """Generator rows of the dual of C, one per non-pivot column of C's
+    rref basis; that column is the row's only non-pivot one, so the rows
+    are independent."""
     n = C.n
     if _packed(n, C._basis) and C.k < n:
-        return LinearCode(_dual_packed(C._basis, C._pivots, n), n)
+        return _dual_packed(C._basis, C._pivots, n)
     pivset = set(C._pivots)
     free_cols = [c for c in range(n) if c not in pivset]
     rows = []
@@ -402,16 +404,32 @@ def dual(C: LinearCode) -> LinearCode:
             if (row >> c) & 1:
                 v |= 1 << p
         rows.append(v)
-    return LinearCode(rows, n)
+    return rows
+
+
+def dual(C: LinearCode) -> LinearCode:
+    """Euclidean dual: the [n, n-k] null space of the generator matrix."""
+    return LinearCode(_dual_rows(C), C.n)
+
+
+def _all_in(words: list[int], B: LinearCode) -> bool:
+    """True iff every word lies in B."""
+    if _packed(B.n, words) and B.k:
+        return not _residual_packed(words, B._basis, B._pivots, B.n).any()
+    return all(B.contains_word(w) for w in words)
 
 
 def is_subcode(A: LinearCode, B: LinearCode) -> bool:
     """True iff every codeword of A lies in B."""
     if A.n != B.n:
         raise ValueError(f"length mismatch: {A.n} != {B.n}")
-    if _packed(A.n, A._basis) and B.k:
-        return not _residual_packed(A._basis, B._basis, B._pivots, A.n).any()
-    return all(B.contains_word(r) for r in A._basis)
+    return _all_in(A._basis, B)
+
+
+def is_dual_containing(C: LinearCode) -> bool:
+    """True iff dual(C) <= C: `is_subcode(dual(C), C)` without the rref
+    of the dual's generator rows that building dual(C) costs."""
+    return _all_in(_dual_rows(C), C)
 
 
 _NOT_DIGITS = str.maketrans("", "", "01")

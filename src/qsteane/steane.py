@@ -30,6 +30,7 @@ from .gf2 import (
     EnumerationCapError,
     LinearCode,
     dual,
+    is_dual_containing,
     is_subcode,
     rref_ints,
 )
@@ -107,7 +108,7 @@ def steane_enlarge(
     """
     if C.n != Cp.n:
         raise CodeConstructionError("C and C' have different lengths")
-    if not is_subcode(dual(C), C):
+    if not is_dual_containing(C):
         raise CodeConstructionError("C is not dual-containing: dual(C) not within C")
     if not is_subcode(C, Cp):
         raise CodeConstructionError("C is not a subcode of C'")

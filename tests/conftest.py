@@ -5,12 +5,14 @@ itertools/numpy reimplementations used to cross-check the optimized
 paths, among them the Gray-code walks that check the numpy span
 kernel.  The certificate checkers (fixture rows, span membership,
 symplectic product, the Gleason-shadow obstruction) work on plain ints
-and exact fractions only.
+and exact fractions only.  The rate-bound curve's oracle evaluates the
+scalar bound functions point by point.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from importlib import resources
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 from qsteane.bch import FamilySpec, build_family_code
+from qsteane.bounds import bound_cs, bound_gf4, bound_steane, bound_thm4
 from qsteane.gf2 import BinaryVector, CodeConstructionError, LinearCode, dual, extend_parity
 from qsteane.table1 import TABLE1_ROWS, check_row
 
@@ -317,6 +320,27 @@ def random_self_orthogonal(rng: random.Random, n: int, k: int) -> LinearCode:
             if LinearCode(rows, n).k == k:
                 break
     return LinearCode(rows or [0b11], n)
+
+
+def reference_curve(delta_min: float, delta_max: float, step: float) -> list[tuple]:
+    """(delta, r_gf4, r_cs, r_steane, r_thm4) per grid point, each rate
+    max(0.0, bound_*(delta)) from the scalar functions; the grid is built
+    as a list, point by point."""
+    if delta_min == delta_max:
+        deltas = [delta_min]
+    else:
+        count = int(math.floor((delta_max - delta_min) / step + 1e-9)) + 1
+        deltas = [min(delta_min + i * step, delta_max) for i in range(count)]
+    bounds = (bound_gf4, bound_cs, bound_steane, bound_thm4)
+    return [(d, *(max(0.0, f(d)) for f in bounds)) for d in deltas]
+
+
+def reference_curve_csv(points: list[tuple]) -> str:
+    """The curve CSV written one f-string per point."""
+    lines = ["delta,gf4,cs,steane,thm4\n"]
+    for d, g, c, s, t in points:
+        lines.append(f"{d:.6f},{g:.6f},{c:.6f},{s:.6f},{t:.6f}\n")
+    return "".join(lines)
 
 
 @pytest.fixture(scope="session")

@@ -3,12 +3,17 @@
 import io
 import itertools
 import math
+import os
+import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsteane import bounds
 from qsteane.bounds import (
     LOG2_3,
     bound_cs,
@@ -21,8 +26,30 @@ from qsteane.bounds import (
     write_curve_csv,
 )
 
+from conftest import reference_curve, reference_curve_csv
+
 unit_interval = st.floats(0.0, 1.0, allow_nan=False)
 half_interval = st.floats(0.0, 0.5, allow_nan=False)
+
+
+def _oracle_grids():
+    """Seeded (delta_min, delta_max, step) grids: single points, steps
+    that do not divide the range, one shaped like the benchmark's
+    20,001-point curve, and grids past every zero crossing."""
+    rng = random.Random(10)
+    grids = [(0.0, 0.0, 0.1), (0.5, 0.5, 0.1), (0.0, 0.5, 0.001), (0.0, 0.5, 0.003)]
+    for _ in range(30):
+        lo = rng.uniform(0.0, 0.5)
+        hi = rng.uniform(lo, 0.5)
+        grids.append((lo, hi, (hi - lo) / rng.randrange(1, 5000) * rng.uniform(1.0001, 1.9)))
+    lo = rng.randrange(0, 500) / 10000
+    grids.append((lo, 0.5, (0.5 - lo) / 20000))
+    return grids + CLAMPED_GRIDS
+
+
+# Every rate is 0 from delta ~ 0.19 (the GF(4) bound's zero) on.
+CLAMPED_GRIDS = [(0.2, 0.5, 0.0007), (0.26, 0.49, 3e-5), (0.45, 0.5, 0.0013)]
+ORACLE_GRIDS = _oracle_grids()
 
 
 class TestEntropy:
@@ -39,6 +66,12 @@ class TestEntropy:
     @given(unit_interval)
     def test_symmetry(self, x):
         assert entropy(x) == pytest.approx(entropy(1.0 - x), abs=1e-12)
+
+    def test_block_path_equals_scalar_bit_for_bit(self):
+        rng = random.Random(5)
+        x = np.array([0.0, 5e-324, 1e-300, 0.11, 0.5] + [rng.uniform(0.0, 0.5) for _ in range(5000)])
+        # tobytes also tells 0.0 from -0.0, which == does not.
+        assert bounds._entropies(x).tobytes() == np.array([entropy(v) for v in x.tolist()]).tobytes()
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -159,6 +192,45 @@ class TestEmitCurve:
         for hi in (0.0, 0.5):
             with pytest.raises(ValueError, match=f"step must be finite, got {step}"):
                 emit_curve(0.0, hi, step)
+
+    def test_fields_equal_the_scalar_bounds_exactly(self):
+        for grid in ORACLE_GRIDS:
+            pts = emit_curve(*grid)
+            assert pts.dtype.names == ("delta", "r_gf4", "r_cs", "r_steane", "r_thm4")
+            assert pts.tolist() == reference_curve(*grid), grid
+        assert len(emit_curve(*ORACLE_GRIDS[-4])) == 20001
+
+    def test_clamped_grids_are_all_zero(self):
+        for grid in CLAMPED_GRIDS:
+            rates = emit_curve(*grid)[["r_gf4", "r_cs", "r_steane", "r_thm4"]].tolist()
+            assert set(itertools.chain.from_iterable(rates)) == {0.0}, grid
+
+    def test_csv_bytes_equal_the_point_by_point_writer(self):
+        for grid in ORACLE_GRIDS:
+            buf = io.StringIO()
+            write_curve_csv(emit_curve(*grid), buf)
+            assert buf.getvalue() == reference_curve_csv(reference_curve(*grid)), grid
+
+    def test_negative_zero_endpoints_become_zero(self):
+        for grid in ((-0.0, -0.0, 0.1), (-0.0, 0.0, 0.1), (-0.0, 0.1, 0.05)):
+            pts = emit_curve(*grid)
+            assert math.copysign(1.0, pts[0].delta) == 1.0
+            assert pts.tolist() == reference_curve(0.0, grid[1] + 0.0, grid[2])
+
+    def test_memory_is_bounded(self):
+        # The records take 40 bytes a point (0.8 MB here); evaluation and
+        # formatting work in blocks of a few thousand points beside them.
+        lo = 0.0123
+        tracemalloc.start()
+        try:
+            pts = emit_curve(lo, 0.5, (0.5 - lo) / 20000)
+            with open(os.devnull, "w") as fh:
+                write_curve_csv(pts, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pts) == 20001
+        assert peak <= 2 * 10**6
 
     def test_csv_format(self):
         buf = io.StringIO()

@@ -133,6 +133,12 @@ class TestBounds:
         assert "exceeds 10^6" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_zero_delta_is_written_as_zero(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert main(["bounds", "--", "-0", "-0", "0.1", str(out)]) == EXIT_OK
+        assert out.read_text() == "delta,gf4,cs,steane,thm4\n0.000000,1.000000,1.000000,1.000000,1.000000\n"
+        assert capsys.readouterr().out == f"wrote 1 points to {out}\n"
+
     @pytest.mark.parametrize("step", ["nan", "inf"])
     def test_non_finite_step_is_input_error(self, tmp_path, capsys, step):
         out = tmp_path / "curve.csv"

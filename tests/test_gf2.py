@@ -22,6 +22,7 @@ from qsteane.gf2 import (
     even_weight_code,
     extend_parity,
     in_rowspan,
+    is_dual_containing,
     is_subcode,
     lex_key,
     parse_matrix,
@@ -352,6 +353,23 @@ class TestPackedKernels:
         monkeypatch.setattr(gf2, "_PACKED_MIN_COLS", MAX_LENGTH + 1)
         assert dual(C) == D and is_subcode(D, C)
         assert not is_subcode(dual(broken), broken)
+
+    def test_is_dual_containing_matches_dual_subcode(self):
+        rng = random.Random(31)
+        seen = {(packed, yes): 0 for packed in (False, True) for yes in (False, True)}
+        for n in list(range(4, 41)) + [63, 64, 65, 128, 200, 254, 255, 256, 257, 280, 300, 320]:
+            codes = [LinearCode([0], n), LinearCode([1 << i for i in range(n)], n)]
+            codes += [LinearCode([rng.getrandbits(n) for _ in range(rng.randrange(1, n + 1))], n) for _ in range(2)]
+            if n % 2 == 0:
+                half = n // 2
+                C = _dual_containing(rng, half, rng.randrange(min(half, 40) + 1))
+                codes += [C, LinearCode(C.basis_ints()[:-1] + [rng.getrandbits(n)], n)]
+            for C in codes:
+                yes = is_dual_containing(C)
+                assert yes == is_subcode(dual(C), C), (n, C.k)
+                seen[gf2._packed(n, gf2._dual_rows(C)), yes] += 1
+        assert (codes[0].k, codes[1].k) == (0, 320)
+        assert min(seen.values()) >= 3, seen
 
     def test_residual_matches_in_rowspan(self):
         rng = random.Random(11)
