@@ -23,7 +23,8 @@ import pytest
 
 from qsteane.bch import FamilySpec, build_family_code
 from qsteane.bounds import bound_cs, bound_gf4, bound_steane, bound_thm4
-from qsteane.gf2 import BinaryVector, CodeConstructionError, LinearCode, dual, extend_parity
+from qsteane.gf2 import BinaryMatrix, BinaryVector, CodeConstructionError, LinearCode, dual, extend_parity, render_matrix
+from qsteane.steane import QuantumCode
 from qsteane.table1 import TABLE1_ROWS, check_row
 
 
@@ -59,6 +60,29 @@ def enumerate_codewords(code: LinearCode) -> Iterator[BinaryVector]:
 def lex(word: int, n: int) -> str:
     """A word as its coordinate string, coordinate 0 first."""
     return format(word, f"0{n}b")[::-1]
+
+
+def coordinate_rows(code: LinearCode) -> list[str]:
+    """The rows of the canonical basis of code as `render_matrix` writes them."""
+    return render_matrix(code.gen).splitlines()
+
+
+def witness_strings(report, n: int) -> tuple[str, ...]:
+    """The witness words of a distance report as coordinate strings."""
+    return tuple(lex(w.bits, n) for w in report.witness)
+
+
+def css_code(cx: LinearCode, cz: LinearCode) -> QuantumCode:
+    """Plain CSS assembly (Gx|0), (0|Gz)."""
+    gx = cx.basis_ints() + [0] * cz.k
+    gz = [0] * cx.k + cz.basis_ints()
+    return QuantumCode(
+        n=cx.n,
+        Gx=BinaryMatrix.from_rows(gx, cx.n),
+        Gz=BinaryMatrix.from_rows(gz, cx.n),
+        K=cx.k + cz.k - cx.n,
+        d_lower=1,
+    )
 
 
 def brute_min_distance(code: LinearCode) -> int:

@@ -25,7 +25,7 @@ from qsteane.gf2 import (
 )
 from qsteane.steane import is_stabilizer_code
 
-from conftest import enumerate_codewords
+from conftest import coordinate_rows, enumerate_codewords, lex, span_words
 
 
 class TestGf2mField:
@@ -86,11 +86,15 @@ class TestBchCode:
         assert (code.n, code.k) == (15, 15)
 
     def test_codes_are_cyclic(self):
-        code = bch_code(BchSpec(4, 1))
-        n = code.n
-        for v in code.basis_ints():
-            shifted = ((v << 1) | (v >> (n - 1))) & ((1 << n) - 1)
-            assert code.contains_word(shifted)
+        # Stated on coordinate strings: shifting every coordinate one
+        # place, either way round, maps each generator row into the code.
+        for m, t in ((3, 1), (4, 1), (5, 3)):
+            code = bch_code(BchSpec(m, t))
+            words = {lex(w, code.n) for w in span_words(code)}
+            for row in coordinate_rows(code):
+                s = row.replace(" ", "")
+                assert s[-1] + s[:-1] in words
+                assert s[1:] + s[0] in words
 
     def test_regime_is_enforced(self):
         with pytest.raises(CodeConstructionError, match="regime"):
