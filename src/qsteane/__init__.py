@@ -36,8 +36,6 @@ from .distances import (
 )
 from .gf2 import (
     DEFAULT_ENUM_CAP,
-    BinaryMatrix,
-    BinaryVector,
     CodeConstructionError,
     EnumerationCapError,
     LinearCode,
@@ -50,7 +48,6 @@ from .gf2 import (
     parse_matrix,
     render_matrix,
     repetition_code,
-    rref,
 )
 from .steane import (
     QuantumCode,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .gf2 import CodeConstructionError, LinearCode, extend_parity, is_dual_containing, is_subcode, lex_key
+from .gf2 import CodeConstructionError, LinearCode, _reduce, extend_parity, is_dual_containing, is_subcode
 from .steane import QuantumCode, certified_enlarge
 
 # One canonical primitive polynomial per extension degree (bit i is the
@@ -180,9 +180,11 @@ def bch_code(spec: BchSpec) -> LinearCode:
         assert all(c in (0, 1) for c in coeffs)
         block = sum(c << i for i, c in enumerate(coeffs))
         gen_poly = _poly_mul_gf2(gen_poly, block)
-    deg = gen_poly.bit_length() - 1
-    k = n - deg
-    code = LinearCode([gen_poly << i for i in range(k)], n)
+    k = n - (gen_poly.bit_length() - 1)
+    # Row i is x^i g(x), coefficient j at coordinate j: g's coefficients
+    # read from x^0 up, as a word, starting at coordinate i.
+    g = int(format(gen_poly, "b")[::-1], 2)
+    code = LinearCode([g << (k - 1 - i) for i in range(k)], n)
     if t >= 1 and code.k != n - m * t:
         raise CodeConstructionError(
             f"dimension {code.k} != {n - m * t}: outside the clean BCH regime"
@@ -248,7 +250,7 @@ def coset_extend(C1: LinearCode, big: LinearCode) -> LinearCode:
     reps = []
     probe = LinearCode(C1.basis_ints(), C1.n)
     for row in big.basis_ints():
-        if not probe.contains_word(row):
+        if row not in probe:
             reps.append(row)
             probe = LinearCode(probe.basis_ints() + [row], C1.n)
     best = None
@@ -257,20 +259,10 @@ def coset_extend(C1: LinearCode, big: LinearCode) -> LinearCode:
         for i in range(len(reps)):
             if (combo >> i) & 1:
                 v ^= reps[i]
-        cand = _coset_reduce(C1, v)
-        if best is None or lex_key(cand, C1.n) < lex_key(best, C1.n):
+        cand = _reduce(v, C1._basis)
+        if best is None or cand < best:
             best = cand
     return LinearCode(C1.basis_ints() + [best], C1.n)
-
-
-def _coset_reduce(C: LinearCode, bits: int) -> int:
-    """The unique coset element with zeros in every pivot coordinate of C
-    (which is the lex-smallest element of its coset)."""
-    v = bits
-    for row, p in zip(C._basis, C._pivots):
-        if (v >> p) & 1:
-            v ^= row
-    return v
 
 
 def build_family_code(spec: FamilySpec) -> QuantumCode:

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .bch import FamilySpec, build_family_code, family_params
@@ -30,7 +31,7 @@ EXIT_INPUT_ERROR = 2
 
 def _load_code(path: str) -> LinearCode:
     with open(path) as fh:
-        return LinearCode.from_matrix(parse_matrix(fh.read()))
+        return LinearCode(*parse_matrix(fh.read()))
 
 
 def cmd_verify(args) -> int:
@@ -115,7 +116,10 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared: callers
+    parse with it and never modify it."""
     parser = argparse.ArgumentParser(
         prog="qsteane",
         description="Quantum codes from binary codes: enlargement "
@@ -161,8 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (MatrixParseError, EnumerationCapError, CodeConstructionError, OSError, ValueError) as exc:

@@ -14,8 +14,11 @@ distance.  That side costs C(n,w)*3^w errors per weight; when the total
 would exceed the 2^r elements of C, or the syndrome does not fit one
 uint64 word, the scan falls back to walking the whole row space.
 
-Spans are numpy arrays built by doubling, ceil(n/64) uint64 limbs per
-word, laid out so that numeric order is lexicographic order.  Every
+Words are ints with coordinate c at bit n - 1 - c (see `gf2`), so int
+order is lexicographic order.  Spans are numpy arrays built by doubling,
+ceil(n/64) uint64 limbs per word: the big-endian limbs of the word
+shifted to start at column 0, so that comparing rows limb by limb
+compares words as ints, lexicographically.  Every
 row-space walk with 2^_PURE_LOOP_MAX_K words or more, at any n, runs
 one numpy kernel (`_span_min`): the lightest element of span{(x | z)}
 by wt(x | z), optionally among those of nonzero syndrome.  Only
@@ -34,14 +37,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .gf2 import (
-    DEFAULT_ENUM_CAP,
-    BinaryVector,
-    EnumerationCapError,
-    LinearCode,
-    dual,
-    lex_key,
-)
+from .gf2 import DEFAULT_ENUM_CAP, EnumerationCapError, LinearCode, _pack, _unpack, dual
 
 if TYPE_CHECKING:
     from .steane import QuantumCode
@@ -53,12 +49,14 @@ _PURE_LOOP_MAX_K = 10  # below this a plain Python Gray walk is faster
 _TABLE_ROWS = 1 << 14
 # Words per block of a second_gdw pass, which bounds its temporaries.
 _BLOCK_ROWS = 1 << 16
-_LIMB = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
 class DistanceReport:
     """Result of an exhaustive distance scan, with attaining witness.
+
+    `witness` holds words as ints: one codeword for d, two for d2, and
+    (ux, uz) for the quantum distance.
 
     `method` names the scan that answered: "span" walked every element
     of the row space, "errors" visited Pauli errors by weight,
@@ -94,14 +92,14 @@ def min_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
         for i in range(1, 1 << C.k):
             word ^= basis[(i & -i).bit_length() - 1]
             w = word.bit_count()
-            if w < best or (w == best and lex_key(word, C.n) < lex_key(best_word, C.n)):
+            if w < best or (w == best and word < best_word):
                 best, best_word = w, word
     else:
         best, (best_word,) = _span_min([basis], C.n)
     C.cached_d1 = best
     return DistanceReport(
         value=best,
-        witness=(BinaryVector(C.n, best_word),),
+        witness=(best_word,),
         enumerated_count=1 << C.k,
         method="span",
     )
@@ -112,30 +110,20 @@ def _span_limbs(basis: list[int], n: int) -> np.ndarray:
 
     Built by doubling: rows [2^j, 2^(j+1)) are rows [0, 2^j) XOR
     basis[j], so row i is the sum of the basis rows picked by the bits
-    of i.  Coordinate c sits in limb c // 64 at bit 63 - c % 64, so
-    comparing rows limb by limb as unsigned integers compares them as
-    coordinate strings, the order of `lex_key`.
+    of i.  The limbs are those of `gf2._pack` read as big-endian numbers
+    (coordinate c at bit 63 - c % 64 of limb c // 64), so comparing rows
+    limb by limb as unsigned integers compares them as words.
     """
-    limbs = -(-n // 64)
-    span = np.zeros((1 << len(basis), limbs), dtype=np.uint64)
-    for j, row in enumerate(basis):
-        v = lex_key(row, n) << (64 * limbs - n)
-        row_limbs = np.array([(v >> (64 * (limbs - 1 - i))) & _LIMB for i in range(limbs)], dtype=np.uint64)
-        np.bitwise_xor(span[: 1 << j], row_limbs, out=span[1 << j : 2 << j])
+    rows = _pack(basis, n).view(">u8").astype(np.uint64)
+    span = np.zeros((1 << len(basis), rows.shape[1]), dtype=np.uint64)
+    for j, row in enumerate(rows):
+        np.bitwise_xor(span[: 1 << j], row, out=span[1 << j : 2 << j])
     return span
 
 
-def _lex_ints(rows: np.ndarray) -> list[int]:
-    """Rows of limbs as ints whose order is the lexicographic order."""
-    out = [0] * len(rows)
-    for limb in rows.T.tolist():
-        out = [(v << 64) | x for v, x in zip(out, limb)]
-    return out
-
-
-def _word(lex_int: int, n: int) -> int:
-    """The codeword (coordinate c at bit c) of an int from `_lex_ints`."""
-    return lex_key(lex_int >> (64 * -(-n // 64) - n), n)
+def _ints(rows: np.ndarray, n: int) -> list[int]:
+    """Rows of `_span_limbs` back as the words they hold."""
+    return _unpack(rows.astype(">u8"), n)
 
 
 def _weights(rows: np.ndarray) -> np.ndarray:
@@ -219,11 +207,7 @@ def _span_min(halves: list[list[int]], n: int, syn: Optional[list[int]] = None) 
             best, best_wit = bmin, wit
     if best_wit is None:
         return best, None
-    per_half = len(best_wit) // len(halves)
-    return best, tuple(
-        _word(functools.reduce(lambda v, limb: v << 64 | limb, best_wit[h : h + per_half]), n)
-        for h in range(0, len(best_wit), per_half)
-    )
+    return best, tuple(_ints(np.array(best_wit, dtype=np.uint64).reshape(len(halves), -1), n))
 
 
 def second_gdw(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
@@ -266,13 +250,13 @@ def second_gdw(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
         light = np.flatnonzero(wt == w)
         done = 0
         while done < len(light) and 3 * w <= 2 * best:
-            (a,) = _lex_ints(pool[light[done], None])
+            (a,) = _ints(pool[light[done], None], C.n)
             rest, hits = _residual_pass(pool, light[done], C.n)
             done += 1
             compared += len(pool)
             if w + rest > best:
                 continue
-            pair = min(sorted((a, b, a ^ b))[:2] for b in _lex_ints(hits))
+            pair = min(sorted((a, b, a ^ b))[:2] for b in _ints(hits, C.n))
             if w + rest < best:
                 best, best_pair = w + rest, pair
                 keep = wt <= best
@@ -284,7 +268,7 @@ def second_gdw(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
     C.cached_d2 = best
     return DistanceReport(
         value=best,
-        witness=tuple(BinaryVector(C.n, _word(v, C.n)) for v in best_pair),
+        witness=tuple(best_pair),
         enumerated_count=compared,
         method="residual",
     )
@@ -322,8 +306,7 @@ def quantum_distance_exact(Q: "QuantumCode", cap: int = DEFAULT_ENUM_CAP) -> Dis
     space is walked instead (method "span").  Either way the witness is
     the lexicographically smallest (ux, uz) attaining the minimum.
     """
-    gx = Q.Gx.row_ints()
-    gz = Q.Gz.row_ints()
+    gx, gz = list(Q.gx), list(Q.gz)
     r, n = len(gx), Q.n
     if r > cap:
         raise EnumerationCapError(
@@ -345,10 +328,9 @@ def quantum_distance_exact(Q: "QuantumCode", cap: int = DEFAULT_ENUM_CAP) -> Dis
         visited, method = 1 << r, "span"
     if wit is None:
         raise ValueError("no vector outside the stabilizer: empty scan")
-    ux, uz = wit
     return DistanceReport(
         value=value,
-        witness=(BinaryVector(n, ux), BinaryVector(n, uz)),
+        witness=wit,
         enumerated_count=visited,
         method=method,
         note=note,
@@ -364,12 +346,13 @@ def _syndrome(ux: int, uz: int, rx: list[int], rz: list[int]) -> int:
 
 
 def _transpose(rows: list[int], n: int) -> list[int]:
-    """cols[q] has bit i set iff rows[i] has bit q set."""
+    """cols[q] has bit i set iff rows[i] has column q set."""
     cols = [0] * n
     for i, row in enumerate(rows):
         while row:
-            cols[(row & -row).bit_length() - 1] |= 1 << i
-            row &= row - 1
+            top = row.bit_length() - 1
+            cols[n - 1 - top] |= 1 << i
+            row ^= 1 << top
     return cols
 
 
@@ -387,13 +370,13 @@ def _pauli_layer(table: np.ndarray, supports: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
-def _pauli_bits(qubits: tuple, pattern: int) -> tuple[int, int]:
+def _pauli_bits(qubits: tuple, pattern: int, n: int) -> tuple[int, int]:
     """(ux, uz) of the Pauli error with base-3 pattern on the given qubits."""
     ux = uz = 0
     for q in reversed(qubits):
         pattern, p = divmod(pattern, 3)
-        ux |= (p != 1) << q  # X or Y
-        uz |= (p != 0) << q  # Z or Y
+        ux |= (p != 1) << (n - 1 - q)  # X or Y
+        uz |= (p != 0) << (n - 1 - q)  # Z or Y
     return ux, uz
 
 
@@ -416,14 +399,15 @@ def _quantum_scan_errors(gx, gz, n, self_orthogonal, budget):
     """
     if n > 64:
         return None
-    S = dual(LinearCode([z | (x << n) for x, z in zip(gx, gz)], 2 * n))
+    # S holds the (x | z) with x.gz_i + z.gx_i = 0: the dual of the rows (gz_i | gx_i).
+    S = dual(LinearCode([z << n | x for x, z in zip(gx, gz)], 2 * n))
     if S.k > 64:
         return None
     mask = (1 << n) - 1
-    # Bit i of the syndrome of X_q is bit q of the z-half of row i of S;
-    # of Z_q, bit q of its x-half.
-    bx = _transpose([h >> n for h in S.basis_ints()], n)
-    bz = _transpose([h & mask for h in S.basis_ints()], n)
+    # Bit i of the syndrome of X_q is column q of the z-half of row i of
+    # S; of Z_q, column q of its x-half.
+    bx = _transpose([h & mask for h in S.basis_ints()], n)
+    bz = _transpose([h >> n for h in S.basis_ints()], n)
     table = np.array([bx, bz, [a ^ b for a, b in zip(bx, bz)]], dtype=np.uint64).T.copy()
 
     visited = 0
@@ -449,16 +433,11 @@ def _quantum_scan_errors(gx, gz, n, self_orthogonal, budget):
             for i, syn in enumerate(pre):
                 for j in (np.flatnonzero(tail == syn) + lo).tolist():
                     s, p = divmod(j, 3**t)
-                    ux, uz = _pauli_bits(prefix + supports[s], i * 3**t + p)
+                    ux, uz = _pauli_bits(prefix + supports[s], i * 3**t + p, n)
                     if not self_orthogonal and _syndrome(ux, uz, gx, gz) == 0:
                         continue  # an element of the stabilizer S
-                    key = _pair_lex(ux, uz, n)
-                    if best is None or key < best[0]:
-                        best = (key, (ux, uz))
+                    if best is None or (ux, uz) < best:
+                        best = (ux, uz)
         if best is not None:
-            return w, best[1], visited
+            return w, best, visited
     return None
-
-
-def _pair_lex(ux: int, uz: int, n: int) -> tuple[int, int]:
-    return (lex_key(ux, n), lex_key(uz, n))

@@ -1,25 +1,24 @@
-"""Word-packed GF(2) vectors, matrices and linear codes.
+"""GF(2) words, matrices and linear codes as plain Python ints.
 
-Rows are stored as Python ints (bit i = coordinate i): one machine word
-for n <= 64, a big int up to n = 1024.  All higher-level machinery
-(distance scans, Steane assembly, BCH construction) works on these
-bitsets.
+A word of length n is an int with coordinate c at bit n - 1 - c: its
+binary digits, written out to n places, are the coordinate string, so
+int order is lexicographic order and every lex-smallest witness rule is
+a plain comparison.  One machine word for n <= 64, a big int up to
+n = 1024.  A matrix is a list of such rows together with n.
 
 Matrices with at least _PACKED_MIN_COLS columns and _PACKED_MIN_ROWS
 rows are reduced, dualised and tested for containment on a bit-packed
 copy instead, and the results come back as the same ints the int paths
-give.  The copy has ceil(n/64) uint64 limbs per row, coordinate c at bit
-c % 64 of limb c // 64 (little-endian), which is the int's own bit order:
-`int.to_bytes`/`int.from_bytes` convert a row in one call, and byte
-c // 8 of a row holds the 8-column strip the Four-Russians elimination
-works on.  `distances._span_limbs` puts coordinate c at bit 63 - c % 64
-instead, so that comparing limbs compares words lexicographically; the
-algebra here needs no order, only XOR and bit extraction.
+give.  A packed row is the big-endian bytes of the row's int, shifted
+left to fill ceil(n/64) 64-bit limbs: coordinate c is bit 7 - c % 8 of
+byte c // 8, so byte j holds the strip of columns 8j .. 8j + 7 that the
+Four-Russians elimination works on, most significant bit first.
+`distances._span_limbs` reads the same bytes as big-endian uint64 limbs,
+so that comparing limbs compares words.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +34,7 @@ DEFAULT_ENUM_CAP = 26
 # per-call cost would dominate the many small codes the searches build.
 _PACKED_MIN_COLS = 256
 _PACKED_MIN_ROWS = 64
-_LE64 = np.dtype("<u8")
+_LE64 = np.dtype("<u8")  # the 8 x 8 bit blocks of `_transpose`
 # The nonzero byte values, scrambled (times 101 mod 256) so that the
 # first few a strip holds are likely independent: the first nine of the
 # full order already span GF(2)^8.
@@ -54,86 +53,12 @@ class CodeConstructionError(ValueError):
     """Raised when construction preconditions are violated."""
 
 
-@dataclass(frozen=True)
-class BinaryVector:
-    """A GF(2) vector of fixed length, bits packed into an int."""
-
-    length: int
-    bits: int
-
-    def __post_init__(self):
-        if not 0 < self.length <= MAX_LENGTH:
-            raise ValueError(f"length must be in [1, {MAX_LENGTH}]")
-        if self.bits >> self.length:
-            raise ValueError("bits exceed vector length")
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def __xor__(self, other: "BinaryVector") -> "BinaryVector":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return BinaryVector(self.length, self.bits ^ other.bits)
-
-    def __or__(self, other: "BinaryVector") -> "BinaryVector":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return BinaryVector(self.length, self.bits | other.bits)
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def lex_key(self) -> int:
-        """Key ordering vectors as left-to-right coordinate strings."""
-        return lex_key(self.bits, self.length)
-
-    def __str__(self) -> str:
-        return format(self.bits, f"0{self.length}b")[::-1]
-
-
-def lex_key(bits: int, n: int) -> int:
-    """Key ordering words as coordinate strings b0 b1 ... b_{n-1}.
-
-    Reverses the n low bits, so integer comparison of keys compares the
-    strings lexicographically.  Needs 0 <= bits < 2^n.
-    """
-    return int(format(bits, f"0{n}b")[::-1], 2)
-
-
-@dataclass(frozen=True)
-class BinaryMatrix:
-    """A dense GF(2) matrix; every row is a BinaryVector of width cols."""
-
-    cols: int
-    data: tuple
-
-    def __post_init__(self):
-        for row in self.data:
-            if row.length != self.cols:
-                raise ValueError("row length != cols")
-
-    @property
-    def rows(self) -> int:
-        return len(self.data)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[int], cols: int) -> "BinaryMatrix":
-        return cls(cols, tuple(BinaryVector(cols, r) for r in rows))
-
-    def row_ints(self) -> list[int]:
-        return [r.bits for r in self.data]
-
-    def __str__(self) -> str:
-        return render_matrix(self)
-
-
 def rref_ints(rows: Sequence[int], cols: int) -> tuple[list[int], int, list[int]]:
-    """Reduced row-echelon form on int-packed rows.
+    """Reduced row-echelon form on int rows of `cols` columns.
 
     Returns (reduced rows, rank, pivot column indices).  Zero rows are
-    kept at the bottom so the shape is preserved.  Wide matrices go
+    kept at the bottom so the shape is preserved.  A reduced row's pivot
+    is its first nonzero column, its highest set bit.  Wide matrices go
     through the bit-packed kernel `_rref_packed`, which returns the same
     (the reduced row-echelon form is unique).
     """
@@ -143,7 +68,7 @@ def rref_ints(rows: Sequence[int], cols: int) -> tuple[list[int], int, list[int]
     pivots: list[int] = []
     r = 0
     for col in range(cols):
-        mask = 1 << col
+        mask = 1 << (cols - 1 - col)
         pivot = next((i for i in range(r, len(work)) if work[i] & mask), None)
         if pivot is None:
             continue
@@ -158,51 +83,50 @@ def rref_ints(rows: Sequence[int], cols: int) -> tuple[list[int], int, list[int]
     return work, r, pivots
 
 
-def rref(M: BinaryMatrix) -> tuple[BinaryMatrix, int, list[int]]:
-    """Reduced row-echelon form of M over GF(2)."""
-    if M.rows == 0:
-        raise ValueError("empty matrix")
-    work, rank, pivots = rref_ints(M.row_ints(), M.cols)
-    return BinaryMatrix.from_rows(work, M.cols), rank, pivots
+def _reduce(word: int, basis_rref: Sequence[int]) -> int:
+    """word with every pivot column of the rref basis cleared: the
+    lex-smallest word of the coset word + span(basis_rref).  XORing a
+    row clears its pivot, the row's highest bit, exactly when the
+    result is smaller."""
+    for row in basis_rref:
+        word = min(word, word ^ row)
+    return word
 
 
-def in_rowspan(vec: int, basis_rref: Sequence[int], pivots: Sequence[int]) -> bool:
+def in_rowspan(vec: int, basis_rref: Sequence[int]) -> bool:
     """Membership test against an rref basis (reduce and check zero)."""
-    v = vec
-    for row, p in zip(basis_rref, pivots):
-        if (v >> p) & 1:
-            v ^= row
-    return v == 0
+    return _reduce(vec, basis_rref) == 0
 
 
 # --- bit-packed kernels for wide matrices ------------------------------------
 
 
 def _packed(cols: int, rows: list[int]) -> bool:
-    """Whether rows over `cols` columns go to the packed kernels: a large
-    enough matrix whose rows all fit its columns."""
-    if cols < _PACKED_MIN_COLS or len(rows) < _PACKED_MIN_ROWS:
-        return False
-    return min(rows) >= 0 and max(rows) >> cols == 0
+    """Whether rows over `cols` columns go to the packed kernels."""
+    return cols >= _PACKED_MIN_COLS and len(rows) >= _PACKED_MIN_ROWS
 
 
-def _pack(rows: Sequence[int], limbs: int) -> np.ndarray:
-    """Rows as an (m, limbs) uint64 array, coordinate c at bit c % 64 of
-    limb c // 64 (so byte c // 8 of a row holds coordinates 8(c // 8) ..)."""
-    buf = bytearray(b"".join(r.to_bytes(8 * limbs, "little") for r in rows))
-    return np.frombuffer(buf, dtype=_LE64).reshape(len(rows), limbs)
+def _pack(rows: Sequence[int], n: int) -> np.ndarray:
+    """Rows of n columns as an (m, ceil(n/64)) uint64 array holding each
+    row's big-endian bytes, shifted to start at column 0 (byte c // 8
+    holds columns 8(c // 8) .., most significant bit first)."""
+    limbs = -(-n // 64)
+    pad = 64 * limbs - n
+    buf = bytearray(b"".join((r << pad).to_bytes(8 * limbs, "big") for r in rows))
+    return np.frombuffer(buf, dtype=np.uint64).reshape(len(rows), limbs)
 
 
-def _unpack(M: np.ndarray) -> list[int]:
-    """Inverse of `_pack`: the rows of M as ints."""
-    buf, step = M.tobytes(), 8 * M.shape[1]
-    return [int.from_bytes(buf[i : i + step], "little") for i in range(0, len(buf), step)]
+def _unpack(M: np.ndarray, n: int) -> list[int]:
+    """Inverse of `_pack`: the rows of M as ints of n columns."""
+    buf, step = M.tobytes(), M.itemsize * M.shape[1]
+    pad = 8 * step - n
+    return [int.from_bytes(buf[i : i + step], "big") >> pad for i in range(0, len(buf), step)]
 
 
 def _combinations(R: Sequence[np.ndarray]) -> np.ndarray:
     """All 2^len(R) sums of the packed rows R: entry x sums the rows picked
     by the bits of x.  The Four-Russians table."""
-    table = np.empty((1 << len(R), len(R[0])), dtype=_LE64)
+    table = np.empty((1 << len(R), len(R[0])), dtype=np.uint64)
     table[0] = 0
     for j, row in enumerate(R):
         np.bitwise_xor(table[: 1 << j], row, out=table[1 << j : 2 << j])
@@ -210,17 +134,21 @@ def _combinations(R: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _transpose(M: np.ndarray) -> np.ndarray:
-    """Packed transpose: row c of the result is column c of M (bit i =
-    row i), for every c < 64 * limbs; M's rows are padded to whole limbs.
+    """Packed transpose: row c of the result is column c of M (row i of M
+    at column i), for every c < 64 * limbs; M's rows are padded to whole
+    limbs.
 
-    Works on 8 x 8 bit blocks held one per uint64 (byte i = row i of the
-    block), each transposed in place by three masked swaps.
+    Works on 8 x 8 bit blocks held one per little-endian uint64, byte i
+    the byte of row i.  Bit t of that byte is column 7 - t of the strip,
+    so the block is transposed about its anti-diagonal: the three masked
+    swaps transpose it about the diagonal, conjugated by a byteswap.
     """
     m, limbs = M.shape
     blocks = -(-m // 64) * 8
     X = np.zeros((8 * limbs, 8 * blocks), dtype=np.uint8)
     X[:, :m] = M.view(np.uint8).T
     X = X.view(_LE64)
+    X.byteswap(inplace=True)
     t = np.empty_like(X)
     for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)):
         np.right_shift(X, shift, out=t)
@@ -229,13 +157,15 @@ def _transpose(M: np.ndarray) -> np.ndarray:
         X ^= t
         t <<= shift
         X ^= t
-    # Byte c of block (j, b) now holds column 8j + c over rows 8b .. 8b + 7.
+    X.byteswap(inplace=True)
+    # Byte c of block (j, b) now holds column 8j + c over rows 8b .. 8b + 7,
+    # row 8b + i at bit 7 - i.
     Y = X.view(np.uint8).reshape(8 * limbs, blocks, 8).transpose(0, 2, 1)
-    return np.ascontiguousarray(Y).reshape(64 * limbs, blocks).view(_LE64)
+    return np.ascontiguousarray(Y).reshape(64 * limbs, blocks).view(np.uint64)
 
 
 def _select_columns(M: np.ndarray, cols: Sequence[int]) -> np.ndarray:
-    """Columns `cols` of M, in that order, packed from bit 0."""
+    """Columns `cols` of M, in that order, packed from column 0."""
     return _transpose(_transpose(M)[list(cols)])[: len(M)]
 
 
@@ -248,8 +178,8 @@ def _rref_packed(rows: list[int], cols: int) -> tuple[list[int], int, list[int]]
     chosen pivot rows go in one table, and a single gather-and-XOR clears
     the strip's pivot columns from every other row.
     """
-    m, limbs = len(rows), -(-cols // 64)
-    M = _pack(rows, limbs)
+    m = len(rows)
+    M = _pack(rows, cols)
     M8 = M.view(np.uint8)
     seen = np.empty(256, dtype=bool)
     pivots: list[int] = []
@@ -258,7 +188,8 @@ def _rref_packed(rows: list[int], cols: int) -> tuple[list[int], int, list[int]]
         seen[:] = False
         seen[M8[r:, j]] = True
         # An XOR basis of the strip's bytes: each reduced byte is keyed by
-        # its lowest bit and tagged with the chosen rows it sums.
+        # its highest bit (its first column) and tagged with the chosen
+        # rows it sums.
         chosen: list[int] = []
         basis: dict[int, tuple[int, int]] = {}
         for v in _BYTE_ORDER[seen[_BYTE_ORDER]].tolist():
@@ -267,7 +198,7 @@ def _rref_packed(rows: list[int], cols: int) -> tuple[list[int], int, list[int]]
                 if x >> p & 1:
                     x, combo = x ^ b, combo ^ bc
             if x:
-                basis[(x & -x).bit_length() - 1] = (x, combo)
+                basis[x.bit_length() - 1] = (x, combo)
                 chosen.append(v)
                 if len(chosen) == 8:
                     break
@@ -295,13 +226,13 @@ def _rref_packed(rows: list[int], cols: int) -> tuple[list[int], int, list[int]]
         holes = [a for a in at if a >= r + kb]
         if holes:
             M[holes] = M[[i for i in range(r, r + kb) if i not in at]]
-        piv.sort()
+        piv.sort(reverse=True)  # by column
         M[r : r + kb] = table[[unit[p] for p in piv]]
-        pivots += [8 * j + p for p in piv]
+        pivots += [8 * j + 7 - p for p in piv]
         r += kb
         if r == m:
             break
-    return _unpack(M[:r]) + [0] * (m - r), r, pivots
+    return _unpack(M[:r], cols) + [0] * (m - r), r, pivots
 
 
 def _dual_packed(basis: list[int], pivots: list[int], n: int) -> list[int]:
@@ -314,11 +245,11 @@ def _dual_packed(basis: list[int], pivots: list[int], n: int) -> list[int]:
     k = len(basis)
     pivset = set(pivots)
     free = [c for c in range(n) if c not in pivset]
-    restricted = _select_columns(_pack(basis, -(-n // 64)), free)
-    dt = np.zeros((n, restricted.shape[1]), dtype=_LE64)
+    restricted = _select_columns(_pack(basis, n), free)
+    dt = np.zeros((n, restricted.shape[1]), dtype=np.uint64)
     dt[pivots] = restricted
-    dt[free] = _pack([1 << f for f in range(n - k)], dt.shape[1])
-    return _unpack(_transpose(dt)[: n - k])
+    dt[free] = _pack([1 << f for f in reversed(range(n - k))], n - k)
+    return _unpack(_transpose(dt)[: n - k], n)
 
 
 def _residual_packed(words: list[int], basis: list[int], pivots: list[int], n: int) -> np.ndarray:
@@ -326,55 +257,46 @@ def _residual_packed(words: list[int], basis: list[int], pivots: list[int], n: i
     when w lies in the span of the rref basis.  A word's coefficients are
     its own bits at the pivot columns, so every word is reduced in one
     pass, eight basis rows (one table) at a time."""
-    limbs = -(-n // 64)
-    W, R = _pack(words, limbs), _pack(basis, limbs)
+    W, R = _pack(words, n), _pack(basis, n)
     coef = _select_columns(W, pivots).view(np.uint8)
     for q in range(0, len(basis), 8):
-        W ^= _combinations(R[q : q + 8])[coef[:, q // 8]]
+        # Byte q // 8 holds the coefficients of rows q .., the first at
+        # its top bit: drop the unused low bits and take the rows reversed.
+        rows = R[q : q + 8]
+        W ^= _combinations(rows[::-1])[coef[:, q // 8] >> (8 - len(rows))]
     return W
 
 
-@dataclass
 class LinearCode:
     """A binary [n, k] linear code, stored by its canonical rref generator.
 
-    cached_d1 / cached_d2 hold exact distances once a scan has computed
-    them; they are never guessed.
+    The rows are words of length n (ints in [0, 2^n)); any other row is
+    refused.  cached_d1 / cached_d2 hold exact distances once a scan has
+    computed them; they are never guessed.
     """
-
-    n: int
-    k: int = field(init=False)
-    gen: BinaryMatrix = field(init=False)
-    cached_d1: Optional[int] = field(default=None, compare=False)
-    cached_d2: Optional[int] = field(default=None, compare=False)
-
-    _basis: list[int] = field(init=False, repr=False, compare=False)
-    _pivots: list[int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, rows: Sequence[int], n: int):
         if not 0 < n <= MAX_LENGTH:
             raise ValueError(f"n must be in [1, {MAX_LENGTH}]")
-        work, rank, pivots = rref_ints(list(rows), n)
+        rows = list(rows)
+        if rows and (min(rows) < 0 or max(rows) >> n):
+            raise ValueError(f"row outside [0, 2^{n}): not a word of length {n}")
+        work, rank, pivots = rref_ints(rows, n)
         self.n = n
         self.k = rank
         self._basis = work[:rank]
         self._pivots = pivots
-        self.gen = BinaryMatrix.from_rows(self._basis, n) if rank else BinaryMatrix(n, ())
-        self.cached_d1 = None
-        self.cached_d2 = None
-
-    @classmethod
-    def from_matrix(cls, M: BinaryMatrix) -> "LinearCode":
-        return cls(M.row_ints(), M.cols)
+        self.cached_d1: Optional[int] = None
+        self.cached_d2: Optional[int] = None
 
     def basis_ints(self) -> list[int]:
         return list(self._basis)
 
-    def contains_word(self, bits: int) -> bool:
-        return in_rowspan(bits, self._basis, self._pivots)
+    def __contains__(self, word: int) -> bool:
+        return in_rowspan(word, self._basis)
 
     def canonical_key(self) -> tuple:
-        return tuple(lex_key(r, self.n) for r in self._basis)
+        return tuple(self._basis)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCode):
@@ -396,13 +318,15 @@ def _dual_rows(C: LinearCode) -> list[int]:
     if _packed(n, C._basis) and C.k < n:
         return _dual_packed(C._basis, C._pivots, n)
     pivset = set(C._pivots)
-    free_cols = [c for c in range(n) if c not in pivset]
     rows = []
-    for c in free_cols:
-        v = 1 << c
-        for row, p in zip(C._basis, C._pivots):
-            if (row >> c) & 1:
-                v |= 1 << p
+    for c in range(n):
+        if c in pivset:
+            continue
+        bit = 1 << (n - 1 - c)
+        v = bit
+        for row in C._basis:
+            if row & bit:
+                v |= 1 << (row.bit_length() - 1)  # the row's pivot
         rows.append(v)
     return rows
 
@@ -416,7 +340,7 @@ def _all_in(words: list[int], B: LinearCode) -> bool:
     """True iff every word lies in B."""
     if _packed(B.n, words) and B.k:
         return not _residual_packed(words, B._basis, B._pivots, B.n).any()
-    return all(B.contains_word(w) for w in words)
+    return all(w in B for w in words)
 
 
 def is_subcode(A: LinearCode, B: LinearCode) -> bool:
@@ -435,12 +359,14 @@ def is_dual_containing(C: LinearCode) -> bool:
 _NOT_DIGITS = str.maketrans("", "", "01")
 
 
-def parse_matrix(text: str) -> BinaryMatrix:
-    """Parse a text block of 0/1 rows into a BinaryMatrix.
+def parse_matrix(text: str) -> tuple[list[int], int]:
+    """Parse a text block of 0/1 rows into (rows, n).
 
-    Spaces and tabs between digits are ignored; blank lines and lines
-    starting with '#' are skipped.  Ragged rows or foreign characters
-    raise MatrixParseError with the offending line number.
+    Each row is read as a binary number, so its first digit is
+    coordinate 0.  Spaces and tabs between digits are ignored; blank
+    lines and lines starting with '#' are skipped.  Ragged rows or
+    foreign characters raise MatrixParseError with the offending line
+    number.
     """
     rows: list[int] = []
     width = None
@@ -462,25 +388,20 @@ def parse_matrix(text: str) -> BinaryMatrix:
             raise MatrixParseError(
                 f"line {lineno}: row has {len(digits)} columns, expected {width}"
             )
-        rows.append(int(digits[::-1], 2))
+        rows.append(int(digits, 2))
     if width is None:
         raise MatrixParseError("no matrix rows found")
-    return BinaryMatrix.from_rows(rows, width)
+    return rows, width
 
 
-def render_matrix(M: BinaryMatrix) -> str:
+def render_matrix(rows: Sequence[int], n: int) -> str:
     """Inverse of parse_matrix: one space-separated 0/1 line per row."""
-    return "\n".join(" ".join(str(row)) for row in M.data)
+    return "\n".join(" ".join(format(r, f"0{n}b")) for r in rows)
 
 
 def extend_parity(C: LinearCode) -> LinearCode:
     """Append an overall parity bit: [n, k] -> [n+1, k], all codewords even."""
-    rows = []
-    for r in C.basis_ints():
-        if r.bit_count() & 1:
-            r |= 1 << C.n
-        rows.append(r)
-    return LinearCode(rows, C.n + 1)
+    return LinearCode([r << 1 | r.bit_count() & 1 for r in C.basis_ints()], C.n + 1)
 
 
 def even_weight_code(n: int) -> LinearCode:

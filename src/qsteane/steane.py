@@ -25,10 +25,11 @@ from typing import Callable, Iterator, Optional, Sequence
 from .distances import _coset_weights, min_distance, quantum_distance_exact, second_gdw
 from .gf2 import (
     DEFAULT_ENUM_CAP,
-    BinaryMatrix,
+    MAX_LENGTH,
     CodeConstructionError,
     EnumerationCapError,
     LinearCode,
+    _all_in,
     dual,
     is_dual_containing,
     is_subcode,
@@ -38,11 +39,12 @@ from .gf2 import (
 
 @dataclass
 class QuantumCode:
-    """An [[n, K, d]] stabilizer code given by its generator halves."""
+    """An [[n, K, d]] stabilizer code given by its generator halves:
+    generator i is (gx[i] | gz[i]), each half a word of length n."""
 
     n: int
-    Gx: BinaryMatrix
-    Gz: BinaryMatrix
+    gx: tuple
+    gz: tuple
     K: int
     d_lower: int
     d_exact: Optional[int] = None
@@ -52,12 +54,17 @@ class QuantumCode:
     bound_proven: bool = False
 
     def __post_init__(self):
-        if self.Gx.rows != self.Gz.rows or self.Gx.cols != self.n or self.Gz.cols != self.n:
-            raise ValueError("Gx/Gz shape mismatch")
+        self.gx, self.gz = tuple(self.gx), tuple(self.gz)
+        if not 0 < self.n <= MAX_LENGTH:
+            raise ValueError(f"n must be in [1, {MAX_LENGTH}]")
+        if len(self.gx) != len(self.gz):
+            raise ValueError("gx/gz shape mismatch: different row counts")
+        if any(r < 0 or r >> self.n for r in self.gx + self.gz):
+            raise ValueError(f"gx/gz shape mismatch: row outside [0, 2^{self.n})")
 
     @property
     def num_generators(self) -> int:
-        return self.Gx.rows
+        return len(self.gx)
 
     def params(self) -> tuple[int, int, int]:
         return (self.n, self.K, self.d_exact if self.d_exact is not None else self.d_lower)
@@ -127,15 +134,15 @@ def steane_enlarge(
         raise CodeConstructionError(
             f"{len(halves)} halves given for {len(gp_rows)} completion rows"
         )
-    gx = [r for r in g_rows] + [0] * len(g_rows) + gp_rows
-    gz = [0] * len(g_rows) + [r for r in g_rows] + mixed
+    gx = g_rows + [0] * len(g_rows) + gp_rows
+    gz = [0] * len(g_rows) + g_rows + mixed
 
     if d_lower is None:
         d_lower = min(min_distance(C, cap=cap).value, second_gdw(Cp, cap=cap).value)
     return QuantumCode(
         n=n,
-        Gx=BinaryMatrix.from_rows(gx, n),
-        Gz=BinaryMatrix.from_rows(gz, n),
+        gx=gx,
+        gz=gz,
         K=C.k + Cp.k - n,
         d_lower=d_lower,
         bound_proven=halves is None,
@@ -168,11 +175,12 @@ def certified_enlarge(
     The k' = k + 1 case admits no such map.  Its one completion row w
     gets a second half v, and span{(C|0), (0|C), (w|v)} depends only on
     the coset v + C, so one representative per coset covers every
-    choice: the words supported off the pivot columns of rref(C), in
-    increasing order from 0.  Each is certified with the exact
-    distance scan; the first to reach the bound is returned, else the
-    first of highest exact distance.  When the scan is out of reach
-    (too many generators) the first candidate is returned uncertified.
+    choice: the words supported off the pivot columns of rref(C), the
+    i-th setting the free columns picked by the bits of i, from v = 0.
+    Each is certified with the exact distance scan; the first to reach
+    the bound is returned, else the first of highest exact distance.
+    When the scan is out of reach (too many generators) the first
+    candidate, v = 0, is returned uncertified.
     """
     if d_lower is None:
         d_lower = min(min_distance(C, cap=cap).value, second_gdw(Cp, cap=cap).value)
@@ -180,14 +188,14 @@ def certified_enlarge(
     if Cp.k - C.k >= 2:
         return steane_enlarge(C, Cp, d_lower=d_lower, cap=cap)
 
+    if C.k + Cp.k > cap:
+        return steane_enlarge(C, Cp, [0], d_lower=d_lower, cap=cap)
     pivots = set(C._pivots)
-    free = [c for c in range(C.n) if c not in pivots]
+    free = [1 << (C.n - 1 - c) for c in range(C.n) if c not in pivots]
     best: Optional[QuantumCode] = None
     for i in range(1 << len(free)):
-        v = sum(1 << c for j, c in enumerate(free) if (i >> j) & 1)
+        v = sum(bit for j, bit in enumerate(free) if (i >> j) & 1)
         Q = steane_enlarge(C, Cp, [v], d_lower=d_lower, cap=cap)
-        if C.k + Cp.k > cap:
-            return Q
         Q.d_exact = quantum_distance_exact(Q, cap=cap).value
         if Q.d_exact >= d_lower:
             return Q
@@ -196,30 +204,24 @@ def certified_enlarge(
     return best
 
 
-def symplectic_dual(Q: QuantumCode) -> BinaryMatrix:
+def symplectic_dual(Q: QuantumCode) -> list[int]:
     """Basis (Hx|Hz) of all (vx|vz) with Gx.vz^T + Gz.vx^T = 0.
 
-    Returned as a (2n - r) x 2n matrix whose left half is Hx and right
-    half is Hz (column i of the x-part is bit i, z-part bit n+i).
+    Returned as the 2n - r rref rows of a 2n-column matrix, vx in
+    columns 0 .. n-1 and vz in columns n .. 2n-1: row >> n is vx and
+    row & (2^n - 1) is vz.
     """
     n = Q.n
-    gx, gz = Q.Gx.row_ints(), Q.Gz.row_ints()
     # Null space of the r x 2n matrix [Gz | Gx]: symplectic orthogonality
     # swaps the halves against (vx | vz).
-    rows = [gz[i] | (gx[i] << n) for i in range(len(gx))]
-    M = LinearCode(rows, 2 * n)
-    return dual(M).gen
+    return dual(LinearCode([z << n | x for x, z in zip(Q.gx, Q.gz)], 2 * n)).basis_ints()
 
 
 def is_stabilizer_code(Q: QuantumCode) -> bool:
     """True iff the symplectic dual of C lies inside C (C-perp <= C)."""
     n = Q.n
-    gx, gz = Q.Gx.row_ints(), Q.Gz.row_ints()
-    span = LinearCode([gx[i] | (gz[i] << n) for i in range(len(gx))], 2 * n)
-    for row in symplectic_dual(Q).row_ints():
-        if not span.contains_word(row):
-            return False
-    return True
+    span = LinearCode([x << n | z for x, z in zip(Q.gx, Q.gz)], 2 * n)
+    return _all_in(symplectic_dual(Q), span)
 
 
 def _lift(v: int, rows: Sequence[int]) -> int:

@@ -52,7 +52,7 @@ TABLE1_ROWS = (
 
 def load_fixture(name: str) -> LinearCode:
     text = resources.files("qsteane.fixtures").joinpath(name).read_text()
-    return LinearCode.from_matrix(parse_matrix(text))
+    return LinearCode(*parse_matrix(text))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,5 +1,9 @@
 """Shared fixtures and independent brute-force oracles.
 
+Words are ints with coordinate c at bit n - 1 - c, as in the library, so
+the oracles take lexicographic minima with plain int comparisons; `lex`
+writes a word out as its coordinate string.
+
 The oracles deliberately avoid the library's scan machinery: plain
 itertools/numpy reimplementations used to cross-check the optimized
 paths, among them the Gray-code walks that check the numpy span
@@ -23,13 +27,13 @@ import pytest
 
 from qsteane.bch import FamilySpec, build_family_code
 from qsteane.bounds import bound_cs, bound_gf4, bound_steane, bound_thm4
-from qsteane.gf2 import BinaryMatrix, BinaryVector, CodeConstructionError, LinearCode, dual, extend_parity, render_matrix
+from qsteane.gf2 import CodeConstructionError, LinearCode, dual, extend_parity, render_matrix
 from qsteane.steane import QuantumCode
 from qsteane.table1 import TABLE1_ROWS, check_row
 
 
 #: Hamming [7,4,3] and its parity extension, the self-dual [8,4,4] code.
-HAMMING_7_4 = LinearCode([0b1101000, 0b0110100, 0b1110010, 0b1010001], 7)
+HAMMING_7_4 = LinearCode([0b0001011, 0b0010110, 0b0100111, 0b1000101], 7)
 EXT_HAMMING_8_4 = extend_parity(HAMMING_7_4)
 
 
@@ -51,38 +55,31 @@ def enumerate_span(basis: Sequence[int]) -> Iterator[int]:
         yield word
 
 
-def enumerate_codewords(code: LinearCode) -> Iterator[BinaryVector]:
+def enumerate_codewords(code: LinearCode) -> Iterator[int]:
     """All 2^k codewords in Gray-code order over the message space."""
-    for bits in enumerate_span(code.basis_ints()):
-        yield BinaryVector(code.n, bits)
+    return enumerate_span(code.basis_ints())
 
 
 def lex(word: int, n: int) -> str:
     """A word as its coordinate string, coordinate 0 first."""
-    return format(word, f"0{n}b")[::-1]
+    return format(word, f"0{n}b")
 
 
 def coordinate_rows(code: LinearCode) -> list[str]:
     """The rows of the canonical basis of code as `render_matrix` writes them."""
-    return render_matrix(code.gen).splitlines()
+    return render_matrix(code.basis_ints(), code.n).splitlines()
 
 
 def witness_strings(report, n: int) -> tuple[str, ...]:
     """The witness words of a distance report as coordinate strings."""
-    return tuple(lex(w.bits, n) for w in report.witness)
+    return tuple(lex(w, n) for w in report.witness)
 
 
 def css_code(cx: LinearCode, cz: LinearCode) -> QuantumCode:
     """Plain CSS assembly (Gx|0), (0|Gz)."""
     gx = cx.basis_ints() + [0] * cz.k
     gz = [0] * cx.k + cz.basis_ints()
-    return QuantumCode(
-        n=cx.n,
-        Gx=BinaryMatrix.from_rows(gx, cx.n),
-        Gz=BinaryMatrix.from_rows(gz, cx.n),
-        K=cx.k + cz.k - cx.n,
-        d_lower=1,
-    )
+    return QuantumCode(n=cx.n, gx=gx, gz=gz, K=cx.k + cz.k - cx.n, d_lower=1)
 
 
 def brute_min_distance(code: LinearCode) -> int:
@@ -92,7 +89,7 @@ def brute_min_distance(code: LinearCode) -> int:
 def reference_min_word(words, n: int) -> tuple[int, int]:
     """Weight and lexicographically smallest word among the lightest
     nonzero words."""
-    word = min((w for w in words if w), key=lambda w: (w.bit_count(), lex(w, n)))
+    word = min((w for w in words if w), key=lambda w: (w.bit_count(), w))
     return word.bit_count(), word
 
 
@@ -111,7 +108,7 @@ def reference_quantum_scan(gx, gz, syn, n, self_orthogonal):
         ux, uz, s = (v >> n) & mask, v & mask, v >> 2 * n
         if (s == 0) != self_orthogonal or not ux | uz:
             continue
-        key = ((ux | uz).bit_count(), lex(ux, n), lex(uz, n))
+        key = ((ux | uz).bit_count(), ux, uz)
         if best_wit is None or key < best:
             best, best_wit = key, (ux, uz)
     return (best[0], best_wit) if best_wit else (n + 1, None)
@@ -134,7 +131,7 @@ def reference_second_gdw(code: LinearCode) -> tuple[int, tuple[int, int]]:
     """
     n = code.n
     words = [w for w in span_words(code) if w]
-    words.sort(key=lambda w: (w.bit_count(), lex(w, n)))
+    words.sort(key=lambda w: (w.bit_count(), w))
     wts = [w.bit_count() for w in words]
 
     best = n + 1
@@ -154,11 +151,10 @@ def reference_second_gdw(code: LinearCode) -> tuple[int, tuple[int, int]]:
     for i in range(len(light)):
         for j in range(i + 1, len(light)):
             if (light[i] | light[j]).bit_count() == best:
-                pair = tuple(sorted((light[i], light[j]), key=lambda w: lex(w, n)))
-                key = (lex(pair[0], n), lex(pair[1], n))
-                if best_pair is None or key < best_pair[0]:
-                    best_pair = (key, pair)
-    return best, best_pair[1]
+                pair = tuple(sorted((light[i], light[j])))
+                if best_pair is None or pair < best_pair:
+                    best_pair = pair
+    return best, best_pair
 
 
 def rref_subspaces(q: int, r: int) -> Iterator[list[int]]:
@@ -227,11 +223,11 @@ def reference_self_dual_subcode(Cp: LinearCode) -> LinearCode:
 
 
 def fixture_rows(name: str) -> list[int]:
-    """Rows of a shipped matrix file as plain ints (column i is bit i),
-    read here rather than by the library's parser."""
+    """Rows of a shipped matrix file as plain ints (each line read as a
+    binary number), read here rather than by the library's parser."""
     text = resources.files("qsteane.fixtures").joinpath(name).read_text()
     lines = (line.replace(" ", "") for line in text.splitlines())
-    return [int(line[::-1], 2) for line in lines if line and not line.startswith("#")]
+    return [int(line, 2) for line in lines if line and not line.startswith("#")]
 
 
 def _reduce(word: int, pivots: dict[int, int]) -> int:
@@ -343,7 +339,7 @@ def random_self_orthogonal(rng: random.Random, n: int, k: int) -> LinearCode:
             rows.append(v)
             if LinearCode(rows, n).k == k:
                 break
-    return LinearCode(rows or [0b11], n)
+    return LinearCode(rows or [0b11 << (n - 2)], n)
 
 
 def reference_curve(delta_min: float, delta_max: float, step: float) -> list[tuple]:

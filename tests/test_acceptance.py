@@ -35,7 +35,7 @@ from qsteane.bch import (
 from qsteane.bounds import bound_cs, bound_gf4, bound_steane, bound_thm4, emit_curve, pair_count_identity
 from qsteane.cli import main
 from qsteane.distances import min_distance, quantum_distance_exact, second_gdw
-from qsteane.gf2 import BinaryMatrix, CodeConstructionError, LinearCode, dual, is_subcode
+from qsteane.gf2 import CodeConstructionError, LinearCode, dual, is_subcode
 from qsteane.steane import QuantumCode, find_self_dual_subcode
 from qsteane.table1 import TABLE1_ROWS, load_fixture, self_dual_code_for_row
 
@@ -179,8 +179,8 @@ def f4_coset_sweep(C: LinearCode, w: int) -> tuple[Counter, list[str]]:
     n, basis = C.n, C.basis_ints()
     complement: list[int] = []
     for i in range(n):
-        if not in_span(1 << i, basis + complement):
-            complement.append(1 << i)
+        if not in_span(1 << (n - 1 - i), basis + complement):
+            complement.append(1 << (n - 1 - i))
     histogram: Counter = Counter()
     failures = []
     for combo in range(1 << len(complement)):
@@ -190,13 +190,13 @@ def f4_coset_sweep(C: LinearCode, w: int) -> tuple[Counter, list[str]]:
                 v ^= unit
         gx = basis + [0] * len(basis) + [w]
         gz = [0] * len(basis) + basis + [v]
-        Q = QuantumCode(n, BinaryMatrix.from_rows(gx, n), BinaryMatrix.from_rows(gz, n), K=2 * C.k + 1 - n, d_lower=1)
+        Q = QuantumCode(n, gx, gz, K=2 * C.k + 1 - n, d_lower=1)
         report = quantum_distance_exact(Q)
-        ux, uz = (half.bits for half in report.witness)
+        ux, uz = report.witness
         histogram[report.value] += 1
         if not (
             (ux | uz).bit_count() == report.value
-            and in_span(ux | uz << n, [x | z << n for x, z in zip(gx, gz)])
+            and in_span(ux << n | uz, [x << n | z for x, z in zip(gx, gz)])
             and any(symplectic_product((ux, uz), row) for row in zip(gx, gz))
         ):
             failures.append(f"coset {combo}: witness fails its check")
@@ -217,7 +217,7 @@ def test_criterion_5_f4_desk_scale(f4_desk):
     d2p = second_gdw(Cp).value
     exact = f4_desk.d_exact if f4_desk.d_exact is not None else quantum_distance_exact(f4_desk).value
     # One coset of C1 is added, so any word of C' outside C1 completes it.
-    w = next(row for row in Cp.basis_ints() if not C1.contains_word(row))
+    w = next(row for row in Cp.basis_ints() if row not in C1)
     histogram, failures = f4_coset_sweep(C1, w)
     ok = (
         Cp.k == C1.k + 1

@@ -21,7 +21,8 @@ from qsteane.gf2 import (
     LinearCode,
     dual,
     is_subcode,
-    lex_key,
+    parse_matrix,
+    render_matrix,
 )
 from qsteane.steane import is_stabilizer_code
 
@@ -96,6 +97,12 @@ class TestBchCode:
                 assert s[-1] + s[:-1] in words
                 assert s[1:] + s[0] in words
 
+    @pytest.mark.parametrize("m,t", [(3, 1), (4, 1), (5, 2), (6, 3)])
+    def test_rows_round_trip_through_the_matrix_text(self, m, t):
+        for code in (bch_code(BchSpec(m, t)), extended_bch(m, t)):
+            text = render_matrix(code.basis_ints(), code.n)
+            assert LinearCode(*parse_matrix(text)) == code
+
     def test_regime_is_enforced(self):
         with pytest.raises(CodeConstructionError, match="regime"):
             bch_code(BchSpec(4, 2))  # designed distance 5 > 2^2 - 1
@@ -141,13 +148,9 @@ class TestCosetExtend:
         Cp = coset_extend(C1, big)
         assert Cp.k == C1.k + 1
         # Oracle: lexicographically smallest word of big outside C1.
-        outside = [
-            v.bits
-            for v in enumerate_codewords(big)
-            if v.bits and not C1.contains_word(v.bits)
-        ]
-        best = min(outside, key=lambda w: lex_key(w, big.n))
-        assert Cp.contains_word(best)
+        outside = [v for v in enumerate_codewords(big) if v and v not in C1]
+        best = min(outside)
+        assert best in Cp
         assert Cp == LinearCode(C1.basis_ints() + [best], big.n)
 
     def test_requires_nesting(self):
@@ -176,8 +179,8 @@ class TestBuildFamilyCode:
         Cp = coset_extend(C1, extended_bch(4, 0))
         assert min_distance(Cp).value == 2
         assert second_gdw(Cp).value == 4
-        light = [v.bits for v in enumerate_codewords(Cp) if v.weight() == 2]
-        assert light and all(not C1.contains_word(w) for w in light)
+        light = [v for v in enumerate_codewords(Cp) if v.bit_count() == 2]
+        assert light and all(w not in C1 for w in light)
         for i, a in enumerate(light):
             for b in light[i + 1 :]:
                 assert (a ^ b).bit_count() >= 4

@@ -4,11 +4,15 @@ from importlib import resources
 
 import pytest
 
-from qsteane.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAIL, main
+from qsteane.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAIL, build_parser, main
 
 
 def fixture_path(name: str) -> str:
     return str(resources.files("qsteane.fixtures").joinpath(name))
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 class TestVerify:
@@ -42,8 +46,8 @@ class TestSteane:
         inner = tmp_path / "c.txt"
         outer = tmp_path / "cp.txt"
         # Self-dual [8,4,4] inside the even-weight [8,7,2] code.
-        inner.write_text(render_matrix(EXT_HAMMING_8_4.gen))
-        outer.write_text(render_matrix(even_weight_code(8).gen))
+        inner.write_text(render_matrix(EXT_HAMMING_8_4.basis_ints(), 8))
+        outer.write_text(render_matrix(even_weight_code(8).basis_ints(), 8))
         assert main(["steane", str(inner), str(outer)]) == EXIT_OK
         assert capsys.readouterr().out.startswith("[[8,3,")
 

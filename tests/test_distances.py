@@ -21,7 +21,6 @@ from qsteane.distances import (
     second_gdw,
 )
 from qsteane.gf2 import (
-    BinaryMatrix,
     EnumerationCapError,
     LinearCode,
     dual,
@@ -34,6 +33,7 @@ from qsteane.steane import QuantumCode, _completion_rows, steane_enlarge
 from conftest import (
     brute_min_distance,
     brute_second_gdw,
+    css_code,
     enumerate_span,
     random_code,
     random_self_orthogonal,
@@ -43,7 +43,7 @@ from conftest import (
     span_words,
 )
 
-HAMMING_7_4 = LinearCode([0b1101000, 0b0110100, 0b1110010, 0b1010001], 7)
+HAMMING_7_4 = LinearCode([0b0001011, 0b0010110, 0b0100111, 0b1000101], 7)
 
 random_small_codes = st.integers(0, 10_000).map(
     lambda seed: random_code(random.Random(seed), n=12, k_target=6)
@@ -78,9 +78,9 @@ class TestMinDistance:
     def test_witness_attains_and_is_lex_smallest(self):
         rep = min_distance(even_weight_code(6))
         (w,) = rep.witness
-        assert w.weight() == rep.value == 2
-        # Lex-smallest weight-2 even word as a coordinate string.
-        assert str(w) == "000011"
+        assert w.bit_count() == rep.value == 2
+        # Lex-smallest weight-2 even word: coordinates 4 and 5.
+        assert w == 0b000011
 
     @settings(max_examples=60, deadline=None)
     @given(random_small_codes)
@@ -93,7 +93,7 @@ class TestMinDistance:
         code = random_code(random.Random(99), n=24, k_target=18, min_k=18)
         report = min_distance(code)
         expected = reference_min_word(enumerate_span(code.basis_ints()), code.n)
-        assert (report.value, report.witness[0].bits) == expected
+        assert (report.value, report.witness[0]) == expected
         best, (word,) = _span_min([code.basis_ints()], code.n)
         assert (best, word) == expected
 
@@ -109,7 +109,7 @@ class TestMinDistance:
                 code = random_code(rng, n, k_target=rng.randint(1, min(15, n)), min_k=1)
                 expected = reference_min_word(span_words(code), n)
                 report = min_distance(code)
-                assert (report.value, report.witness[0].bits) == expected, (n, code.basis_ints())
+                assert (report.value, report.witness[0]) == expected, (n, code.basis_ints())
                 best, (word,) = _span_min([code.basis_ints()], n)
                 assert (best, word) == expected, (n, code.basis_ints())
                 ks.add(code.k)
@@ -146,10 +146,10 @@ class TestSecondGdw:
     def test_witness_is_valid_pair(self):
         rep = second_gdw(HAMMING_7_4)
         a, b = rep.witness
-        assert a != b and a.bits and b.bits
-        assert HAMMING_7_4.contains_word(a.bits)
-        assert HAMMING_7_4.contains_word(b.bits)
-        assert (a | b).weight() == rep.value
+        assert a != b and a and b
+        assert a in HAMMING_7_4
+        assert b in HAMMING_7_4
+        assert (a | b).bit_count() == rep.value
 
     @settings(max_examples=60, deadline=None)
     @given(random_small_codes)
@@ -167,7 +167,7 @@ class TestSecondGdw:
     def test_matches_reference_value_and_witness(self):
         for code in reference_cases():
             rep = second_gdw(code)
-            got = (rep.value, tuple(w.bits for w in rep.witness))
+            got = (rep.value, rep.witness)
             assert got == reference_second_gdw(code), (code.n, code.basis_ints())
 
     def test_memory_is_bounded_by_the_span(self):
@@ -182,28 +182,13 @@ class TestSecondGdw:
         assert peak <= 4 * span_bytes
 
     def test_deterministic_witness(self):
-        a = second_gdw(LinearCode([0b110011, 0b011110, 0b101010], 6))
-        b = second_gdw(LinearCode([0b101010, 0b110011, 0b011110], 6))
+        a = second_gdw(LinearCode([0b110011, 0b011110, 0b010101], 6))
+        b = second_gdw(LinearCode([0b010101, 0b110011, 0b011110], 6))
         assert a.witness == b.witness
 
     def test_requires_two_dimensions(self):
         with pytest.raises(ValueError):
             second_gdw(repetition_code(4))
-
-
-def css_code(cx: LinearCode, cz: LinearCode) -> QuantumCode:
-    """Plain CSS assembly (Gx|0), (0|Gz) for oracle purposes."""
-    gx = cx.basis_ints() + [0] * cz.k
-    gz = [0] * cx.k + cz.basis_ints()
-    from qsteane.gf2 import BinaryMatrix
-
-    return QuantumCode(
-        n=cx.n,
-        Gx=BinaryMatrix.from_rows(gx, cx.n),
-        Gz=BinaryMatrix.from_rows(gz, cx.n),
-        K=cx.k + cz.k - cx.n,
-        d_lower=1,
-    )
 
 
 class TestQuantumDistance:
@@ -218,7 +203,7 @@ class TestQuantumDistance:
         Q = css_code(HAMMING_7_4, HAMMING_7_4)
         rep = quantum_distance_exact(Q)
         ux, uz = rep.witness
-        assert (ux.bits | uz.bits).bit_count() == rep.value
+        assert (ux | uz).bit_count() == rep.value
 
     def test_enlargement_code_value(self):
         C = extend_parity(HAMMING_7_4)  # self-dual [8,4,4]
@@ -228,15 +213,7 @@ class TestQuantumDistance:
 
     def test_self_dual_convention_notes(self):
         # [[2,0,2]]: stabilizer equals its own symplectic dual.
-        from qsteane.gf2 import BinaryMatrix
-
-        Q = QuantumCode(
-            n=2,
-            Gx=BinaryMatrix.from_rows([0b11, 0b00], 2),
-            Gz=BinaryMatrix.from_rows([0b00, 0b11], 2),
-            K=0,
-            d_lower=1,
-        )
+        Q = QuantumCode(n=2, gx=[0b11, 0b00], gz=[0b00, 0b11], K=0, d_lower=1)
         rep = quantum_distance_exact(Q)
         assert rep.value == 2
         assert "self-dual" in rep.note
@@ -294,7 +271,7 @@ class TestErrorSideScan:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 100_000).map(random_scan_case))
     def test_agrees_with_span_walk(self, Q):
-        gx, gz = Q.Gx.row_ints(), Q.Gz.row_ints()
+        gx, gz = list(Q.gx), list(Q.gz)
         syn = [_syndrome(x, z, gx, gz) for x, z in zip(gx, gz)]
         so = not any(syn)
         value, witness, visited = _quantum_scan_errors(gx, gz, Q.n, so, budget=4**Q.n)
@@ -304,14 +281,8 @@ class TestErrorSideScan:
         assert visited == sum(math.comb(Q.n, w) * 3**w for w in range(1, value + 1))
 
     def test_self_orthogonal_convention(self):
-        Q = QuantumCode(
-            n=2,
-            Gx=BinaryMatrix.from_rows([0b11, 0b00], 2),
-            Gz=BinaryMatrix.from_rows([0b00, 0b11], 2),
-            K=0,
-            d_lower=1,
-        )
-        gx, gz = Q.Gx.row_ints(), Q.Gz.row_ints()
+        Q = QuantumCode(n=2, gx=[0b11, 0b00], gz=[0b00, 0b11], K=0, d_lower=1)
+        gx, gz = list(Q.gx), list(Q.gz)
         assert _quantum_scan_errors(gx, gz, 2, True, budget=16) == (2, (0b00, 0b11), 2 * 3 + 1 * 9)
 
     def test_closed_form_count_on_f4(self, f4_desk):
@@ -335,7 +306,7 @@ class TestErrorSideScan:
     def test_wide_syndrome_takes_span(self):
         # 2n - r = 66 syndrome bits do not fit one uint64 word, although
         # the 7,140 errors of weight <= 2 are within the 2^14 budget.
-        code = LinearCode([0b11, 0b101] + [0x7F << (4 + 7 * i) for i in range(5)], 40)
+        code = LinearCode([0b11 << 38, 0b101 << 37] + [0x7F << (29 - 7 * i) for i in range(5)], 40)
         rep = quantum_distance_exact(css_code(code, code))
         assert (rep.method, rep.value) == ("span", 2)
 
@@ -358,12 +329,12 @@ def multi_limb_case(rng: random.Random, i: int) -> QuantumCode:
         Q = css_code(D, D)
         if kind == 1:
             return Q
-        gx, gz = Q.Gx.row_ints() * 2, Q.Gz.row_ints() * 2
+        gx, gz = list(Q.gx) * 2, list(Q.gz) * 2
     else:
         r = rng.randint(2, 16)
         gx = [rng.randrange(1 << n) for _ in range(r)]
         gz = [rng.randrange(1 << n) for _ in range(r)]
-    return QuantumCode(n=n, Gx=BinaryMatrix.from_rows(gx, n), Gz=BinaryMatrix.from_rows(gz, n), K=0, d_lower=1)
+    return QuantumCode(n=n, gx=gx, gz=gz, K=0, d_lower=1)
 
 
 class TestSpanKernel:
@@ -371,14 +342,14 @@ class TestSpanKernel:
         rng = random.Random(65)
         for i in range(60):
             Q = multi_limb_case(rng, i)
-            gx, gz = Q.Gx.row_ints(), Q.Gz.row_ints()
+            gx, gz = list(Q.gx), list(Q.gz)
             syn = [_syndrome(x, z, gx, gz) for x, z in zip(gx, gz)]
             so = not any(syn)
             expected = reference_quantum_scan(gx, gz, syn, Q.n, so)
             assert _span_min([gx, gz], Q.n, None if so else syn) == expected
             rep = quantum_distance_exact(Q)
             assert rep.method == "span"
-            assert (rep.value, tuple(w.bits for w in rep.witness)) == expected
+            assert (rep.value, rep.witness) == expected
 
 
 class TestCosetWeights:

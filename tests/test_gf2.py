@@ -13,8 +13,6 @@ from qsteane import gf2
 from qsteane.distances import min_distance, second_gdw
 from qsteane.gf2 import (
     MAX_LENGTH,
-    BinaryMatrix,
-    BinaryVector,
     EnumerationCapError,
     LinearCode,
     MatrixParseError,
@@ -24,15 +22,13 @@ from qsteane.gf2 import (
     in_rowspan,
     is_dual_containing,
     is_subcode,
-    lex_key,
     parse_matrix,
     render_matrix,
     repetition_code,
-    rref,
     rref_ints,
 )
 
-from conftest import enumerate_codewords, enumerate_span, span_words
+from conftest import enumerate_codewords, enumerate_span, lex, span_words
 
 
 small_matrices = st.integers(2, 10).flatmap(
@@ -42,42 +38,16 @@ small_matrices = st.integers(2, 10).flatmap(
 )
 
 
-class TestBinaryVector:
-    def test_basic(self):
-        v = BinaryVector(5, 0b10110)
-        assert v.weight() == 3
-        assert [v[i] for i in range(5)] == [0, 1, 1, 0, 1]
-        assert str(v) == "01101"
-
-    def test_bits_out_of_range(self):
-        with pytest.raises(ValueError):
-            BinaryVector(3, 0b1000)
-
-    def test_xor_or(self):
-        a = BinaryVector(4, 0b0011)
-        b = BinaryVector(4, 0b0110)
-        assert (a ^ b).bits == 0b0101
-        assert (a | b).bits == 0b0111
-        with pytest.raises(ValueError):
-            a ^ BinaryVector(5, 0)
-
-    def test_lex_key_orders_like_strings(self):
-        vs = [BinaryVector(4, b) for b in range(16)]
-        by_key = sorted(vs, key=lambda v: v.lex_key())
-        by_str = sorted(vs, key=str)
-        assert by_key == by_str
-
-
 class TestParseRender:
     def test_round_trip(self):
         text = "1 0 1\n0 1 1\n"
-        M = parse_matrix(text)
-        assert M.rows == 2 and M.cols == 3
-        assert parse_matrix(render_matrix(M)).row_ints() == M.row_ints()
+        rows, n = parse_matrix(text)
+        assert (len(rows), n) == (2, 3)
+        assert parse_matrix(render_matrix(rows, n)) == (rows, n)
 
     def test_comments_and_blanks_skipped(self):
-        M = parse_matrix("# header\n\n101\n  0 1 1  \n")
-        assert M.rows == 2
+        rows, _ = parse_matrix("# header\n\n101\n  0 1 1  \n")
+        assert len(rows) == 2
 
     def test_ragged_rows_report_line(self):
         with pytest.raises(MatrixParseError, match="line 2"):
@@ -99,12 +69,19 @@ class TestParseRender:
             parse_matrix(f"# header\n10\n{row}\n")
 
     def test_spaces_and_tabs_between_digits_are_ignored(self):
-        M = parse_matrix("1 0\t1\n\t0  1\t 1 \n110\n")
-        assert M.row_ints() == [0b101, 0b110, 0b011]
+        rows, _ = parse_matrix("1 0\t1\n\t0  1\t 1 \n110\n")
+        assert rows == [0b101, 0b011, 0b110]
 
     def test_comment_lines_are_skipped(self):
-        M = parse_matrix("# a\n  # indented\n1 1\n#0 1 0\n0 1\n")
-        assert (M.rows, M.cols) == (2, 2)
+        rows, n = parse_matrix("# a\n  # indented\n1 1\n#0 1 0\n0 1\n")
+        assert (len(rows), n) == (2, 2)
+
+    def test_int_order_is_string_order(self):
+        # Coordinate 0 is the highest bit, so ints compare as coordinate
+        # strings.
+        words = list(range(16))
+        assert sorted(words) == sorted(words, key=lambda w: lex(w, 4))
+        assert [int(row.replace(" ", ""), 2) for row in render_matrix(words, 4).splitlines()] == words
 
     def test_ragged_row_after_skipped_lines_reports_its_line(self):
         with pytest.raises(MatrixParseError, match=r"^line 5: row has 2 columns, expected 3$"):
@@ -115,30 +92,28 @@ class TestRoundTrip:
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 1024])
     def test_random_rows_at_limb_boundaries(self, n):
         rng = random.Random(n)
-        M = BinaryMatrix.from_rows([0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(6)], n)
-        assert parse_matrix(render_matrix(M)) == M
+        rows = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(6)]
+        assert parse_matrix(render_matrix(rows, n)) == (rows, n)
 
     @settings(max_examples=40, deadline=None)
     @given(small_matrices)
     def test_small_matrices(self, data):
         rows, n = data
-        M = BinaryMatrix.from_rows(rows, n)
-        assert parse_matrix(render_matrix(M)) == M
+        assert parse_matrix(render_matrix(rows, n)) == (rows, n)
 
     def test_shipped_fixtures(self):
         files = [f for f in resources.files("qsteane.fixtures").iterdir() if f.name.endswith(".txt")]
         assert len(files) == 5
         for f in files:
-            M = parse_matrix(f.read_text())
-            assert parse_matrix(render_matrix(M)) == M
-            assert parse_matrix(str(M)) == M
+            rows, n = parse_matrix(f.read_text())
+            assert parse_matrix(render_matrix(rows, n)) == (rows, n)
 
-    def test_vector_string_reads_bit_by_bit(self):
+    def test_rendered_row_reads_bit_by_bit(self):
+        # Coordinate c of a word is bit n - 1 - c, at every length.
         rng = random.Random(5)
         for n in (1, 7, 64, 65, 300):
-            v = BinaryVector(n, rng.getrandbits(n))
-            assert str(v) == "".join(str(v[i]) for i in range(n))
-            assert render_matrix(BinaryMatrix(n, (v,))) == " ".join(str(v))
+            w = rng.getrandbits(n)
+            assert render_matrix([w], n) == " ".join(str(w >> (n - 1 - c) & 1) for c in range(n))
 
 
 class TestRref:
@@ -151,28 +126,22 @@ class TestRref:
         assert (again[:rank], rank2, pivots2) == (red[:rank], rank, pivots)
         # Same row space: every original row reduces to zero and back.
         for r in rows:
-            assert in_rowspan(r, red[:rank], pivots)
+            assert in_rowspan(r, red[:rank])
         for r in red[:rank]:
             code = LinearCode(rows, n)
-            assert code.contains_word(r)
+            assert r in code
 
     def test_pivot_columns_are_unit(self):
-        red, rank, pivots = rref_ints([0b111, 0b110, 0b011], 3)
+        red, rank, pivots = rref_ints([0b111, 0b011, 0b110], 3)
         for i, p in enumerate(pivots):
-            column = [(red[j] >> p) & 1 for j in range(rank)]
+            column = [(red[j] >> (2 - p)) & 1 for j in range(rank)]
             assert column == [1 if j == i else 0 for j in range(rank)]
-
-    def test_matrix_wrapper(self):
-        M = BinaryMatrix.from_rows([0b11, 0b10], 2)
-        R, rank, pivots = rref(M)
-        assert rank == 2 and pivots == [0, 1]
-        assert R.row_ints() == [0b01, 0b10]
 
 
 class TestLinearCode:
     def test_canonical_storage(self):
-        a = LinearCode([0b110, 0b011], 3)
-        b = LinearCode([0b011, 0b101], 3)  # same row space, different basis
+        a = LinearCode([0b011, 0b110], 3)
+        b = LinearCode([0b110, 0b101], 3)  # same row space, different basis
         assert a == b
         assert a.canonical_key() == b.canonical_key()
         assert hash(a) == hash(b)
@@ -182,10 +151,18 @@ class TestLinearCode:
         assert c.k == 1
 
     def test_contains_word(self):
-        c = LinearCode([0b101, 0b011], 3)
+        c = LinearCode([0b101, 0b110], 3)
         members = set(span_words(c))
         for w in range(8):
-            assert c.contains_word(w) == (w in members)
+            assert (w in c) == (w in members)
+
+    def test_rows_outside_the_length_are_refused(self):
+        # Both rows lie outside [0, 2^3); the first used to vanish in the
+        # rref and give a k = 0 code.
+        for row in (0b1000, 0b1001, -1):
+            with pytest.raises(ValueError, match="outside"):
+                LinearCode([row], 3)
+        assert LinearCode([], 3).k == 0
 
 
 class TestDual:
@@ -219,13 +196,13 @@ class TestSubcodeAndEnumeration:
             is_subcode(rep, repetition_code(5))
 
     def test_enumerate_matches_span(self):
-        c = LinearCode([0b1100, 0b0110, 0b0011], 4)
-        seen = sorted(v.bits for v in enumerate_codewords(c))
+        c = LinearCode([0b0011, 0b0110, 0b1100], 4)
+        seen = sorted(enumerate_codewords(c))
         assert seen == sorted(span_words(c))
         assert len(seen) == 1 << c.k
 
     def test_gray_walk_changes_one_generator_per_step(self):
-        basis = [0b1100, 0b0110, 0b0011]
+        basis = [0b0011, 0b0110, 0b1100]
         walk = list(enumerate_span(basis))
         for prev, cur in zip(walk, walk[1:]):
             assert (prev ^ cur) in basis
@@ -239,33 +216,16 @@ class TestSubcodeAndEnumeration:
 
 class TestStandardCodes:
     def test_extend_parity(self):
-        c = LinearCode([0b101, 0b011], 3)
+        c = LinearCode([0b101, 0b110], 3)
         e = extend_parity(c)
         assert (e.n, e.k) == (4, 2)
-        assert all(v.weight() % 2 == 0 for v in enumerate_codewords(e))
+        assert all(v.bit_count() % 2 == 0 for v in enumerate_codewords(e))
+        assert sorted(e.basis_ints()) == [0b0110, 0b1010]  # parity is the last coordinate
 
     def test_even_weight_code(self):
         ew = even_weight_code(5)
         assert (ew.n, ew.k) == (5, 4)
-        assert all(v.weight() % 2 == 0 for v in enumerate_codewords(ew))
-
-    def test_lex_key_function(self):
-        # 100 reads before 010 as a coordinate string.
-        assert lex_key(0b001, 3) > lex_key(0b010, 3)
-        rng = random.Random(7)
-        for _ in range(50):
-            a, b = rng.randrange(16), rng.randrange(16)
-            strings = sorted([a, b], key=lambda x: str(BinaryVector(4, x)))
-            keys = sorted([a, b], key=lambda x: lex_key(x, 4))
-            assert strings == keys
-
-    def test_lex_key_reads_the_coordinate_string(self):
-        # The key is the coordinate string read as a binary number, for
-        # single-word, limb-boundary and big-int lengths alike.
-        rng = random.Random(64)
-        for n in (1, 63, 64, 65, 128, 1024):
-            for bits in [0, 1, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(20)]:
-                assert lex_key(bits, n) == int(str(BinaryVector(n, bits)), 2)
+        assert all(v.bit_count() % 2 == 0 for v in enumerate_codewords(ew))
 
 
 @pytest.fixture
@@ -323,8 +283,8 @@ class TestPackedKernels:
         rng = random.Random(3)
         for m, n in ((1, 1), (7, 70), (64, 64), (65, 129), (130, 300)):
             rows = [rng.getrandbits(n) for _ in range(m)]
-            cols = gf2._unpack(gf2._transpose(gf2._pack(rows, -(-n // 64))))
-            assert cols[:n] == [sum((r >> c & 1) << i for i, r in enumerate(rows)) for c in range(n)]
+            cols = gf2._unpack(gf2._transpose(gf2._pack(rows, n)), m)
+            assert cols[:n] == [sum((r >> (n - 1 - c) & 1) << (m - 1 - i) for i, r in enumerate(rows)) for c in range(n)]
             assert not any(cols[n:])
 
     @pytest.mark.parametrize("n", [255, 256, 257, 320])
@@ -377,5 +337,5 @@ class TestPackedKernels:
             C = LinearCode([rng.getrandbits(n) for _ in range(n // 2)], n)
             words = [rng.getrandbits(n) for _ in range(5)] + [_xor_sum(rng.sample(C.basis_ints(), 5)) for _ in range(5)]
             res = gf2._residual_packed(words, C.basis_ints(), C._pivots, n)
-            assert [not row.any() for row in res] == [C.contains_word(w) for w in words]
+            assert [not row.any() for row in res] == [w in C for w in words]
             assert [not row.any() for row in res][5:] == [True] * 5

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qsteane import gf2
 from qsteane.distances import _coset_weights, min_distance, quantum_distance_exact
 from qsteane.gf2 import (
     CodeConstructionError,
@@ -14,6 +15,7 @@ from qsteane.gf2 import (
     is_subcode,
 )
 from qsteane.steane import (
+    QuantumCode,
     _completion_rows,
     _isotropic_bases,
     _lift,
@@ -29,6 +31,7 @@ from qsteane.table1 import load_fixture
 from conftest import (
     EXT_HAMMING_8_4,
     brute_min_distance,
+    css_code,
     random_code,
     random_self_orthogonal,
     reference_isotropic_subcodes,
@@ -48,7 +51,7 @@ def gaussian_binomial(q: int, r: int) -> int:
 def shift_halves(C, Cp):
     """Completion rows of C' under the cyclic coordinate shift by one."""
     n = C.n
-    return [((w << 1) | (w >> (n - 1))) & ((1 << n) - 1) for w in _completion_rows(C, Cp)]
+    return [((w >> 1) | (w << (n - 1))) & ((1 << n) - 1) for w in _completion_rows(C, Cp)]
 
 
 class TestMixCompletionRows:
@@ -73,7 +76,7 @@ class TestMixCompletionRows:
             mix_completion_rows([0b1])
 
     def test_span_preserved(self):
-        rows = [0b1100, 0b0011]
+        rows = [0b0011, 0b1100]
         mixed = mix_completion_rows(rows)
         span = LinearCode(rows, 4)
         assert LinearCode(mixed, 4) == span
@@ -104,18 +107,18 @@ class TestSteaneEnlarge:
 
     def test_single_row_needs_explicit_halves(self):
         C = EXT_HAMMING_8_4
-        Cp = LinearCode(C.basis_ints() + [0b00000011], 8)
+        Cp = LinearCode(C.basis_ints() + [0b11000000], 8)
         with pytest.raises(CodeConstructionError, match="mixing"):
             steane_enlarge(C, Cp)
 
     def test_rejects_non_dual_containing(self):
-        C = LinearCode([0b11110000, 0b00001111], 8)  # C-perp not inside C
+        C = LinearCode([0b00001111, 0b11110000], 8)  # C-perp not inside C
         with pytest.raises(CodeConstructionError, match="dual"):
             steane_enlarge(C, even_weight_code(8))
 
     def test_rejects_non_nested(self):
         C = EXT_HAMMING_8_4
-        Cp = LinearCode([0b10000001, 0b01000001, 0b00100001], 8)
+        Cp = LinearCode([0b10000001, 0b10000010, 0b10000100], 8)
         with pytest.raises(CodeConstructionError, match="subcode"):
             steane_enlarge(C, Cp)
 
@@ -129,7 +132,43 @@ class TestSteaneEnlarge:
 
     def test_symplectic_dual_dimension(self):
         Q = steane_enlarge(EXT_HAMMING_8_4, even_weight_code(8))
-        assert symplectic_dual(Q).rows == 2 * Q.n - Q.num_generators
+        assert len(symplectic_dual(Q)) == 2 * Q.n - Q.num_generators
+
+    def test_symplectic_dual_is_orthogonal(self):
+        # Rows are (vx | vz) with vx in columns 0 .. n-1, the high bits.
+        Q = steane_enlarge(EXT_HAMMING_8_4, even_weight_code(8))
+        for row in symplectic_dual(Q):
+            vx, vz = row >> Q.n, row & 0xFF
+            assert all(((vx & z).bit_count() + (vz & x).bit_count()) % 2 == 0 for x, z in zip(Q.gx, Q.gz))
+
+    @pytest.mark.parametrize("half", [20, 80])
+    def test_is_stabilizer_code_on_both_paths(self, half, monkeypatch):
+        # CSS on a dual-containing C is a stabilizer code; one foreign row
+        # breaks it.  At half = 80 the 2n = 320 columns and 140 dual rows
+        # take the packed containment test.
+        rng = random.Random(half)
+        n = 2 * half
+        rows = [1 << i | 1 << (i + half) for i in range(half)] + [rng.getrandbits(half) for _ in range(10)]
+        C = LinearCode(rows, n)
+        broken = LinearCode(C.basis_ints()[:-1] + [rng.getrandbits(n)], n)
+        codes = [css_code(C, C), css_code(broken, broken)]
+        packed = [is_stabilizer_code(Q) for Q in codes]
+        monkeypatch.setattr(gf2, "_PACKED_MIN_COLS", gf2.MAX_LENGTH + 1)
+        assert packed == [is_stabilizer_code(Q) for Q in codes] == [True, False]
+
+
+class TestQuantumCode:
+    def test_rows_are_checked(self):
+        QuantumCode(n=3, gx=[0b111], gz=[0b000], K=0, d_lower=1)
+        with pytest.raises(ValueError, match="row counts"):
+            QuantumCode(n=3, gx=[0b111, 0b001], gz=[0b000], K=0, d_lower=1)
+        for bad in (0b1000, -1):
+            with pytest.raises(ValueError, match="outside"):
+                QuantumCode(n=3, gx=[0b111], gz=[bad], K=0, d_lower=1)
+
+    def test_halves_are_int_tuples(self):
+        Q = QuantumCode(n=2, gx=[0b11, 0b00], gz=[0b00, 0b11], K=0, d_lower=1)
+        assert (Q.gx, Q.gz, Q.num_generators) == ((0b11, 0b00), (0b00, 0b11), 2)
 
 
 class TestSupportingPermutations:
@@ -141,7 +180,7 @@ class TestSupportingPermutations:
         pairs = [(0, 0)]
         for w, pw in zip(_completion_rows(C, Cp), shift_halves(C, Cp)):
             pairs += [(a ^ w, b ^ pw) for a, b in pairs]
-        assert any(C.contains_word(pw) or C.contains_word(w ^ pw) for w, pw in pairs[1:])
+        assert any(pw in C or w ^ pw in C for w, pw in pairs[1:])
         Q = steane_enlarge(C, Cp, shift_halves(C, Cp), d_lower=3)
         assert quantum_distance_exact(Q).value < 3
 
@@ -156,7 +195,7 @@ class TestCertifiedEnlarge:
         # k' = k + 1: no fix-point-free linear map exists, so the result
         # must carry an exhaustively computed exact distance.
         C = EXT_HAMMING_8_4
-        Cp = LinearCode(C.basis_ints() + [0b00000011], 8)
+        Cp = LinearCode(C.basis_ints() + [0b11000000], 8)
         assert Cp.k == C.k + 1
         Q = certified_enlarge(C, Cp)
         assert not Q.bound_proven
@@ -177,15 +216,16 @@ class TestCertifiedEnlarge:
             if best < Q.d_lower:
                 assert Q.d_exact == best
             assert Q.d_exact == quantum_distance_exact(Q).value
-            assert certified_enlarge(C, Cp).Gz.row_ints() == Q.Gz.row_ints()
+            assert certified_enlarge(C, Cp).gz == Q.gz
             reached.add(best >= Q.d_lower)
         assert reached == {True, False}  # both outcomes are exercised
 
     def test_out_of_reach_returns_uncertified(self):
         C = EXT_HAMMING_8_4
-        Cp = LinearCode(C.basis_ints() + [0b00000011], 8)
+        Cp = LinearCode(C.basis_ints() + [0b11000000], 8)
         Q = certified_enlarge(C, Cp, d_lower=3, cap=C.k + Cp.k - 1)
         assert Q.d_exact is None and not Q.bound_proven
+        assert Q.gz[-1] == 0  # the first coset, v = 0
 
 
 def single_row_case(seed: int):
@@ -211,9 +251,12 @@ class TestRrefSubspaces:
     def test_each_basis_is_rref_of_rank_r(self):
         from qsteane.gf2 import rref_ints
 
+        # Bit i of a row is coefficient i, so the row read as a word of
+        # length 4 has coefficient i at coordinate i: its bits reversed.
         for rows in rref_subspaces(4, 2):
-            red, rank, _ = rref_ints(rows, 4)
-            assert rank == 2 and red[:2] == rows
+            words = [int(format(row, "04b")[::-1], 2) for row in rows]
+            red, rank, _ = rref_ints(words, 4)
+            assert rank == 2 and red[:2] == words
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
@@ -245,7 +288,7 @@ class TestFindSelfDualSubcode:
             find_self_dual_subcode(even_weight_code(7))
 
     def test_rejects_non_dual_containing(self):
-        Cp = LinearCode([0b111100, 0b001111], 6)
+        Cp = LinearCode([0b001111, 0b111100], 6)
         with pytest.raises(CodeConstructionError):
             find_self_dual_subcode(Cp)
 
@@ -276,7 +319,7 @@ class TestFindSelfDualSubcode:
                     find_self_dual_subcode(Cp)
                 outcomes.add("refused")
                 continue
-            assert Cp.contains_word((1 << Cp.n) - 1)
+            assert (1 << Cp.n) - 1 in Cp
             C = find_self_dual_subcode(Cp)
             assert C == want
             if Cp.k == Cp.n // 2:
@@ -325,7 +368,7 @@ def random_search_case(seed: int) -> LinearCode:
     if seed % 6 == 5:
         while True:
             Cp = random_code(rng, n, rng.randrange(2, n))
-            if not Cp.contains_word((1 << n) - 1):
+            if (1 << n) - 1 not in Cp:
                 return Cp
     while True:
         S = random_self_orthogonal(rng, n, rng.randrange(max(1, (n - 5) // 2), n // 2 + 1))
