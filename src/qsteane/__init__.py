@@ -2,8 +2,10 @@
 
 Core pieces: word-packed GF(2) linear algebra, exact distance scans
 (minimum distance, second generalized Hamming weight, exact quantum
-distance), the Steane enlargement construction and its second-weight
-refinement, nested BCH code families, and asymptotic rate bounds.
+distance), exact distances from weight enumerators (every k' = k + 1
+coset in one sweep), the Steane enlargement construction and its
+second-weight refinement, nested BCH code families, and asymptotic
+rate bounds.
 """
 
 from .bch import (
@@ -34,6 +36,7 @@ from .distances import (
     quantum_distance_exact,
     second_gdw,
 )
+from .enumerators import CertificateError
 from .gf2 import (
     DEFAULT_ENUM_CAP,
     CodeConstructionError,

@@ -9,12 +9,14 @@ Builds the 2n-column generator
 from a dual-containing C with generator G and an enlargement C' whose
 basis extends G by G'.  H' is G' under a fix-point-free invertible
 linear map of its rows, which proves the distance bound when G' has at
-least two rows; with one row, H' is swept over the cosets of C and
-each choice is certified by exhaustive scan.  Also provides the
-stabilizer checks and the search that recovers a self-dual code sitting
-between C'-perp and C': a depth-first walk over the isotropic subspaces
-of C'/C'-perp, which reads each candidate's distance off a table of
-coset weights and cuts every branch lighter than the best code found.
+least two rows.  With one row, H' matters only through its coset of C:
+the zero coset is scanned first, and when it falls short of the bound,
+one batched sweep over the pairs of C-perp x C-perp gives the exact
+distance of every coset at once.  Also provides the stabilizer checks
+and the search that recovers a self-dual code sitting between C'-perp
+and C': a depth-first walk over the isotropic subspaces of C'/C'-perp,
+which reads each candidate's distance off a table of coset weights and
+cuts every branch lighter than the best code found.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .distances import _coset_weights, min_distance, quantum_distance_exact, second_gdw
+from .enumerators import CertificateError, _coset_distances, _coset_word
 from .gf2 import (
     DEFAULT_ENUM_CAP,
     MAX_LENGTH,
@@ -30,10 +33,10 @@ from .gf2 import (
     EnumerationCapError,
     LinearCode,
     _all_in,
+    _reduce,
     dual,
     is_dual_containing,
     is_subcode,
-    rref_ints,
 )
 
 
@@ -150,14 +153,21 @@ def steane_enlarge(
 
 
 def _completion_rows(C: LinearCode, Cp: LinearCode) -> list[int]:
-    """Rows of rref(C') that extend the basis of C to a basis of C'."""
-    basis = C.basis_ints()
+    """Rows of rref(C') that extend the basis of C to a basis of C'.
+
+    Each row is reduced against a running rref basis, C's and then the
+    reduced rows picked so far; it is picked when something is left."""
+    echelon = C.basis_ints()
     out = []
     for row in Cp.basis_ints():
-        _, rank, _ = rref_ints(basis + out + [row], C.n)
-        if rank > len(basis) + len(out):
+        left = _reduce(row, echelon)
+        if left:
             out.append(row)
-    assert len(basis) + len(out) == Cp.k
+            # Clear the new pivot from the other rows, so the basis stays
+            # reduced and `_reduce` may take its rows in any order.
+            top = 1 << (left.bit_length() - 1)
+            echelon = [e ^ left if e & top else e for e in echelon] + [left]
+    assert C.k + len(out) == Cp.k
     return out
 
 
@@ -177,10 +187,19 @@ def certified_enlarge(
     the coset v + C, so one representative per coset covers every
     choice: the words supported off the pivot columns of rref(C), the
     i-th setting the free columns picked by the bits of i, from v = 0.
-    Each is certified with the exact distance scan; the first to reach
-    the bound is returned, else the first of highest exact distance.
-    When the scan is out of reach (too many generators) the first
-    candidate, v = 0, is returned uncertified.
+
+    The zero coset is scanned first with `quantum_distance_exact`, when
+    its k + k' generators are within the cap, and returned if it reaches
+    the bound.  Otherwise every coset's exact distance comes from one
+    sweep over the 2^(2(n-k)) pairs of C-perp x C-perp
+    (`enumerators._coset_distances`), run when 2(n - k) <= cap.  A
+    dual-containing C has n - k <= k, so every zero coset within reach
+    of the scan is within reach of the sweep too.  The sweep's
+    temporaries are bounded by its blocks of 2^16 pairs; it keeps
+    2^(n-k) * (n + 1) int64 counts.  The first coset to reach the bound
+    is built and returned, else the first of highest exact distance.
+    When the sweep is out of reach the zero coset is returned
+    uncertified.
     """
     if d_lower is None:
         d_lower = min(min_distance(C, cap=cap).value, second_gdw(Cp, cap=cap).value)
@@ -188,20 +207,23 @@ def certified_enlarge(
     if Cp.k - C.k >= 2:
         return steane_enlarge(C, Cp, d_lower=d_lower, cap=cap)
 
-    if C.k + Cp.k > cap:
-        return steane_enlarge(C, Cp, [0], d_lower=d_lower, cap=cap)
-    pivots = set(C._pivots)
-    free = [1 << (C.n - 1 - c) for c in range(C.n) if c not in pivots]
-    best: Optional[QuantumCode] = None
-    for i in range(1 << len(free)):
-        v = sum(bit for j, bit in enumerate(free) if (i >> j) & 1)
-        Q = steane_enlarge(C, Cp, [v], d_lower=d_lower, cap=cap)
-        Q.d_exact = quantum_distance_exact(Q, cap=cap).value
-        if Q.d_exact >= d_lower:
-            return Q
-        if best is None or Q.d_exact > best.d_exact:
-            best = Q
-    return best
+    zero = steane_enlarge(C, Cp, [0], d_lower=d_lower, cap=cap)
+    if C.k + Cp.k <= cap:
+        zero.d_exact = quantum_distance_exact(zero, cap=cap).value
+        if zero.d_exact >= d_lower:
+            return zero
+    if 2 * (C.n - C.k) > cap:
+        return zero
+    (w,) = _completion_rows(C, Cp)
+    ds = _coset_distances(C, w, d_lower - 1)
+    if zero.d_exact is not None and ds[0] != zero.d_exact:
+        raise CertificateError(f"coset sweep gives d={ds[0]} for v = 0, the scan d={zero.d_exact}")
+    best = next((i for i, d in enumerate(ds) if d >= d_lower), None)
+    if best is None:
+        best = ds.index(max(ds))
+    Q = steane_enlarge(C, Cp, [_coset_word(C, best)], d_lower=d_lower, cap=cap) if best else zero
+    Q.d_exact = ds[best]
+    return Q
 
 
 def symplectic_dual(Q: QuantumCode) -> list[int]:

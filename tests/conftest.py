@@ -7,10 +7,12 @@ writes a word out as its coordinate string.
 The oracles deliberately avoid the library's scan machinery: plain
 itertools/numpy reimplementations used to cross-check the optimized
 paths, among them the Gray-code walks that check the numpy span
-kernel.  The certificate checkers (fixture rows, span membership,
-symplectic product, the Gleason-shadow obstruction) work on plain ints
-and exact fractions only.  The rate-bound curve's oracle evaluates the
-scalar bound functions point by point.
+kernel.  The one exception is the per-coset k' = k + 1 loop, which
+checks the batched coset sweep with the library's own single-code
+builder and distance scan.  The certificate checkers (fixture rows,
+span membership, symplectic product, the Gleason-shadow obstruction)
+work on plain ints and exact fractions only.  The rate-bound curve's
+oracle evaluates the scalar bound functions point by point.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import pytest
 from qsteane.bch import FamilySpec, build_family_code
 from qsteane.bounds import bound_cs, bound_gf4, bound_steane, bound_thm4
 from qsteane.gf2 import CodeConstructionError, LinearCode, dual, extend_parity, render_matrix
-from qsteane.steane import QuantumCode
+from qsteane.distances import quantum_distance_exact
+from qsteane.steane import QuantumCode, steane_enlarge
 from qsteane.table1 import TABLE1_ROWS, check_row
 
 
@@ -112,6 +115,29 @@ def reference_quantum_scan(gx, gz, syn, n, self_orthogonal):
         if best_wit is None or key < best:
             best, best_wit = key, (ux, uz)
     return (best[0], best_wit) if best_wit else (n + 1, None)
+
+
+def reference_coset_sweep(C: LinearCode, Cp: LinearCode, d_lower: int) -> tuple[list[int], QuantumCode]:
+    """The k' = k + 1 certification one coset at a time: each coset's
+    code is built with `steane_enlarge` and scanned with
+    `quantum_distance_exact`.
+
+    Returns every coset's exact distance, coset i setting the non-pivot
+    columns of rref(C) picked by the bits of i, and the winner: the first
+    coset reaching d_lower, else the first of highest distance, with its
+    d_exact set.
+    """
+    pivots = set(C._pivots)
+    free = [1 << (C.n - 1 - c) for c in range(C.n) if c not in pivots]
+    ds, best = [], None
+    for i in range(1 << len(free)):
+        v = sum(bit for j, bit in enumerate(free) if i >> j & 1)
+        Q = steane_enlarge(C, Cp, [v], d_lower=d_lower)
+        Q.d_exact = quantum_distance_exact(Q).value
+        ds.append(Q.d_exact)
+        if best is None or best.d_exact < d_lower and Q.d_exact > best.d_exact:
+            best = Q
+    return ds, best
 
 
 def brute_second_gdw(code: LinearCode) -> int:

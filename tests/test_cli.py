@@ -100,11 +100,12 @@ class TestFamily:
         assert main(["family", "F0", "5", "1", "--build"]) == EXIT_OK
         assert capsys.readouterr().out == "[[32,15,6]] bound holds by construction\n"
 
-    def test_build_unverified_is_verification_failure(self, capsys):
-        # 53 generators exceed the default scan cap, so the claimed d=4
-        # can be neither proven nor certified.
+    def test_build_refuted_is_verification_failure(self, capsys):
+        # 53 generators exceed the default scan cap, but the coset sweep
+        # over the 2^12 pairs of C-perp x C-perp certifies every one of
+        # the 64 completions: none reaches the claimed d=4.
         assert main(["family", "F4", "5", "0", "--build"]) == EXIT_VERIFY_FAIL
-        assert capsys.readouterr().out == "[[32,21,4]] distance bound unverified\n"
+        assert capsys.readouterr().out == "[[32,21,4]] exact d=3 FAIL\n"
 
     def test_invalid_parameters(self, capsys):
         assert main(["family", "F0", "4", "1"]) == EXIT_INPUT_ERROR

@@ -1,11 +1,20 @@
 """Enlargement construction, row mixing, coset sweep, self-dual search."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from qsteane import gf2
+from qsteane import gf2, steane
+from qsteane.bch import coset_extend, extended_bch
 from qsteane.distances import _coset_weights, min_distance, quantum_distance_exact
+from qsteane.enumerators import (
+    CertificateError,
+    _coset_distances,
+    _coset_enumerators,
+    _coset_histograms,
+    _enumerator_distances,
+)
 from qsteane.gf2 import (
     CodeConstructionError,
     EnumerationCapError,
@@ -34,6 +43,7 @@ from conftest import (
     css_code,
     random_code,
     random_self_orthogonal,
+    reference_coset_sweep,
     reference_isotropic_subcodes,
     reference_self_dual_subcode,
     rref_subspaces,
@@ -221,11 +231,105 @@ class TestCertifiedEnlarge:
         assert reached == {True, False}  # both outcomes are exercised
 
     def test_out_of_reach_returns_uncertified(self):
+        # Below 2(n - k) neither the zero-coset scan (k + k' generators)
+        # nor the sweep (2^(2(n - k)) pairs) is in reach.
         C = EXT_HAMMING_8_4
         Cp = LinearCode(C.basis_ints() + [0b11000000], 8)
-        Q = certified_enlarge(C, Cp, d_lower=3, cap=C.k + Cp.k - 1)
+        Q = certified_enlarge(C, Cp, d_lower=3, cap=2 * (C.n - C.k) - 1)
         assert Q.d_exact is None and not Q.bound_proven
         assert Q.gz[-1] == 0  # the first coset, v = 0
+
+    def test_sweep_alone_beyond_scan_cap(self):
+        # cap = 2(n - k) = 8 < k + k' = 9: the zero coset is not scanned,
+        # and the sweep alone certifies the winner.
+        C = EXT_HAMMING_8_4
+        Cp = LinearCode(C.basis_ints() + [0b11000000], 8)
+        Q = certified_enlarge(C, Cp, d_lower=3, cap=2 * (C.n - C.k))
+        _, want = reference_coset_sweep(C, Cp, 3)
+        assert (Q.gx, Q.gz, Q.d_exact) == (want.gx, want.gz, want.d_exact)
+
+    def test_matches_per_coset_oracle(self):
+        # Every bound from 1 to n + 1, so that the zero coset, a later
+        # coset and no coset at all reach it in turn.
+        for C, Cp in sweep_cases():
+            for d_lower in range(1, C.n + 2):
+                Q = certified_enlarge(C, Cp, d_lower=d_lower)
+                _, want = reference_coset_sweep(C, Cp, d_lower)
+                assert (Q.gx, Q.gz, Q.d_exact) == (want.gx, want.gz, want.d_exact)
+                assert Q.d_lower == d_lower and not Q.bound_proven
+
+    def test_zero_coset_scan_disagreement_raises(self, monkeypatch):
+        # F4 m=3: the zero coset has d = 2 < 4, so the sweep runs and its
+        # value for v = 0 is checked against the scan's.
+        C, Cp = f4_pair(3)
+        monkeypatch.setattr(steane, "_coset_distances", lambda C, w, stop: [3] * (1 << (C.n - C.k)))
+        with pytest.raises(CertificateError, match="v = 0"):
+            certified_enlarge(C, Cp, d_lower=4)
+
+
+class TestCosetSweep:
+    def test_distances_match_per_coset_oracle(self):
+        for C, Cp in sweep_cases():
+            (w,) = _completion_rows(C, Cp)
+            want, _ = reference_coset_sweep(C, Cp, 1)
+            assert _coset_distances(C, w, C.n) == want
+            # Below `stop` exact; above it, the first exact, the rest stop + 1.
+            for stop in range(max(want) + 1):
+                above = [i for i, d in enumerate(want) if d > stop]
+                assert _coset_distances(C, w, stop) == [
+                    d if d <= stop or i == above[0] else stop + 1 for i, d in enumerate(want)
+                ]
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_f4_histogram(self, m):
+        # Every completion of the ell = 0 member reaches at most d = 3,
+        # and the counts follow 2^m + 2 / 2^m - 2.
+        C, Cp = f4_pair(m)
+        (w,) = _completion_rows(C, Cp)
+        assert Counter(_coset_distances(C, w, C.n)) == {2: 2**m + 2, 3: 2**m - 2}
+
+    def test_corrupted_histograms_raise(self):
+        C, Cp = f4_pair(3)
+        (w,) = _completion_rows(C, Cp)
+        T, f = _coset_histograms(gf2._dual_rows(C), w, C.n)
+        A = _coset_enumerators(T, f)
+        log_size = 2 * (C.n - C.k) - 1
+        assert _enumerator_distances(A, C.n, log_size, C.n) == _coset_distances(C, w, C.n)
+
+        odd = f.copy()
+        odd[1, 4] += 1
+        with pytest.raises(CertificateError, match="odd"):
+            _coset_enumerators(T, odd)
+        extra_zero = T.copy()
+        extra_zero[0] += 2
+        with pytest.raises(CertificateError, match="A_0"):
+            _coset_enumerators(extra_zero, f)
+        negative = T.copy()
+        negative[1] -= 2  # no pair has weight 1
+        with pytest.raises(CertificateError, match="negative"):
+            _coset_enumerators(negative, f)
+
+        moved = A.copy()  # one stabiliser element moved from weight 4 to 5
+        moved[:, 4] -= 1
+        moved[:, 5] += 1
+        with pytest.raises(CertificateError, match="MacWilliams row 1 "):
+            _enumerator_distances(moved, C.n, log_size, C.n)
+        with pytest.raises(CertificateError, match="MacWilliams row 0 "):
+            _enumerator_distances(A, C.n, log_size + 1, C.n)  # B_0 = 1/2
+        with pytest.raises(CertificateError, match="MacWilliams row 0 "):
+            _enumerator_distances(A, C.n, log_size - 1, C.n)  # B_0 = 2
+
+
+def f4_pair(m: int):
+    """C < C' of the F4 member at ell = 0, built as `build_family_code` does."""
+    C = extended_bch(m, 1)
+    return C, coset_extend(C, extended_bch(m, 0))
+
+
+def sweep_cases():
+    """The k' = k + 1 cases checked against the per-coset oracle:
+    `single_row_case` seeds 0-39 and F4 at m = 3 and 4."""
+    return [single_row_case(seed) for seed in range(40)] + [f4_pair(3), f4_pair(4)]
 
 
 def single_row_case(seed: int):
