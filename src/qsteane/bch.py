@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .gf2 import CodeConstructionError, LinearCode, _reduce, extend_parity, is_dual_containing, is_subcode
+from .gf2 import DEFAULT_ENUM_CAP, CodeConstructionError, LinearCode, _reduce, extend_parity, is_dual_containing, is_subcode
 from .steane import QuantumCode, certified_enlarge
 
 # One canonical primitive polynomial per extension degree (bit i is the
@@ -265,13 +265,14 @@ def coset_extend(C1: LinearCode, big: LinearCode) -> LinearCode:
     return LinearCode(C1.basis_ints() + [best], C1.n)
 
 
-def build_family_code(spec: FamilySpec) -> QuantumCode:
+def build_family_code(spec: FamilySpec, cap: int = DEFAULT_ENUM_CAP) -> QuantumCode:
     """Construct the family member as an explicit stabilizer code.
 
     F0/F2/F3 run the enlargement on parity-extended nested BCH codes;
     F4 enlarges into the union of a BCH code with one coset inside the
     next code of the chain.  F5 has no in-scope construction and is
-    refused (its parameters remain available via family_params).
+    refused (its parameters remain available via family_params).  `cap`
+    bounds the scans `certified_enlarge` runs, as everywhere.
     """
     n, K, d = family_params(spec)
     m, ell = spec.m, spec.ell
@@ -295,7 +296,7 @@ def build_family_code(spec: FamilySpec) -> QuantumCode:
             f"{spec.family} degenerates at ell={ell}: C' equals C, so there "
             "is nothing to enlarge (the closed-form parameters still hold)"
         )
-    Q = certified_enlarge(C, Cp, d_lower=d)
+    Q = certified_enlarge(C, Cp, d_lower=d, cap=cap)
     if Q.K != K:
         raise CodeConstructionError(
             f"constructed K={Q.K} disagrees with the closed form K={K}"

@@ -88,9 +88,7 @@ def cmd_family(args) -> int:
         suffix = " (params only)" if spec.family == "F5" else ""
         print(f"[[{n},{K},{d}]]{suffix}")
         return EXIT_OK
-    if args.m > 5:
-        raise CodeConstructionError("--build is desk-scale only (m <= 5)")
-    Q = build_family_code(spec)
+    Q = build_family_code(spec, cap=args.cap)
     line = f"[[{Q.n},{Q.K},{Q.d_lower}]]"
     if Q.d_exact is None and Q.num_generators <= args.cap:
         Q.d_exact = quantum_distance_exact(Q, cap=args.cap).value

@@ -6,29 +6,29 @@ for each light codeword a, one numpy pass over the other codewords b
 finds the fewest coordinates outside supp a that b covers; the passes
 stop once a weighs more than 2/3 of the best d2 so far.
 
-The exact quantum distance is certified from the error side first:
-Pauli errors are visited by weight, 1, 2, ..., and each is tested for
-membership in C = span(Gx|Gz) by its syndrome against the symplectic
-dual S.  The first weight holding an element of C outside S is the
-distance.  That side costs C(n,w)*3^w errors per weight; when the total
-would exceed the 2^r elements of C, or the syndrome does not fit one
-uint64 word, the scan falls back to walking the whole row space.
+The exact quantum distance is certified from the error side first, one
+weight w = 1, 2, ... at a time, by a meet-in-the-middle join: a Pauli
+error lies in C = span(Gx|Gz) iff the syndromes of its two halves
+against the symplectic dual S agree, so tables of the half-weight
+errors, sorted by syndrome, are matched with `np.searchsorted`.  The
+first weight holding an element of C outside S is the distance.  When
+the tables would hold more rows than the 2^r elements of C, or a
+syndrome does not fit one uint64 word, the scan walks the row space.
 
 Words are ints with coordinate c at bit n - 1 - c (see `gf2`), so int
 order is lexicographic order.  Spans are numpy arrays built by doubling,
 ceil(n/64) uint64 limbs per word: the big-endian limbs of the word
 shifted to start at column 0, so that comparing rows limb by limb
-compares words as ints, lexicographically.  Every
-row-space walk with 2^_PURE_LOOP_MAX_K words or more, at any n, runs
-one numpy kernel (`_span_min`): the lightest element of span{(x | z)}
-by wt(x | z), optionally among those of nonzero syndrome.  Only
-minimum distance keeps a Python Gray-code walk, for the small spans
-where numpy's per-call cost would dominate.
+compares words as ints, lexicographically.  Every row-space walk with
+2^_PURE_LOOP_MAX_K words or more, at any n, runs one numpy kernel
+(`_span_min`): the lightest element of span{(x | z)} by wt(x | z),
+optionally among those of nonzero syndrome.  Only minimum distance keeps
+a Python Gray-code walk, for the small spans where numpy's per-call cost
+would dominate.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -37,16 +37,15 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .gf2 import DEFAULT_ENUM_CAP, EnumerationCapError, LinearCode, _pack, _unpack, dual
+from .gf2 import DEFAULT_ENUM_CAP, EnumerationCapError, LinearCode, _dual_rows, _pack, _unpack
 
 if TYPE_CHECKING:
     from .steane import QuantumCode
 
 _VECTOR_SPLIT = 14  # a block of _span_min holds 2^14 words over all halves
 _PURE_LOOP_MAX_K = 10  # below this a plain Python Gray walk is faster
-# Most rows in the error side's suffix table, one uint64 syndrome each.
-# Weight layers are never stored whole, so this bounds the scan's memory.
-_TABLE_ROWS = 1 << 14
+# Most rows over the error side's half tables; bounds its memory.
+_HALF_ROWS = 1 << 20
 # Words per block of a second_gdw pass, which bounds its temporaries.
 _BLOCK_ROWS = 1 << 16
 
@@ -59,9 +58,10 @@ class DistanceReport:
     (ux, uz) for the quantum distance.
 
     `method` names the scan that answered: "span" walked every element
-    of the row space, "errors" visited Pauli errors by weight,
-    "residual" ran one pass over a pool of codewords per light word.
-    `enumerated_count` counts the elements visited by that method.
+    of the row space, "errors" joined half-weight Pauli errors weight by
+    weight, "residual" ran one pass over a pool of codewords per light
+    word.  `enumerated_count` counts the elements visited by that method
+    (for "errors", the half-table rows built).
     """
 
     value: int
@@ -82,13 +82,10 @@ def min_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
     if C.k == 0:
         raise ValueError("distance undefined for zero code")
     if C.k > cap:
-        raise EnumerationCapError(
-            f"min_distance over 2^{C.k} codewords exceeds cap k <= {cap}"
-        )
+        raise EnumerationCapError(f"min_distance over 2^{C.k} codewords exceeds cap k <= {cap}")
     basis = C.basis_ints()
     if C.k < _PURE_LOOP_MAX_K:
-        best, best_word = C.n + 1, None
-        word = 0
+        best, best_word, word = C.n + 1, None, 0
         for i in range(1, 1 << C.k):
             word ^= basis[(i & -i).bit_length() - 1]
             w = word.bit_count()
@@ -97,12 +94,7 @@ def min_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
     else:
         best, (best_word,) = _span_min([basis], C.n)
     C.cached_d1 = best
-    return DistanceReport(
-        value=best,
-        witness=(best_word,),
-        enumerated_count=1 << C.k,
-        method="span",
-    )
+    return DistanceReport(value=best, witness=(best_word,), enumerated_count=1 << C.k, method="span")
 
 
 def _span_limbs(basis: list[int], n: int) -> np.ndarray:
@@ -237,9 +229,7 @@ def second_gdw(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
     if C.k < 2:
         raise ValueError("no 2-dimensional subcode: k < 2")
     if C.k > cap:
-        raise EnumerationCapError(
-            f"second_gdw over 2^{C.k} codewords exceeds cap k <= {cap}"
-        )
+        raise EnumerationCapError(f"second_gdw over 2^{C.k} codewords exceeds cap k <= {cap}")
     pool = _span_limbs(C.basis_ints(), C.n)[1:]
     wt = _weights(pool)
     best, best_pair, compared = C.n + 1, None, 0
@@ -299,42 +289,27 @@ def quantum_distance_exact(Q: "QuantumCode", cap: int = DEFAULT_ENUM_CAP) -> Dis
     stabilizer C-perp).  When C equals its symplectic dual the minimum
     is taken over all nonzero elements instead, and the report says so.
 
-    Pauli errors are visited by weight first (method "errors"); the
-    first weight with such a vector is the distance.  When that side
-    would visit more than the 2^r elements of C, or n > 64, or the
-    symplectic dual of C has more than 64 dimensions, the full row
-    space is walked instead (method "span").  Either way the witness is
-    the lexicographically smallest (ux, uz) attaining the minimum.
+    The error side, a meet-in-the-middle join of half-weight Pauli
+    errors (method "errors", counting the half-table rows built), runs
+    first; beyond 2^r or _HALF_ROWS rows, or 64 qubits, generators or
+    syndrome bits, the 2^r elements of C are walked (method "span").
+    Either way the witness is the lex-smallest (ux, uz) of least weight.
     """
     gx, gz = list(Q.gx), list(Q.gz)
     r, n = len(gx), Q.n
     if r > cap:
-        raise EnumerationCapError(
-            f"quantum distance over 2^{r} vectors exceeds cap {cap}"
-        )
-    # Symplectic syndrome of each generator against all generators:
-    # incremental tracking makes the orthogonality test O(1) per step.
+        raise EnumerationCapError(f"quantum distance over 2^{r} vectors exceeds cap {cap}")
     syn = [_syndrome(x, z, gx, gz) for x, z in zip(gx, gz)]
-
     self_orthogonal = all(s == 0 for s in syn)
     note = "self-dual convention: minimum over nonzero elements of C" if self_orthogonal else ""
 
-    found = _quantum_scan_errors(gx, gz, n, self_orthogonal, budget=1 << r)
-    if found is not None:
-        value, wit, visited = found
-        method = "errors"
+    if found := _quantum_scan_errors(gx, gz, n, self_orthogonal, budget=1 << r):
+        (value, wit, visited, _), method = found, "errors"
     else:
-        value, wit = _span_min([gx, gz], n, None if self_orthogonal else syn)
-        visited, method = 1 << r, "span"
+        (value, wit), visited, method = _span_min([gx, gz], n, None if self_orthogonal else syn), 1 << r, "span"
     if wit is None:
         raise ValueError("no vector outside the stabilizer: empty scan")
-    return DistanceReport(
-        value=value,
-        witness=wit,
-        enumerated_count=visited,
-        method=method,
-        note=note,
-    )
+    return DistanceReport(value=value, witness=wit, enumerated_count=visited, method=method, note=note)
 
 
 def _syndrome(ux: int, uz: int, rx: list[int], rz: list[int]) -> int:
@@ -345,15 +320,13 @@ def _syndrome(ux: int, uz: int, rx: list[int], rz: list[int]) -> int:
     return s
 
 
-def _transpose(rows: list[int], n: int) -> list[int]:
-    """cols[q] has bit i set iff rows[i] has column q set."""
-    cols = [0] * n
-    for i, row in enumerate(rows):
-        while row:
-            top = row.bit_length() - 1
-            cols[n - 1 - top] |= 1 << i
-            row ^= 1 << top
-    return cols
+def _columns(blocks: list[list[int]], n: int) -> np.ndarray:
+    """(n, len(blocks)) uint64: entry [q, j] has bit i set iff row i of
+    blocks[j], of at most 64 rows, has column q set."""
+    bits = np.zeros((64 * len(blocks), n), dtype=np.uint8)
+    at = [64 * j + i for j, block in enumerate(blocks) for i in range(len(block))]
+    bits[at] = np.unpackbits(_pack([row for block in blocks for row in block], n).view(np.uint8), axis=1, count=n)
+    return np.packbits(bits, axis=0, bitorder="little").T.copy().view("<u8")
 
 
 def _pauli_layer(table: np.ndarray, supports: np.ndarray) -> np.ndarray:
@@ -370,74 +343,101 @@ def _pauli_layer(table: np.ndarray, supports: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
-def _pauli_bits(qubits: tuple, pattern: int, n: int) -> tuple[int, int]:
-    """(ux, uz) of the Pauli error with base-3 pattern on the given qubits."""
-    ux = uz = 0
-    for q in reversed(qubits):
-        pattern, p = divmod(pattern, 3)
-        ux |= (p != 1) << (n - 1 - q)  # X or Y
-        uz |= (p != 0) << (n - 1 - q)  # Z or Y
-    return ux, uz
+def _pauli_rows(table: np.ndarray, supports: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """XOR of the entries table[q, P] over the qubits q and Paulis P of
+    the given rows of `_pauli_layer(table, supports)`."""
+    t = supports.shape[1]
+    s, p = np.divmod(rows, 3**t)
+    out = np.zeros((len(rows), table.shape[2]), dtype=np.uint64)
+    for c in reversed(range(t)):  # the last qubit is the lowest digit
+        p, digit = np.divmod(p, 3)
+        out ^= table[supports[s, c], digit]
+    return out
+
+
+def _half_table(table: np.ndarray, n: int, t: int) -> tuple:
+    """Every weight-t Pauli error, sorted by syndrome and then by lowest
+    qubit q (n for the identity): (supports, order, syn, above, keys,
+    uniq, ends).  Sorted row i is `_pauli_layer(table, supports)` row
+    order[i], of syndrome syn[i] and highest qubit above[i] - 1; its key
+    is rank * (n + 1) + q, rank being the place of syn[i] among the
+    distinct syndromes uniq, whose rows end before row ends[rank]."""
+    supports = np.array(list(itertools.combinations(range(n), t)), dtype=np.uint8)
+    syn = _pauli_layer(table, supports)
+    low = np.repeat(supports[:, 0] if t else [n], 3**t)
+    order = np.lexsort((low, syn))
+    syn = syn[order]
+    new = np.concatenate([[True], syn[1:] != syn[:-1]])
+    keys = (np.cumsum(new, dtype=np.int64) - 1) * (n + 1) + low[order]
+    above = np.repeat(supports[:, -1] + 1 if t else [0], 3**t)[order]
+    return supports, order, syn, above, keys, syn[new], np.append(np.flatnonzero(new)[1:], len(new))
 
 
 def _quantum_scan_errors(gx, gz, n, self_orthogonal, budget):
-    """Error-side quantum distance scan.
+    """Error-side quantum distance scan: a meet-in-the-middle join.
 
-    Visits Pauli errors e by weight w = 1, 2, ... .  e lies in C iff its
-    syndrome against a basis of S, the symplectic dual of C, is 0; the
-    syndrome is an XOR of per-qubit columns.  Such an e counts when it
-    is outside S (any nonzero e in the self-orthogonal case).  The
-    whole first weight with such an e is visited, for the
-    lexicographically smallest witness.
+    Runs weight by weight, w = 1, 2, ... .  A Pauli error e lies in C iff
+    its syndrome against a basis of S, the symplectic dual of C, is 0,
+    and counts when its syndrome against the generators is not (any
+    nonzero e of C in the self-orthogonal case).  The first weight with
+    such an e is matched whole, for the lex-smallest witness.
 
-    Each weight is split as a prefix over the lowest qubits, looped in
-    Python, and a suffix from a table of every weight-t error (at most
-    _TABLE_ROWS rows) ordered by lowest qubit, so the suffixes above a
-    prefix form one contiguous slice.  Returns (value, (ux, uz),
-    visited), or None when n > 64, S needs more than 64 syndrome bits,
-    or the errors up to the next weight would exceed `budget`.
+    Split e into e1, on the lowest ceil(w/2) qubits of its support, and
+    e2, on the rest: e lies in C iff syn(e1) = syn(e2).  With the e2
+    sorted by syndrome and then by lowest qubit, those matching an e1 of
+    highest qubit p, the blocks q = p + 1 .. n of its syndrome, form one
+    range, found by `np.searchsorted`: each element of C of weight w is
+    met once, as one canonical pair (Dumer, Kovalev and Pryadko, IEEE
+    Trans. IT, 2017).  Each half table is built once, for all weights.
+
+    Returns (value, (ux, uz), rows, pairs): rows counts the half-table
+    rows built, sum C(n,t) 3^t over 1 <= t <= ceil(value/2), and pairs
+    the elements of C of weight value.  Returns None when n, S.k or the
+    number of generators exceeds 64, or rows would exceed `budget` or
+    _HALF_ROWS.  Memory: a row is held as at most 41 bytes (`_half_table`)
+    and a table's sort or a weight's join takes at most about 55 bytes
+    more per row, so the scan stays within 96 MB at _HALF_ROWS = 2^20.
     """
-    if n > 64:
+    if n > 64 or len(gx) > 64:
         return None
     # S holds the (x | z) with x.gz_i + z.gx_i = 0: the dual of the rows (gz_i | gx_i).
-    S = dual(LinearCode([z << n | x for x, z in zip(gx, gz)], 2 * n))
-    if S.k > 64:
+    hs = _dual_rows(LinearCode([z << n | x for x, z in zip(gx, gz)], 2 * n))
+    if len(hs) > 64:
         return None
-    mask = (1 << n) - 1
-    # Bit i of the syndrome of X_q is column q of the z-half of row i of
-    # S; of Z_q, column q of its x-half.
-    bx = _transpose([h & mask for h in S.basis_ints()], n)
-    bz = _transpose([h >> n for h in S.basis_ints()], n)
-    table = np.array([bx, bz, [a ^ b for a, b in zip(bx, bz)]], dtype=np.uint64).T.copy()
-
-    visited = 0
+    # table[q, P] for P = X, Z, Y on qubit q: the syndrome against S (of
+    # X_q, column q of the z-half of S; of Z_q, of its x-half), the
+    # syndrome against the generators, ux and uz.
+    eye, mask = [1 << i for i in range(n)], (1 << n) - 1
+    cols = _columns([[h & mask for h in hs], gz, eye, [], [h >> n for h in hs], gx, [], eye], n)
+    table = np.concatenate([cols, cols[:, :4] ^ cols[:, 4:]], axis=1).reshape(n, 3, 4)
+    half, rows = {0: _half_table(table[:, :, 0], n, 0)}, 0
     for w in range(1, n + 1):
-        layer = math.comb(n, w) * 3**w
-        visited += layer
-        if visited > budget:
-            return None
-        if layer <= _TABLE_ROWS:
-            t = w
-            supports = list(itertools.combinations(range(n), t))
-            suffix = _pauli_layer(table, np.array(supports, dtype=np.intp))
-            # start[q]: first suffix row whose lowest qubit is above q.
-            lowest = [s[0] for s in supports]
-            start = [bisect.bisect_right(lowest, q) * 3**t for q in range(n)]
-        best = None
-        for prefix in itertools.combinations(range(n), w - t):
-            lo = start[prefix[-1]] if prefix else 0
-            if lo == len(suffix):
-                continue
-            tail = suffix[lo:]
-            pre = _pauli_layer(table, np.array([prefix], dtype=np.intp)).tolist()
-            for i, syn in enumerate(pre):
-                for j in (np.flatnonzero(tail == syn) + lo).tolist():
-                    s, p = divmod(j, 3**t)
-                    ux, uz = _pauli_bits(prefix + supports[s], i * 3**t + p, n)
-                    if not self_orthogonal and _syndrome(ux, uz, gx, gz) == 0:
-                        continue  # an element of the stabilizer S
-                    if best is None or (ux, uz) < best:
-                        best = (ux, uz)
-        if best is not None:
-            return w, best, visited
+        t1, t2 = (w + 1) // 2, w // 2
+        if t1 not in half:
+            rows += math.comb(n, t1) * 3**t1
+            if rows > min(budget, _HALF_ROWS):
+                return None
+            half[t1] = _half_table(table[:, :, 0], n, t1)
+        (sup1, order1, syn1, above, *_), (sup2, order2, _, _, keys, uniq, ends) = half[t1], half[t2]
+        # The e2 for an e1 have keys rank * (n + 1) + q for above <= q <= n.
+        rank = np.searchsorted(uniq, syn1)
+        hit = uniq.take(rank, mode="clip") == syn1
+        cnt = ends.take(rank, mode="clip")
+        rank *= n + 1
+        rank += above
+        lo = np.searchsorted(keys, rank)
+        cnt -= lo
+        cnt *= hit
+        i1 = np.flatnonzero(cnt)
+        if not len(i1):
+            continue
+        c = cnt[i1]
+        i2 = order2[np.arange(c.sum()) - np.repeat(np.cumsum(c) - c - lo[i1], c)]
+        found = _pauli_rows(table, sup1, order1[np.repeat(i1, c)]) ^ _pauli_rows(table, sup2, i2)
+        pairs = len(found)
+        if not self_orthogonal:
+            found = found[found[:, 1] != 0]  # drop the elements of the stabilizer S
+        if len(found):
+            ux = found[:, 2].min()
+            return w, (int(ux), int(found[found[:, 2] == ux, 3].min())), rows, pairs
     return None

@@ -7,11 +7,12 @@ a plain comparison.  One machine word for n <= 64, a big int up to
 n = 1024.  A matrix is a list of such rows together with n.
 
 Matrices with at least _PACKED_MIN_COLS columns and _PACKED_MIN_ROWS
-rows are reduced, dualised and tested for containment on a bit-packed
-copy instead, and the results come back as the same ints the int paths
-give.  A packed row is the big-endian bytes of the row's int, shifted
-left to fill ceil(n/64) 64-bit limbs: coordinate c is bit 7 - c % 8 of
-byte c // 8, so byte j holds the strip of columns 8j .. 8j + 7 that the
+rows (_PACKED_MIN_WORDS words for containment) are reduced, dualised
+and tested for containment on a bit-packed copy instead, and the
+results come back as the same ints the int paths give.  A packed row
+is the big-endian bytes of the row's int, shifted left to fill
+ceil(n/64) 64-bit limbs: coordinate c is bit 7 - c % 8 of byte c // 8,
+so byte j holds the strip of columns 8j .. 8j + 7 that the
 Four-Russians elimination works on, most significant bit first.
 `distances._span_limbs` reads the same bytes as big-endian uint64 limbs,
 so that comparing limbs compares words.
@@ -29,11 +30,15 @@ DEFAULT_ENUM_CAP = 26
 # kernels.  Timed on random matrices (2-core x86-64, numpy 2.4): the
 # packed rref costs a near-fixed ~0.1 ms per strip of 8 pivots, the int
 # one a Python step per row per pivot, and they cross at 64-96 rows for
-# n = 256..1024; batched membership crosses near 32 words, and the
-# packed dual is faster at every k from n = 256.  Below n = 256 numpy's
-# per-call cost would dominate the many small codes the searches build.
+# n = 256..1024; the packed dual is faster at every k from n = 256.
+# Below n = 256 numpy's per-call cost would dominate the many small
+# codes the searches build.
 _PACKED_MIN_COLS = 256
 _PACKED_MIN_ROWS = 64
+# Batched membership (`_residual_packed`) against a basis of k = n/2 ..
+# n - 60 rows, n = 256..1024, costs the same as testing 16-18 member
+# words one by one, and less from 20 words on.
+_PACKED_MIN_WORDS = 20
 _LE64 = np.dtype("<u8")  # the 8 x 8 bit blocks of `_transpose`
 # The nonzero byte values, scrambled (times 101 mod 256) so that the
 # first few a strip holds are likely independent: the first nine of the
@@ -338,7 +343,7 @@ def dual(C: LinearCode) -> LinearCode:
 
 def _all_in(words: list[int], B: LinearCode) -> bool:
     """True iff every word lies in B."""
-    if _packed(B.n, words) and B.k:
+    if B.n >= _PACKED_MIN_COLS and len(words) >= _PACKED_MIN_WORDS and B.k:
         return not _residual_packed(words, B._basis, B._pivots, B.n).any()
     return all(w in B for w in words)
 

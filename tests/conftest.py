@@ -7,7 +7,8 @@ writes a word out as its coordinate string.
 The oracles deliberately avoid the library's scan machinery: plain
 itertools/numpy reimplementations used to cross-check the optimized
 paths, among them the Gray-code walks that check the numpy span
-kernel.  The one exception is the per-coset k' = k + 1 loop, which
+kernel and the prefix-loop error scan that checks the meet-in-the-middle
+join.  The one exception is the per-coset k' = k + 1 loop, which
 checks the batched coset sweep with the library's own single-code
 builder and distance scan.  The certificate checkers (fixture rows,
 span membership, symplectic product, the Gleason-shadow obstruction)
@@ -17,6 +18,7 @@ oracle evaluates the scalar bound functions point by point.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -115,6 +117,84 @@ def reference_quantum_scan(gx, gz, syn, n, self_orthogonal):
         if best_wit is None or key < best:
             best, best_wit = key, (ux, uz)
     return (best[0], best_wit) if best_wit else (n + 1, None)
+
+
+def reference_error_scan(gx, gz, n, self_orthogonal, budget):
+    """Quantum distance and witness by visiting Pauli errors e weight by
+    weight, each tested for membership in C = span(Gx|Gz) by its
+    syndrome against a basis of S, the symplectic dual of C.
+
+    e counts when it lies in C and outside S (any nonzero e when
+    self_orthogonal); the whole first weight holding one is visited, for
+    the lexicographically smallest (ux, uz).  Each weight is split as a
+    prefix over the lowest qubits, looped in Python, and a suffix from a
+    table of every weight-t error (at most 2^14 rows) ordered by lowest
+    qubit, so the suffixes above a prefix form one contiguous slice.
+    Returns (value, (ux, uz), visited), visited counting the errors of
+    weight <= value, or None when n > 64, S needs more than 64 syndrome
+    bits, or the errors up to the next weight would exceed `budget`.
+    """
+    if n > 64:
+        return None
+    S = dual(LinearCode([z << n | x for x, z in zip(gx, gz)], 2 * n)).basis_ints()
+    if len(S) > 64:
+        return None
+
+    def columns(rows):  # bit i of column q: column q of rows[i]
+        return [sum((row >> (n - 1 - q) & 1) << i for i, row in enumerate(rows)) for q in range(n)]
+
+    bx, bz = columns([h & ((1 << n) - 1) for h in S]), columns([h >> n for h in S])
+    table = np.array([bx, bz, [a ^ b for a, b in zip(bx, bz)]], dtype=np.uint64).T.copy()
+
+    def layer(supports):  # row s * 3^t + p: support s under base-3 pattern p
+        out = np.zeros((len(supports), 1), dtype=np.uint64)
+        for c in range(supports.shape[1]):
+            out = (out[:, :, None] ^ table[supports[:, c]][:, None, :]).reshape(len(supports), -1)
+        return out.ravel()
+
+    def pauli(qubits, pattern):  # (ux, uz); the last qubit is the lowest digit
+        ux = uz = 0
+        for q in reversed(qubits):
+            pattern, p = divmod(pattern, 3)
+            ux |= (p != 1) << (n - 1 - q)  # X or Y
+            uz |= (p != 0) << (n - 1 - q)  # Z or Y
+        return ux, uz
+
+    visited = 0
+    for w in range(1, n + 1):
+        size = math.comb(n, w) * 3**w
+        visited += size
+        if visited > budget:
+            return None
+        if size <= 1 << 14:
+            t = w
+            supports = list(itertools.combinations(range(n), t))
+            suffix = layer(np.array(supports, dtype=np.intp))
+            # start[q]: first suffix row whose lowest qubit is above q.
+            lowest = [s[0] for s in supports]
+            start = [bisect.bisect_right(lowest, q) * 3**t for q in range(n)]
+        best = None
+        for prefix in itertools.combinations(range(n), w - t):
+            lo = start[prefix[-1]] if prefix else 0
+            tail = suffix[lo:]
+            for i, syn in enumerate(layer(np.array([prefix], dtype=np.intp)).tolist()):
+                for j in (np.flatnonzero(tail == syn) + lo).tolist():
+                    s, p = divmod(j, 3**t)
+                    e = pauli(prefix + supports[s], i * 3**t + p)
+                    if not self_orthogonal and not any(symplectic_product(e, g) for g in zip(gx, gz)):
+                        continue  # an element of the stabilizer S
+                    if best is None or e < best:
+                        best = e
+        if best is not None:
+            return w, best, visited
+    return None
+
+
+def count_weight(gx, gz, n, w) -> int:
+    """Elements (ux | uz) of span{(gx_i | gz_i)} with wt(ux | uz) = w,
+    counted by a Gray-code walk over all 2^r combinations of the rows."""
+    rows = [(x << n) | z for x, z in zip(gx, gz)]
+    return sum(((v >> n) | v & ((1 << n) - 1)).bit_count() == w for v in enumerate_span(rows))
 
 
 def reference_coset_sweep(C: LinearCode, Cp: LinearCode, d_lower: int) -> tuple[list[int], QuantumCode]:

@@ -110,8 +110,27 @@ class TestFamily:
     def test_invalid_parameters(self, capsys):
         assert main(["family", "F0", "4", "1"]) == EXIT_INPUT_ERROR
 
-    def test_build_refused_beyond_desk_scale(self, capsys):
-        assert main(["family", "F0", "7", "1", "--build"]) == EXIT_INPUT_ERROR
+    def test_build_beyond_desk_scale(self, capsys):
+        # The cap governs every scan a build runs, so no m is refused:
+        # the coset sweep refutes F4 m=6 (2(n - k) = 14 <= 26), and F0
+        # m=6 has at least two completion rows.
+        assert main(["family", "F4", "6", "0", "--build"]) == EXIT_VERIFY_FAIL
+        assert capsys.readouterr().out == "[[64,51,4]] exact d=3 FAIL\n"
+        assert main(["family", "F0", "6", "1", "--build"]) == EXIT_OK
+        assert capsys.readouterr().out == "[[64,44,6]] bound holds by construction\n"
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            # 23 generators and 2(n - k) = 10 pairs' bits, both over cap 9.
+            (["--cap", "9", "family", "F4", "4", "0", "--build"], "[[16,7,4]] distance bound unverified\n"),
+            # 53 generators and a 2^12-pair sweep, both over cap 11.
+            (["--cap", "11", "family", "F4", "5", "0", "--build"], "[[32,21,4]] distance bound unverified\n"),
+        ],
+    )
+    def test_build_respects_the_cap(self, capsys, argv, line):
+        assert main(argv) == EXIT_VERIFY_FAIL
+        assert capsys.readouterr().out == line
 
 
 class TestBounds:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qsteane import distances
 from qsteane.distances import (
+    _HALF_ROWS,
     _PURE_LOOP_MAX_K,
     DistanceReport,
     _coset_weights,
@@ -31,12 +32,15 @@ from qsteane.gf2 import (
 from qsteane.steane import QuantumCode, _completion_rows, steane_enlarge
 
 from conftest import (
+    EXT_HAMMING_8_4,
     brute_min_distance,
     brute_second_gdw,
+    count_weight,
     css_code,
     enumerate_span,
     random_code,
     random_self_orthogonal,
+    reference_error_scan,
     reference_min_word,
     reference_quantum_scan,
     reference_second_gdw,
@@ -197,7 +201,8 @@ class TestQuantumDistance:
         Q = css_code(HAMMING_7_4, HAMMING_7_4)
         rep = quantum_distance_exact(Q)
         assert rep.value == 3
-        assert rep.enumerated_count == 1 << 8
+        # Half tables of weight 1 and 2: 7 * 3 + 21 * 9 rows, within 2^8.
+        assert (rep.method, rep.enumerated_count) == ("errors", 7 * 3 + 21 * 9)
 
     def test_witness_outside_stabilizer_attains_value(self):
         Q = css_code(HAMMING_7_4, HAMMING_7_4)
@@ -267,6 +272,11 @@ def random_scan_case(seed: int) -> QuantumCode:
     return steane_enlarge(C, Cp, halves, d_lower=1)
 
 
+def half_rows(n: int, d: int) -> int:
+    """Rows of the half tables the join builds to reach weight d."""
+    return sum(math.comb(n, t) * 3**t for t in range(1, (d + 1) // 2 + 1))
+
+
 class TestErrorSideScan:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 100_000).map(random_scan_case))
@@ -274,38 +284,76 @@ class TestErrorSideScan:
         gx, gz = list(Q.gx), list(Q.gz)
         syn = [_syndrome(x, z, gx, gz) for x, z in zip(gx, gz)]
         so = not any(syn)
-        value, witness, visited = _quantum_scan_errors(gx, gz, Q.n, so, budget=4**Q.n)
-        assert (value, witness) == _span_min([gx, gz], Q.n, None if so else syn)
+        expected = _span_min([gx, gz], Q.n, None if so else syn)
+        found = _quantum_scan_errors(gx, gz, Q.n, so, budget=4**Q.n)
+        if half_rows(Q.n, expected[0]) > _HALF_ROWS:
+            assert found is None
+            return
+        value, witness, rows, pairs = found
+        assert (value, witness) == expected
+        assert reference_error_scan(gx, gz, Q.n, so, budget=4**Q.n)[:2] == expected
         if len(gx) <= 12:
             assert (value, witness) == reference_quantum_scan(gx, gz, syn, Q.n, so)
-        assert visited == sum(math.comb(Q.n, w) * 3**w for w in range(1, value + 1))
+            # Every weight-d element of C is met as exactly one pair.
+            assert pairs == count_weight(gx, gz, Q.n, value)
+        assert rows == half_rows(Q.n, value)
 
     def test_self_orthogonal_convention(self):
+        # C = {I, XX, ZZ, YY}: the weight-1 half table (2 * 3 rows) meets
+        # all three weight-2 elements; the prefix loop visits 2 * 3 + 1 * 9.
         Q = QuantumCode(n=2, gx=[0b11, 0b00], gz=[0b00, 0b11], K=0, d_lower=1)
         gx, gz = list(Q.gx), list(Q.gz)
-        assert _quantum_scan_errors(gx, gz, 2, True, budget=16) == (2, (0b00, 0b11), 2 * 3 + 1 * 9)
+        assert _quantum_scan_errors(gx, gz, 2, True, budget=16) == (2, (0b00, 0b11), 2 * 3, 3)
+        assert reference_error_scan(gx, gz, 2, True, budget=16) == (2, (0b00, 0b11), 2 * 3 + 1 * 9)
 
     def test_closed_form_count_on_f4(self, f4_desk):
         rep = quantum_distance_exact(f4_desk)
         assert rep.method == "errors"
         assert rep.value == 3
-        assert rep.enumerated_count == 16 * 3 + 120 * 9 + 560 * 27 == 16_248
+        # Half tables of weight 1 and 2 on 16 qubits; the prefix loop
+        # visited 16 * 3 + 120 * 9 + 560 * 27 = 16,248 errors.
+        assert rep.enumerated_count == 16 * 3 + 120 * 9 == 1_128
         # The cap is checked before either side runs, however cheap.
         with pytest.raises(EnumerationCapError):
             quantum_distance_exact(f4_desk, cap=f4_desk.num_generators - 1)
 
     def test_over_budget_hands_over_to_span(self):
-        # [[7,1,3]]: 21 + 189 + 945 = 1,155 errors exceed the 2^8 elements of C.
-        Q = css_code(HAMMING_7_4, HAMMING_7_4)
+        # [[8,0,4]] on the self-dual [8,4,4] code: weight 4 needs the
+        # half tables of weight 1 and 2, 24 + 252 = 276 rows, more than
+        # the 2^8 elements of C.
+        Q = css_code(EXT_HAMMING_8_4, EXT_HAMMING_8_4)
         rep = quantum_distance_exact(Q)
-        assert rep.method == "span"
-        assert rep.enumerated_count == 1 << 8
+        assert (rep.method, rep.value, rep.enumerated_count) == ("span", 4, 1 << 8)
+        gx, gz = list(Q.gx), list(Q.gz)
+        assert _quantum_scan_errors(gx, gz, 8, True, budget=275) is None
+        assert _quantum_scan_errors(gx, gz, 8, True, budget=276)[::2] == (4, 276)
         with pytest.raises(EnumerationCapError):
             quantum_distance_exact(Q, cap=7)
 
+    def test_row_bound_hands_over_to_span(self, monkeypatch):
+        Q = css_code(HAMMING_7_4, HAMMING_7_4)
+        monkeypatch.setattr(distances, "_HALF_ROWS", 7 * 3 + 21 * 9 - 1)
+        rep = quantum_distance_exact(Q)
+        assert (rep.method, rep.value, rep.enumerated_count) == ("span", 3, 1 << 8)
+
+    def test_memory_within_the_row_bound(self):
+        # n = 24, d = 4: 24 * 3 + 276 * 9 = 2,556 half-table rows, which
+        # the docstring bounds at 41 + 55 = 96 bytes each.
+        code = random_code(random.Random(1), n=24, k_target=12, min_k=12)
+        Q = css_code(code, code)
+        tracemalloc.start()
+        try:
+            rep = quantum_distance_exact(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.method, rep.value, rep.enumerated_count) == ("errors", 4, 2_556)
+        assert peak <= 96 * rep.enumerated_count
+
     def test_wide_syndrome_takes_span(self):
         # 2n - r = 66 syndrome bits do not fit one uint64 word, although
-        # the 7,140 errors of weight <= 2 are within the 2^14 budget.
+        # the 40 * 3 half-table rows that weight 2 needs are within the
+        # 2^14 budget.
         code = LinearCode([0b11 << 38, 0b101 << 37] + [0x7F << (29 - 7 * i) for i in range(5)], 40)
         rep = quantum_distance_exact(css_code(code, code))
         assert (rep.method, rep.value) == ("span", 2)

@@ -327,9 +327,24 @@ class TestPackedKernels:
             for C in codes:
                 yes = is_dual_containing(C)
                 assert yes == is_subcode(dual(C), C), (n, C.k)
-                seen[gf2._packed(n, gf2._dual_rows(C)), yes] += 1
+                seen[n >= gf2._PACKED_MIN_COLS and len(gf2._dual_rows(C)) >= gf2._PACKED_MIN_WORDS, yes] += 1
         assert (codes[0].k, codes[1].k) == (0, 320)
         assert min(seen.values()) >= 3, seen
+
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    def test_containment_paths_agree_across_the_word_threshold(self, n, monkeypatch):
+        rng = random.Random(n + 1)
+        B = LinearCode([rng.getrandbits(n) for _ in range(n // 2 + 40)], n)
+        low = gf2._PACKED_MIN_WORDS
+        calls = []
+        residual = gf2._residual_packed
+        monkeypatch.setattr(gf2, "_residual_packed", lambda words, *rest: calls.append(len(words)) or residual(words, *rest))
+        for m in range(low - 2, low + 3):
+            members = [_xor_sum(rng.sample(B.basis_ints(), 7)) for _ in range(m)]
+            for words in (members, members[:-1] + [rng.getrandbits(n)]):
+                assert gf2._all_in(words, B) == all(w in B for w in words) == (words is members)
+        # Word lists below the threshold take the int path, the rest the packed one.
+        assert calls == [m for m in range(low, low + 3) for _ in range(2)]
 
     def test_residual_matches_in_rowspan(self):
         rng = random.Random(11)

@@ -65,7 +65,7 @@ AUTO_WITNESSES = {
     "c12_10_2a.txt": (3, "errors", ("000000000101", "001000000100")),
     "c12_10_2b.txt": (3, "errors", ("001100000000", "011000000000")),
     "c14_10_2.txt": (4, "errors", ("00000000000000", "00000001001011")),
-    "c14_9_2.txt": (4, "span", ("00000000000000", "00000001001011")),
+    "c14_9_2.txt": (4, "errors", ("00000000000000", "00000001001011")),
 }
 
 VERIFY_STDOUT = {
