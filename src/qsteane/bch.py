@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .gf2 import DEFAULT_ENUM_CAP, CodeConstructionError, LinearCode, _reduce, extend_parity, is_dual_containing, is_subcode
+from .gf2 import DEFAULT_ENUM_CAP, CodeConstructionError, LinearCode, _completion_rows, _residuals, extend_parity, is_dual_containing, is_subcode, rref_ints
 from .steane import QuantumCode, certified_enlarge
 
 # One canonical primitive polynomial per extension degree (bit i is the
@@ -239,30 +239,18 @@ def family_params(spec: FamilySpec) -> tuple[int, int, int]:
 def coset_extend(C1: LinearCode, big: LinearCode) -> LinearCode:
     """span(C1 + {c}) for the lexicographically smallest c in big \\ C1.
 
-    The winner is found per coset: each coset's lex-smallest element is
-    its pivot-reduced representative, so only 2^(k_big - k_1) - 1
-    candidates need comparing.
+    The lex-smallest word of a coset c + C1 is the residual of c modulo
+    C1 (`gf2._residuals`), which is linear in c.  So the leaders of the
+    cosets of C1 in big, with 0, are the span of the residuals of the
+    completion rows, and c, the smallest nonzero word of that span, is
+    the last row of its rref: any other combination has a higher pivot.
     """
     if not is_subcode(C1, big):
         raise CodeConstructionError("C1 is not a subcode of the ambient code")
     if big.k < C1.k + 1:
         raise CodeConstructionError("ambient code equals C1: no coset to add")
-    reps = []
-    probe = LinearCode(C1.basis_ints(), C1.n)
-    for row in big.basis_ints():
-        if row not in probe:
-            reps.append(row)
-            probe = LinearCode(probe.basis_ints() + [row], C1.n)
-    best = None
-    for combo in range(1, 1 << len(reps)):
-        v = 0
-        for i in range(len(reps)):
-            if (combo >> i) & 1:
-                v ^= reps[i]
-        cand = _reduce(v, C1._basis)
-        if best is None or cand < best:
-            best = cand
-    return LinearCode(C1.basis_ints() + [best], C1.n)
+    leaders, rank, _ = rref_ints(_residuals(_completion_rows(C1, big), C1), C1.n)
+    return LinearCode(C1.basis_ints() + [leaders[rank - 1]], C1.n)
 
 
 def build_family_code(spec: FamilySpec, cap: int = DEFAULT_ENUM_CAP) -> QuantumCode:

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .gf2 import DEFAULT_ENUM_CAP, EnumerationCapError, LinearCode, _dual_rows, _pack, _unpack
+from .gf2 import DEFAULT_ENUM_CAP, EnumerationCapError, LinearCode, _combinations, _dual_rows, _pack, _unpack
 
 if TYPE_CHECKING:
     from .steane import QuantumCode
@@ -93,24 +93,19 @@ def min_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
                 best, best_word = w, word
     else:
         best, (best_word,) = _span_min([basis], C.n)
-    C.cached_d1 = best
     return DistanceReport(value=best, witness=(best_word,), enumerated_count=1 << C.k, method="span")
 
 
 def _span_limbs(basis: list[int], n: int) -> np.ndarray:
     """Every word of span(basis), one row of ceil(n/64) uint64 limbs each.
 
-    Built by doubling: rows [2^j, 2^(j+1)) are rows [0, 2^j) XOR
-    basis[j], so row i is the sum of the basis rows picked by the bits
-    of i.  The limbs are those of `gf2._pack` read as big-endian numbers
-    (coordinate c at bit 63 - c % 64 of limb c // 64), so comparing rows
-    limb by limb as unsigned integers compares them as words.
+    Built by doubling (`gf2._combinations`): row i is the sum of the
+    basis rows picked by the bits of i.  The limbs are those of
+    `gf2._pack` read as big-endian numbers (coordinate c at bit
+    63 - c % 64 of limb c // 64), so comparing rows limb by limb as
+    unsigned integers compares them as words.
     """
-    rows = _pack(basis, n).view(">u8").astype(np.uint64)
-    span = np.zeros((1 << len(basis), rows.shape[1]), dtype=np.uint64)
-    for j, row in enumerate(rows):
-        np.bitwise_xor(span[: 1 << j], row, out=span[1 << j : 2 << j])
-    return span
+    return _combinations(_pack(basis, n).view(">u8").astype(np.uint64))
 
 
 def _ints(rows: np.ndarray, n: int) -> list[int]:
@@ -255,7 +250,6 @@ def second_gdw(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
             else:
                 best_pair = min(best_pair, pair)
         w += 1
-    C.cached_d2 = best
     return DistanceReport(
         value=best,
         witness=tuple(best_pair),

@@ -7,8 +7,8 @@ a plain comparison.  One machine word for n <= 64, a big int up to
 n = 1024.  A matrix is a list of such rows together with n.
 
 Matrices with at least _PACKED_MIN_COLS columns and _PACKED_MIN_ROWS
-rows (_PACKED_MIN_WORDS words for containment) are reduced, dualised
-and tested for containment on a bit-packed copy instead, and the
+rows (_PACKED_MIN_WORDS words for residuals) are row-reduced,
+dualised and reduced modulo a code on a bit-packed copy instead, and the
 results come back as the same ints the int paths give.  A packed row
 is the big-endian bytes of the row's int, shifted left to fill
 ceil(n/64) 64-bit limbs: coordinate c is bit 7 - c % 8 of byte c // 8,
@@ -20,7 +20,7 @@ so that comparing limbs compares words.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -128,10 +128,11 @@ def _unpack(M: np.ndarray, n: int) -> list[int]:
     return [int.from_bytes(buf[i : i + step], "big") >> pad for i in range(0, len(buf), step)]
 
 
-def _combinations(R: Sequence[np.ndarray]) -> np.ndarray:
-    """All 2^len(R) sums of the packed rows R: entry x sums the rows picked
-    by the bits of x.  The Four-Russians table."""
-    table = np.empty((1 << len(R), len(R[0])), dtype=np.uint64)
+def _combinations(R: np.ndarray) -> np.ndarray:
+    """All 2^m sums of the rows of the (m, limbs) array R, m >= 0: entry x
+    sums the rows picked by the bits of x.  The Four-Russians table, and
+    every word of a span."""
+    table = np.empty((1 << len(R), R.shape[1]), dtype=np.uint64)
     table[0] = 0
     for j, row in enumerate(R):
         np.bitwise_xor(table[: 1 << j], row, out=table[1 << j : 2 << j])
@@ -223,7 +224,7 @@ def _rref_packed(rows: list[int], cols: int) -> tuple[list[int], int, list[int]]
             np.bitwise_xor(lut[: 1 << q], unit.get(q, 0), out=lut[1 << q : 2 << q])
         strip = M8[r:, j].tobytes()
         at = [r + strip.find(v) for v in chosen]
-        table = _combinations([M[a] for a in at])
+        table = _combinations(M[at])
         M ^= table[lut[M8[:, j]]]
         # The chosen rows are now zero: move the rows they displace into
         # their slots and put the reduced pivot rows at r .. r + kb - 1.
@@ -276,8 +277,7 @@ class LinearCode:
     """A binary [n, k] linear code, stored by its canonical rref generator.
 
     The rows are words of length n (ints in [0, 2^n)); any other row is
-    refused.  cached_d1 / cached_d2 hold exact distances once a scan has
-    computed them; they are never guessed.
+    refused.
     """
 
     def __init__(self, rows: Sequence[int], n: int):
@@ -291,8 +291,6 @@ class LinearCode:
         self.k = rank
         self._basis = work[:rank]
         self._pivots = pivots
-        self.cached_d1: Optional[int] = None
-        self.cached_d2: Optional[int] = None
 
     def basis_ints(self) -> list[int]:
         return list(self._basis)
@@ -341,11 +339,42 @@ def dual(C: LinearCode) -> LinearCode:
     return LinearCode(_dual_rows(C), C.n)
 
 
+def _residuals(words: list[int], B: LinearCode) -> Iterable[int]:
+    """Each word modulo B: the lex-smallest word of its coset w + B, zero
+    exactly when w lies in B; a linear map with kernel B.  Wide batches
+    take one `_residual_packed` call, unpacked only when not all zero;
+    otherwise the words are reduced lazily, so a caller may stop early."""
+    if not (B.n >= _PACKED_MIN_COLS and len(words) >= _PACKED_MIN_WORDS and B.k):
+        return (_reduce(w, B._basis) for w in words)
+    W = _residual_packed(words, B._basis, B._pivots, B.n)
+    return _unpack(W, B.n) if W.any() else [0] * len(words)
+
+
 def _all_in(words: list[int], B: LinearCode) -> bool:
     """True iff every word lies in B."""
-    if B.n >= _PACKED_MIN_COLS and len(words) >= _PACKED_MIN_WORDS and B.k:
-        return not _residual_packed(words, B._basis, B._pivots, B.n).any()
-    return all(w in B for w in words)
+    return not any(_residuals(words, B))
+
+
+def _completion_rows(C: LinearCode, Cp: LinearCode) -> list[int]:
+    """Rows of rref(C') that extend the basis of C to a basis of C' >= C.
+
+    A row is picked when it lies outside the span of C and the rows
+    picked before it, that is, when its residual modulo C lies outside
+    the span of theirs.  So the rows are reduced modulo C in one
+    `_residuals` call, and a running rref basis holds only the picked
+    residuals."""
+    out: list[int] = []
+    echelon: list[int] = []
+    for row, left in zip(Cp._basis, _residuals(Cp._basis, C)):
+        left = _reduce(left, echelon)
+        if left:
+            out.append(row)
+            # Clear the new pivot from the other rows, so the basis stays
+            # reduced and `_reduce` may take its rows in any order.
+            top = 1 << (left.bit_length() - 1)
+            echelon = [e ^ left if e & top else e for e in echelon] + [left]
+    assert C.k + len(out) == Cp.k
+    return out
 
 
 def is_subcode(A: LinearCode, B: LinearCode) -> bool:

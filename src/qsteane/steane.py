@@ -21,6 +21,7 @@ cuts every branch lighter than the best code found.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -33,7 +34,7 @@ from .gf2 import (
     EnumerationCapError,
     LinearCode,
     _all_in,
-    _reduce,
+    _completion_rows,
     dual,
     is_dual_containing,
     is_subcode,
@@ -152,25 +153,6 @@ def steane_enlarge(
     )
 
 
-def _completion_rows(C: LinearCode, Cp: LinearCode) -> list[int]:
-    """Rows of rref(C') that extend the basis of C to a basis of C'.
-
-    Each row is reduced against a running rref basis, C's and then the
-    reduced rows picked so far; it is picked when something is left."""
-    echelon = C.basis_ints()
-    out = []
-    for row in Cp.basis_ints():
-        left = _reduce(row, echelon)
-        if left:
-            out.append(row)
-            # Clear the new pivot from the other rows, so the basis stays
-            # reduced and `_reduce` may take its rows in any order.
-            top = 1 << (left.bit_length() - 1)
-            echelon = [e ^ left if e & top else e for e in echelon] + [left]
-    assert C.k + len(out) == Cp.k
-    return out
-
-
 def certified_enlarge(
     C: LinearCode,
     Cp: LinearCode,
@@ -197,33 +179,28 @@ def certified_enlarge(
     of the scan is within reach of the sweep too.  The sweep's
     temporaries are bounded by its blocks of 2^16 pairs; it keeps
     2^(n-k) * (n + 1) int64 counts.  The first coset to reach the bound
-    is built and returned, else the first of highest exact distance.
-    When the sweep is out of reach the zero coset is returned
-    uncertified.
+    is returned, else the first of highest exact distance: the zero
+    coset's code with its last second half replaced.  When the sweep is
+    out of reach the zero coset is returned uncertified.
     """
-    if d_lower is None:
-        d_lower = min(min_distance(C, cap=cap).value, second_gdw(Cp, cap=cap).value)
-
     if Cp.k - C.k >= 2:
         return steane_enlarge(C, Cp, d_lower=d_lower, cap=cap)
 
     zero = steane_enlarge(C, Cp, [0], d_lower=d_lower, cap=cap)
+    d_lower = zero.d_lower
     if C.k + Cp.k <= cap:
         zero.d_exact = quantum_distance_exact(zero, cap=cap).value
         if zero.d_exact >= d_lower:
             return zero
     if 2 * (C.n - C.k) > cap:
         return zero
-    (w,) = _completion_rows(C, Cp)
-    ds = _coset_distances(C, w, d_lower - 1)
+    ds = _coset_distances(C, zero.gx[-1], d_lower - 1)
     if zero.d_exact is not None and ds[0] != zero.d_exact:
         raise CertificateError(f"coset sweep gives d={ds[0]} for v = 0, the scan d={zero.d_exact}")
     best = next((i for i, d in enumerate(ds) if d >= d_lower), None)
     if best is None:
         best = ds.index(max(ds))
-    Q = steane_enlarge(C, Cp, [_coset_word(C, best)], d_lower=d_lower, cap=cap) if best else zero
-    Q.d_exact = ds[best]
-    return Q
+    return dataclasses.replace(zero, gz=zero.gz[:-1] + (_coset_word(C, best),), d_exact=ds[best])
 
 
 def symplectic_dual(Q: QuantumCode) -> list[int]:
@@ -355,5 +332,4 @@ def find_self_dual_subcode(Cp: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Linea
     # word and hence a self-dual subcode, and nothing is pruned before the
     # first leaf (best_d = 0).
     assert best is not None
-    best.cached_d1 = best_d
     return best

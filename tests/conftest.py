@@ -7,10 +7,12 @@ writes a word out as its coordinate string.
 The oracles deliberately avoid the library's scan machinery: plain
 itertools/numpy reimplementations used to cross-check the optimized
 paths, among them the Gray-code walks that check the numpy span
-kernel and the prefix-loop error scan that checks the meet-in-the-middle
-join.  The one exception is the per-coset k' = k + 1 loop, which
-checks the batched coset sweep with the library's own single-code
-builder and distance scan.  The certificate checkers (fixture rows,
+kernel, the prefix-loop error scan that checks the meet-in-the-middle
+join, and the running-echelon completion rows and coset-leader subset
+walk that check `_completion_rows` and `coset_extend`.  The one
+exception is the per-coset k' = k + 1 loop, which checks the batched
+coset sweep with the library's own single-code builder and distance
+scan.  The certificate checkers (fixture rows,
 span membership, symplectic product, the Gleason-shadow obstruction)
 work on plain ints and exact fractions only.  The rate-bound curve's
 oracle evaluates the scalar bound functions point by point.
@@ -19,8 +21,10 @@ oracle evaluates the scalar bound functions point by point.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from importlib import resources
@@ -48,6 +52,10 @@ def span_words(code: LinearCode) -> list[int]:
     for row in code.basis_ints():
         words += [w ^ row for w in words]
     return words
+
+
+def xor_sum(rows: Sequence[int]) -> int:
+    return functools.reduce(operator.xor, rows, 0)
 
 
 def enumerate_span(basis: Sequence[int]) -> Iterator[int]:
@@ -351,6 +359,39 @@ def in_span(word: int, rows: Sequence[int]) -> bool:
         if row:
             pivots[row.bit_length() - 1] = row
     return _reduce(word, pivots) == 0
+
+
+def reference_completion_rows(C: LinearCode, Cp: LinearCode) -> list[int]:
+    """Rows of rref(C') outside the span of C and of the rows picked
+    before them, by a running echelon of all k + picked rows."""
+    pivots: dict[int, int] = {}
+    for row in C.basis_ints():
+        pivots[row.bit_length() - 1] = row
+    out = []
+    for row in Cp.basis_ints():
+        left = _reduce(row, pivots)
+        if left:
+            out.append(row)
+            pivots[left.bit_length() - 1] = left
+    return out
+
+
+def reference_coset_extend(C1: LinearCode, big: LinearCode) -> LinearCode:
+    """span(C1 + {c}) for the lex-smallest c in big \\ C1, by walking all
+    2^(k_big - k_1) - 1 nonzero sums of the completion rows and keeping
+    the smallest one with every pivot column of rref(C1) cleared."""
+    reps = reference_completion_rows(C1, big)
+    best = None
+    for combo in range(1, 1 << len(reps)):
+        v = 0
+        for i, rep in enumerate(reps):
+            if combo >> i & 1:
+                v ^= rep
+        for row in C1.basis_ints():
+            v = min(v, v ^ row)
+        if best is None or v < best:
+            best = v
+    return LinearCode(C1.basis_ints() + [best], C1.n)
 
 
 def symplectic_product(a: tuple[int, int], b: tuple[int, int]) -> int:

@@ -1,7 +1,10 @@
 """BCH codes over GF(2^m), their nesting chain, and the quantum families."""
 
+import random
+
 import pytest
 
+from qsteane import gf2
 from qsteane.bch import (
     PRIMITIVE_POLYS,
     BchSpec,
@@ -19,6 +22,7 @@ from qsteane.distances import min_distance, quantum_distance_exact, second_gdw
 from qsteane.gf2 import (
     CodeConstructionError,
     LinearCode,
+    _completion_rows,
     dual,
     is_subcode,
     parse_matrix,
@@ -26,7 +30,15 @@ from qsteane.gf2 import (
 )
 from qsteane.steane import is_stabilizer_code
 
-from conftest import coordinate_rows, enumerate_codewords, lex, span_words
+from conftest import (
+    coordinate_rows,
+    enumerate_codewords,
+    lex,
+    reference_coset_extend,
+    reference_completion_rows,
+    span_words,
+    xor_sum,
+)
 
 
 class TestGf2mField:
@@ -156,6 +168,29 @@ class TestCosetExtend:
     def test_requires_nesting(self):
         with pytest.raises(CodeConstructionError):
             coset_extend(extended_bch(4, 0), extended_bch(4, 1))
+
+    @pytest.mark.parametrize("n", [*range(8, 41, 4), 256, 512])
+    def test_matches_reference_on_random_nested_pairs(self, n, monkeypatch):
+        rng = random.Random(n)
+        calls = []
+        residual = gf2._residual_packed
+        monkeypatch.setattr(gf2, "_residual_packed", lambda words, *rest: calls.append(len(words)) or residual(words, *rest))
+        for _ in range(12):
+            big = LinearCode([rng.getrandbits(n) for _ in range(rng.randrange(2, n) if n <= 40 else rng.randrange(20, 60))], n)
+            rows = big.basis_ints()
+            C1 = LinearCode([xor_sum(rng.sample(rows, rng.randrange(1, big.k + 1))) for _ in range(big.k - rng.randrange(1, min(7, big.k + 1)))], n)
+            calls.clear()
+            assert _completion_rows(C1, big) == reference_completion_rows(C1, big)
+            # From n = 256 and 20 rows of C' the rows are reduced packed.
+            assert calls == ([big.k] if n >= 256 and C1.k else [])
+            assert coset_extend(C1, big) == reference_coset_extend(C1, big)
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_f4_enlargement_matches_reference(self, m):
+        for ell in range(3):
+            if FamilySpec("F4", m, ell).condition()[0]:
+                C1, big = extended_bch(m, 2 * ell + 1), extended_bch(m, 2 * ell)
+                assert coset_extend(C1, big) == reference_coset_extend(C1, big)
 
 
 class TestBuildFamilyCode:

@@ -24,12 +24,13 @@ from qsteane.distances import (
 from qsteane.gf2 import (
     EnumerationCapError,
     LinearCode,
+    _completion_rows,
     dual,
     even_weight_code,
     extend_parity,
     repetition_code,
 )
-from qsteane.steane import QuantumCode, _completion_rows, steane_enlarge
+from qsteane.steane import QuantumCode, steane_enlarge
 
 from conftest import (
     EXT_HAMMING_8_4,
@@ -132,12 +133,6 @@ class TestMinDistance:
             min_distance(LinearCode([1 << i for i in range(8)], 8), cap=6)
         with pytest.raises(ValueError):
             min_distance(LinearCode([0], 4))
-
-    def test_caches_result(self):
-        c = repetition_code(5)
-        assert c.cached_d1 is None
-        min_distance(c)
-        assert c.cached_d1 == 5
 
 
 class TestSecondGdw:

@@ -1,7 +1,5 @@
 """Bit-packed GF(2) linear algebra: parsing, rref, duals, enumeration."""
 
-import functools
-import operator
 import random
 from importlib import resources
 
@@ -28,7 +26,7 @@ from qsteane.gf2 import (
     rref_ints,
 )
 
-from conftest import enumerate_codewords, enumerate_span, lex, span_words
+from conftest import enumerate_codewords, enumerate_span, lex, span_words, xor_sum
 
 
 small_matrices = st.integers(2, 10).flatmap(
@@ -234,15 +232,11 @@ def int_paths(monkeypatch):
     monkeypatch.setattr(gf2, "_PACKED_MIN_COLS", MAX_LENGTH + 1)
 
 
-def _xor_sum(rows):
-    return functools.reduce(operator.xor, rows, 0)
-
-
 def _case_rows(rng, kind, m, n):
     """m rows of length n: random, rank-deficient, with duplicates, or with zero rows."""
     if kind == "deficient":
         span = [rng.getrandbits(n) for _ in range(rng.randrange(1, 6))]
-        return [_xor_sum(rng.sample(span, rng.randrange(len(span) + 1))) for _ in range(m)]
+        return [xor_sum(rng.sample(span, rng.randrange(len(span) + 1))) for _ in range(m)]
     rows = [rng.getrandbits(n) for _ in range(m)]
     if kind == "duplicates" and m:
         rows = [rng.choice(rows[: max(1, m // 3)]) for _ in range(m)]
@@ -340,17 +334,18 @@ class TestPackedKernels:
         residual = gf2._residual_packed
         monkeypatch.setattr(gf2, "_residual_packed", lambda words, *rest: calls.append(len(words)) or residual(words, *rest))
         for m in range(low - 2, low + 3):
-            members = [_xor_sum(rng.sample(B.basis_ints(), 7)) for _ in range(m)]
+            members = [xor_sum(rng.sample(B.basis_ints(), 7)) for _ in range(m)]
             for words in (members, members[:-1] + [rng.getrandbits(n)]):
                 assert gf2._all_in(words, B) == all(w in B for w in words) == (words is members)
+                assert list(gf2._residuals(words, B)) == [gf2._reduce(w, B.basis_ints()) for w in words]
         # Word lists below the threshold take the int path, the rest the packed one.
-        assert calls == [m for m in range(low, low + 3) for _ in range(2)]
+        assert calls == [m for m in range(low, low + 3) for _ in range(4)]
 
     def test_residual_matches_in_rowspan(self):
         rng = random.Random(11)
         for n in (64, 256, 300):
             C = LinearCode([rng.getrandbits(n) for _ in range(n // 2)], n)
-            words = [rng.getrandbits(n) for _ in range(5)] + [_xor_sum(rng.sample(C.basis_ints(), 5)) for _ in range(5)]
+            words = [rng.getrandbits(n) for _ in range(5)] + [xor_sum(rng.sample(C.basis_ints(), 5)) for _ in range(5)]
             res = gf2._residual_packed(words, C.basis_ints(), C._pivots, n)
             assert [not row.any() for row in res] == [w in C for w in words]
             assert [not row.any() for row in res][5:] == [True] * 5
