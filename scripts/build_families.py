@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Enumerate every valid quantum-code family member up to a given m:
-closed-form parameters, and an explicit build of every member but F5's."""
+"""Enumerate every valid quantum-code family member up to a given m.
+
+One line per member: "F m=M ell=L: " and then the line that
+`qsteane family F M L --build` prints for it (`family F5 M L` for F5,
+which has no build).  A member that cannot be built gets its
+closed-form parameters and the reason."""
 
 from __future__ import annotations
 
 import argparse
 
-from qsteane.bch import FAMILIES, FamilySpec, build_family_code, family_params
+from qsteane.bch import FAMILIES, FamilySpec, family_params
+from qsteane.cli import family_line
 from qsteane.gf2 import CodeConstructionError
 
 
@@ -21,20 +26,12 @@ def main() -> int:
                 spec = FamilySpec(family, m, ell)
                 if not spec.condition()[0]:
                     continue
-                n, K, d = family_params(spec)
-                line = f"{family} m={m} ell={ell}: [[{n},{K},{d}]]"
-                if family != "F5":
-                    try:
-                        Q = build_family_code(spec)
-                        if Q.d_exact is not None:
-                            line += f" built, exact d={Q.d_exact}"
-                        elif Q.bound_proven:
-                            line += " built, bound proven"
-                        else:
-                            line += " built, bound unverified"
-                    except CodeConstructionError as exc:
-                        line += f" ({exc})"
-                print(line)
+                try:
+                    line, _ = family_line(spec, build=family != "F5")
+                except CodeConstructionError as exc:
+                    n, K, d = family_params(spec)
+                    line = f"[[{n},{K},{d}]] ({exc})"
+                print(f"{family} m={m} ell={ell}: {line}")
     return 0
 
 

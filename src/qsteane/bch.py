@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .gf2 import DEFAULT_ENUM_CAP, CodeConstructionError, LinearCode, _completion_rows, _residuals, extend_parity, is_dual_containing, is_subcode, rref_ints
+from .gf2 import DEFAULT_ENUM_CAP, CodeConstructionError, LinearCode, _quotient_basis, extend_parity, is_dual_containing, is_subcode
 from .steane import QuantumCode, certified_enlarge
 
 # One canonical primitive polynomial per extension degree (bit i is the
@@ -239,18 +239,15 @@ def family_params(spec: FamilySpec) -> tuple[int, int, int]:
 def coset_extend(C1: LinearCode, big: LinearCode) -> LinearCode:
     """span(C1 + {c}) for the lexicographically smallest c in big \\ C1.
 
-    The lex-smallest word of a coset c + C1 is the residual of c modulo
-    C1 (`gf2._residuals`), which is linear in c.  So the leaders of the
-    cosets of C1 in big, with 0, are the span of the residuals of the
-    completion rows, and c, the smallest nonzero word of that span, is
-    the last row of its rref: any other combination has a higher pivot.
+    The lex-smallest words of the cosets of C1 in big, with 0, are the
+    span of `gf2._quotient_basis` (the residual modulo C1 is linear), so
+    c is its last row: any other combination has a higher pivot.
     """
     if not is_subcode(C1, big):
         raise CodeConstructionError("C1 is not a subcode of the ambient code")
     if big.k < C1.k + 1:
         raise CodeConstructionError("ambient code equals C1: no coset to add")
-    leaders, rank, _ = rref_ints(_residuals(_completion_rows(C1, big), C1), C1.n)
-    return LinearCode(C1.basis_ints() + [leaders[rank - 1]], C1.n)
+    return LinearCode(C1.basis_ints() + [_quotient_basis(C1, big)[-1]], C1.n)
 
 
 def build_family_code(spec: FamilySpec, cap: int = DEFAULT_ENUM_CAP) -> QuantumCode:
@@ -277,7 +274,7 @@ def build_family_code(spec: FamilySpec, cap: int = DEFAULT_ENUM_CAP) -> QuantumC
         C, Cp = extended_bch(m, 3 * ell + 1), extended_bch(m, 2 * ell)
     else:  # F4
         C = extended_bch(m, 3 * ell + 1)
-        C1 = extended_bch(m, 2 * ell + 1)
+        C1 = C if ell == 0 else extended_bch(m, 2 * ell + 1)
         Cp = coset_extend(C1, extended_bch(m, 2 * ell))
     if Cp.k == C.k:
         raise CodeConstructionError(

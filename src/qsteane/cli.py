@@ -21,7 +21,7 @@ from .gf2 import (
     is_dual_containing,
     parse_matrix,
 )
-from .steane import certified_enlarge, find_self_dual_subcode
+from .steane import QuantumCode, certified_enlarge, find_self_dual_subcode
 from .table1 import check_all_rows
 
 EXIT_OK = 0
@@ -47,6 +47,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _verdict(Q: QuantumCode, passing: str) -> tuple[str, int]:
+    """Q's [[n,K,d]] line and exit code: "exact d=D FAIL" for a known
+    exact distance below the bound and "distance bound unverified" for a
+    bound neither proven nor certified, both exit 1; else `passing`."""
+    line = f"[[{Q.n},{Q.K},{Q.d_lower}]]"
+    if Q.d_exact is not None and Q.d_exact < Q.d_lower:
+        return f"{line} exact d={Q.d_exact} FAIL", EXIT_VERIFY_FAIL
+    if Q.d_exact is None and not Q.bound_proven:
+        return f"{line} distance bound unverified", EXIT_VERIFY_FAIL
+    return line + passing, EXIT_OK
+
+
 def cmd_steane(args) -> int:
     Cp = _load_code(args.cp_file)
     if args.auto:
@@ -56,13 +68,11 @@ def cmd_steane(args) -> int:
     else:
         raise CodeConstructionError("provide a C matrix file or --auto")
     Q = certified_enlarge(C, Cp, cap=args.cap)
-    line = f"[[{Q.n},{Q.K},{Q.d_lower}]]"
-    if args.exact:
-        if Q.d_exact is None:
-            Q.d_exact = quantum_distance_exact(Q, cap=args.cap).value
-        line += f" exact d={Q.d_exact}"
+    if args.exact and Q.d_exact is None:
+        Q.d_exact = quantum_distance_exact(Q, cap=args.cap).value
+    line, code = _verdict(Q, f" exact d={Q.d_exact}" if args.exact else "")
     print(line)
-    return EXIT_OK
+    return code
 
 
 def cmd_table1(args) -> int:
@@ -81,29 +91,22 @@ def cmd_table1(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
 
 
+def family_line(spec: FamilySpec, build: bool, cap: int = DEFAULT_ENUM_CAP) -> tuple[str, int]:
+    """The line `family` prints for a member, and its exit code.  With
+    `build`, d is scanned when the build left it open and the cap allows."""
+    if not build:
+        n, K, d = family_params(spec)
+        return f"[[{n},{K},{d}]]" + (" (params only)" if spec.family == "F5" else ""), EXIT_OK
+    Q = build_family_code(spec, cap=cap)
+    if Q.d_exact is None and Q.num_generators <= cap:
+        Q.d_exact = quantum_distance_exact(Q, cap=cap).value
+    return _verdict(Q, " bound holds by construction" if Q.d_exact is None else f" exact d={Q.d_exact} verified")
+
+
 def cmd_family(args) -> int:
-    spec = FamilySpec(args.family.upper(), args.m, args.ell)
-    n, K, d = family_params(spec)
-    if not args.build:
-        suffix = " (params only)" if spec.family == "F5" else ""
-        print(f"[[{n},{K},{d}]]{suffix}")
-        return EXIT_OK
-    Q = build_family_code(spec, cap=args.cap)
-    line = f"[[{Q.n},{Q.K},{Q.d_lower}]]"
-    if Q.d_exact is None and Q.num_generators <= args.cap:
-        Q.d_exact = quantum_distance_exact(Q, cap=args.cap).value
-    if Q.d_exact is not None:
-        line += f" exact d={Q.d_exact}"
-        if Q.d_exact < Q.d_lower:
-            print(line + " FAIL")
-            return EXIT_VERIFY_FAIL
-        print(line + " verified")
-    elif Q.bound_proven:
-        print(line + " bound holds by construction")
-    else:
-        print(line + " distance bound unverified")
-        return EXIT_VERIFY_FAIL
-    return EXIT_OK
+    line, code = family_line(FamilySpec(args.family.upper(), args.m, args.ell), args.build, args.cap)
+    print(line)
+    return code
 
 
 def cmd_bounds(args) -> int:

@@ -377,6 +377,13 @@ def _completion_rows(C: LinearCode, Cp: LinearCode) -> list[int]:
     return out
 
 
+def _quotient_basis(C: LinearCode, B: LinearCode) -> list[int]:
+    """Basis of B/C, C <= B: the rref of the completion rows' residuals
+    modulo C, zero on C's pivot columns."""
+    rows, rank, _ = rref_ints(_residuals(_completion_rows(C, B), C), C.n)
+    return rows[:rank]
+
+
 def is_subcode(A: LinearCode, B: LinearCode) -> bool:
     """True iff every codeword of A lies in B."""
     if A.n != B.n:

@@ -25,7 +25,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from .distances import _coset_weights, min_distance, quantum_distance_exact, second_gdw
+from .distances import _coset_weights, _ints, _span_limbs, min_distance, quantum_distance_exact, second_gdw
 from .enumerators import CertificateError, _coset_distances, _coset_word
 from .gf2 import (
     DEFAULT_ENUM_CAP,
@@ -35,6 +35,8 @@ from .gf2 import (
     LinearCode,
     _all_in,
     _completion_rows,
+    _quotient_basis,
+    _reduce,
     dual,
     is_dual_containing,
     is_subcode,
@@ -223,63 +225,52 @@ def is_stabilizer_code(Q: QuantumCode) -> bool:
     return _all_in(symplectic_dual(Q), span)
 
 
-def _lift(v: int, rows: Sequence[int]) -> int:
-    """Sum of the rows picked by the bits of v."""
-    w = 0
-    for i, row in enumerate(rows):
-        if v >> i & 1:
-            w ^= row
-    return w
-
-
 def _isotropic_bases(
-    reps: Sequence[int], r: int, weights: Sequence[int], prune: Callable[[int], bool]
+    lifts: Sequence[int], r: int, weights: Sequence[int], prune: Callable[[int], bool]
 ) -> Iterator[tuple[list[int], int]]:
     """Depth-first walk over the r-dimensional isotropic subspaces V of
-    GF(2)^q, q = len(reps).
+    GF(2)^q, 2^q = len(lifts): every lifts[v], v in V, is even and any
+    two are orthogonal.  Yields (rows, m) per V: its canonical rref
+    basis, each row's pivot its lowest set bit, pivots ascending, and m,
+    the minimum of `weights` over V with weights[0] counted.
 
-    A vector v stands for lift(v), the sum of the reps its bits pick; V
-    is isotropic when every lift in it has even weight and any two are
-    orthogonal.  Yields (rows, m) per V: its canonical rref basis, each
-    row's pivot its lowest set bit, pivots ascending, and m, the minimum
-    of `weights` over V with weights[0] counted.
-
-    Rows are filled from the last to the first, so a row's free columns
-    are known once every later pivot is fixed.  A row is rejected as
-    soon as its lift is odd or not orthogonal to a chosen row's lift,
-    and a branch is cut when prune(m) holds for the minimum m over its
-    partial span, which can only fall as rows are added.
+    Rows are filled from the last to the first, each from a pool of the
+    v that can still follow the rows chosen so far: lift even and
+    orthogonal to theirs, pivot below the last chosen pivot, no bit at
+    any chosen pivot.  Choosing a row filters the pool once, by the
+    parity of each lift's overlap with the row's lift.  A branch is cut
+    when prune(m) holds for the minimum m over its partial span, which
+    can only fall as rows are added.
     """
-    q = len(reps)
-    # Gram data of the representatives: row i of the induced bilinear
-    # form, and the self-product (parity of weight), linear over GF(2).
-    # A lift is odd or meets a chosen lift oddly iff v has odd overlap
-    # with `odd` or with that lift's Gram row.
-    gram = [sum(((reps[i] & reps[j]).bit_count() & 1) << j for j in range(q)) for i in range(q)]
-    odd = sum((rep.bit_count() & 1) << i for i, rep in enumerate(reps))
 
-    def extend(rows, checks, span, m, top, pivots):
-        i = r - 1 - len(rows)  # the row to fill; its pivot lies in [i, top)
-        for p in range(i, top):
-            free = ((1 << q) - (2 << p)) & ~pivots
-            sub = free
-            while True:
-                v = (1 << p) | sub
-                if not any((c & v).bit_count() & 1 for c in checks):
-                    new = [x ^ v for x in span]
-                    low = min(m, min([weights[x] for x in new]))
-                    if not prune(low):
-                        if i == 0:
-                            yield [v] + rows, low
-                        else:
-                            yield from extend(
-                                [v] + rows, checks + [_lift(v, gram)], span + new, low, p, pivots | 1 << p
-                            )
-                if not sub:
-                    break
-                sub = (sub - 1) & free
+    def extend(rows, pool, span, m):
+        i = r - 1 - len(rows)  # the row to fill; its pivot is at least i
+        for v in pool:
+            bit = v & -v
+            if bit >> i == 0:
+                continue
+            new = [x ^ v for x in span]
+            low = min(m, min([weights[x] for x in new]))
+            if prune(low):
+                continue
+            if i == 0:
+                yield [v] + rows, low
+            else:
+                # Some bit below v's pivot, none at it, lift orthogonal to v's.
+                g = lifts[v]
+                sub = [u for u in pool if 0 < u & (2 * bit - 1) < bit and not (lifts[u] & g).bit_count() & 1]
+                yield from extend([v] + rows, sub, span + new, low)
 
-    yield from extend([], [odd], [0], weights[0], q, 0)
+    # Largest v first: fewer tied leaves on the table's codes than ascending.
+    pool = [v for v in range(len(lifts) - 1, 0, -1) if not lifts[v].bit_count() & 1]
+    yield from extend([], pool, [0], weights[0])
+
+
+def _subcode_key(perp: Sequence[int], lifts: list[int]) -> tuple:
+    """Canonical key of span(perp + lifts), for perp an rref basis and
+    lifts rref rows zero on its pivot columns: the lifts and perp's rows
+    reduced by them form the rref."""
+    return tuple(sorted(lifts + [_reduce(w, lifts) for w in perp], reverse=True))
 
 
 def find_self_dual_subcode(Cp: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> LinearCode:
@@ -291,11 +282,11 @@ def find_self_dual_subcode(Cp: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Linea
     itself), so a candidate's minimum distance is the table's minimum
     over its subspace.  The search walks the isotropic subspaces depth
     first and cuts every branch whose partial span already holds a word
-    lighter than the best candidate found; only the surviving leaves
-    become codes.  The winner is the candidate of maximum minimum
-    distance, ties broken by the lexicographically smallest canonical
-    generator matrix.  That key is unique per code, so the result does
-    not depend on the order of the walk.
+    lighter than the best candidate found.  The winner is the candidate
+    of maximum minimum distance, ties broken by the lexicographically
+    smallest canonical generator matrix, which each leaf reads off its
+    lifts; only the winner becomes a code.  That key is unique per code,
+    so the result does not depend on the order of the walk.
 
     A self-dual C' is returned as it is.  Otherwise the table walks all
     2^k' words of C', so k' > cap raises EnumerationCapError before the
@@ -307,9 +298,7 @@ def find_self_dual_subcode(Cp: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Linea
     Cperp = dual(Cp)
     if not is_subcode(Cperp, Cp):
         raise CodeConstructionError("C' is not dual-containing")
-    r = kp - n // 2
-    if r < 0:
-        raise CodeConstructionError("k' < n/2: no self-dual code can fit inside C'")
+    r = kp - n // 2  # >= 0, as dual(C') <= C'
     if r == 0:
         return Cp  # C' is already self-dual
     if kp > cap:
@@ -317,19 +306,20 @@ def find_self_dual_subcode(Cp: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Linea
             f"coset-weight table over 2^{kp} words of C' exceeds cap k' <= {cap}"
         )
 
-    # Coset representatives spanning C'/dual(C').
+    # The reps are in rref and zero on dual(C')'s pivot columns, so the
+    # lifts of a canonical basis are in rref too.
     perp_basis = Cperp.basis_ints()
-    reps = _completion_rows(Cperp, Cp)
+    reps = _quotient_basis(Cperp, Cp)
     weights = _coset_weights(perp_basis, reps, n)
-    best_d, best_key, best = 0, None, None
-    for rows, d in _isotropic_bases(reps, r, weights, lambda m: m < best_d):
-        cand = LinearCode(perp_basis + [_lift(v, reps) for v in rows], n)
-        assert cand.k == n // 2
-        key = cand.canonical_key()
-        if best is None or d > best_d or key < best_key:
-            best_d, best_key, best = d, key, cand
-    # Never None: a dual-containing C' of even length holds the all-ones
-    # word and hence a self-dual subcode, and nothing is pruned before the
-    # first leaf (best_d = 0).
-    assert best is not None
+    lifts = _ints(_span_limbs(reps, n), n)
+    best_d, best_key = 0, None
+    for rows, d in _isotropic_bases(lifts, r, weights, lambda m: m < best_d):
+        key = _subcode_key(perp_basis, [lifts[v] for v in rows])
+        if best_key is None or d > best_d or key < best_key:
+            best_d, best_key = d, key
+    # A dual-containing C' of even length holds the all-ones word and so a
+    # self-dual subcode, and nothing is pruned before the first leaf.
+    assert best_key is not None
+    best = LinearCode(best_key, n)
+    assert best.k == n // 2 and best.canonical_key() == best_key
     return best

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qsteane import gf2
+from qsteane import bch, gf2
 from qsteane.bch import (
     PRIMITIVE_POLYS,
     BchSpec,
@@ -28,7 +28,7 @@ from qsteane.gf2 import (
     parse_matrix,
     render_matrix,
 )
-from qsteane.steane import is_stabilizer_code
+from qsteane.steane import certified_enlarge, is_stabilizer_code
 
 from conftest import (
     coordinate_rows,
@@ -184,6 +184,13 @@ class TestCosetExtend:
             # From n = 256 and 20 rows of C' the rows are reduced packed.
             assert calls == ([big.k] if n >= 256 and C1.k else [])
             assert coset_extend(C1, big) == reference_coset_extend(C1, big)
+            # A basis of big/C1 in rref, zero on C1's pivot columns: that
+            # fixes it, and its last row is the lex-smallest coset leader.
+            quotient = gf2._quotient_basis(C1, big)
+            pivots = sum(1 << (row.bit_length() - 1) for row in C1.basis_ints())
+            assert quotient == LinearCode(quotient, n).basis_ints() and not any(w & pivots for w in quotient)
+            assert len(quotient) == big.k - C1.k and LinearCode(C1.basis_ints() + quotient, n) == big
+            assert LinearCode(C1.basis_ints() + quotient[-1:], n) == reference_coset_extend(C1, big)
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_f4_enlargement_matches_reference(self, m):
@@ -228,6 +235,18 @@ class TestBuildFamilyCode:
         assert not f4_desk.bound_proven
         assert f4_desk.d_exact is not None
         assert is_stabilizer_code(f4_desk)
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_f4_ell_0_builds_its_bch_code_once(self, m, monkeypatch):
+        # At ell = 0, C and C1 are the same code, extended_bch(m, 1).
+        calls = []
+        build = bch.extended_bch
+        monkeypatch.setattr(bch, "extended_bch", lambda m, t: calls.append(t) or build(m, t))
+        Q = build_family_code(FamilySpec("F4", m, 0))
+        assert calls == [1, 0]
+        C = build(m, 1)
+        want = certified_enlarge(C, coset_extend(build(m, 1), build(m, 0)), d_lower=4)
+        assert (Q.gx, Q.gz) == (want.gx, want.gz)
 
     def test_degenerate_refused(self):
         with pytest.raises(CodeConstructionError, match="degenerates"):

@@ -1,14 +1,26 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import runpy
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+from qsteane.bch import coset_extend, extended_bch
 from qsteane.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAIL, build_parser, main
+from qsteane.gf2 import LinearCode, even_weight_code, render_matrix
+
+from conftest import EXT_HAMMING_8_4
 
 
 def fixture_path(name: str) -> str:
     return str(resources.files("qsteane.fixtures").joinpath(name))
+
+
+def write_code(path, code: LinearCode) -> str:
+    path.write_text(render_matrix(code.basis_ints(), code.n))
+    return str(path)
 
 
 def test_parser_is_built_once():
@@ -39,16 +51,9 @@ class TestSteane:
         assert capsys.readouterr().out == "[[14,2,4]] exact d=4\n"
 
     def test_explicit_inner_code(self, tmp_path, capsys):
-        from qsteane.gf2 import even_weight_code, render_matrix
-
-        from conftest import EXT_HAMMING_8_4
-
-        inner = tmp_path / "c.txt"
-        outer = tmp_path / "cp.txt"
         # Self-dual [8,4,4] inside the even-weight [8,7,2] code.
-        inner.write_text(render_matrix(EXT_HAMMING_8_4.basis_ints(), 8))
-        outer.write_text(render_matrix(even_weight_code(8).basis_ints(), 8))
-        assert main(["steane", str(inner), str(outer)]) == EXIT_OK
+        inner = write_code(tmp_path / "c.txt", EXT_HAMMING_8_4)
+        assert main(["steane", inner, write_code(tmp_path / "cp.txt", even_weight_code(8))]) == EXIT_OK
         assert capsys.readouterr().out.startswith("[[8,3,")
 
     def test_auto_failure_is_input_error(self, capsys):
@@ -62,6 +67,22 @@ class TestSteane:
         code = main(["--cap", "9", "steane", "--auto", fixture_path("c14_10_2.txt")])
         assert code == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == "error: coset-weight table over 2^10 words of C' exceeds cap k' <= 9\n"
+
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_refuted_distance_is_verification_failure(self, tmp_path, capsys, exact):
+        # The F4 m=4 pair: every completion is certified at d <= 3.
+        C = extended_bch(4, 1)
+        Cp = coset_extend(C, extended_bch(4, 0))
+        argv = ["steane", write_code(tmp_path / "c.txt", C), write_code(tmp_path / "cp.txt", Cp)]
+        assert main(argv + exact) == EXIT_VERIFY_FAIL
+        assert capsys.readouterr().out == "[[16,7,4]] exact d=3 FAIL\n"
+
+    def test_unverified_bound_is_verification_failure(self, tmp_path, capsys):
+        # k' = k + 1 with 9 generators and a 2^8-pair sweep, both over cap 7.
+        Cp = LinearCode(EXT_HAMMING_8_4.basis_ints() + [0b11000000], 8)
+        inner = write_code(tmp_path / "c.txt", EXT_HAMMING_8_4)
+        assert main(["--cap", "7", "steane", inner, write_code(tmp_path / "cp.txt", Cp)]) == EXIT_VERIFY_FAIL
+        assert capsys.readouterr().out == "[[8,1,4]] distance bound unverified\n"
 
     def test_missing_inner_code(self, capsys):
         assert main(["steane", fixture_path("c14_9_2.txt")]) == EXIT_INPUT_ERROR
@@ -106,6 +127,23 @@ class TestFamily:
         # the 64 completions: none reaches the claimed d=4.
         assert main(["family", "F4", "5", "0", "--build"]) == EXIT_VERIFY_FAIL
         assert capsys.readouterr().out == "[[32,21,4]] exact d=3 FAIL\n"
+
+    def test_build_families_script_prints_the_cli_lines(self, capsys, monkeypatch):
+        # After its "F m=M ell=L: " label, each member's line is the one
+        # `family F M L --build` prints (`family F5 M L` for F5).
+        script = Path(__file__).parents[1] / "scripts" / "build_families.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--max-m", "5"])
+        with pytest.raises(SystemExit, match="0"):
+            runpy.run_path(str(script), run_name="__main__")
+        built = 0
+        for line in capsys.readouterr().out.splitlines():
+            label, rest = line.split(": ", 1)
+            family, m, ell = label.replace("m=", "").replace("ell=", "").split()
+            argv = ["family", family, m, ell] + ["--build"] * (family != "F5")
+            if main(argv) != EXIT_INPUT_ERROR:
+                built += 1
+                assert capsys.readouterr().out == rest + "\n"
+        assert built == 9  # F0, F2, F5 at m = 5 and F3, F4 at m = 3, 4, 5
 
     def test_invalid_parameters(self, capsys):
         assert main(["family", "F0", "4", "1"]) == EXIT_INPUT_ERROR

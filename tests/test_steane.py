@@ -7,7 +7,7 @@ import pytest
 
 from qsteane import gf2, steane
 from qsteane.bch import coset_extend, extended_bch
-from qsteane.distances import _coset_weights, min_distance, quantum_distance_exact
+from qsteane.distances import _coset_weights, _ints, _span_limbs, min_distance, quantum_distance_exact
 from qsteane.enumerators import (
     CertificateError,
     _coset_distances,
@@ -27,7 +27,7 @@ from qsteane.gf2 import (
 from qsteane.steane import (
     QuantumCode,
     _isotropic_bases,
-    _lift,
+    _subcode_key,
     certified_enlarge,
     find_self_dual_subcode,
     is_stabilizer_code,
@@ -445,15 +445,19 @@ class TestFindSelfDualSubcode:
         assert len(isotropic_leaves(even_weight_code(n))) == count
 
     def test_isotropic_leaves_match_reference(self):
-        for seed in range(80):
-            Cp = random_search_case(seed)
-            if Cp.n % 2 or not is_subcode(dual(Cp), Cp) or Cp.k == Cp.n // 2:
-                continue
+        for Cp in search_cases():
             leaves = isotropic_leaves(Cp)
-            codes = [C for C, _ in leaves]
+            codes = [C for C, _, _ in leaves]
             assert len(set(codes)) == len(codes)
             assert set(codes) == set(reference_isotropic_subcodes(Cp))
-            assert all(d == brute_min_distance(C) for C, d in leaves)
+            assert all(d == brute_min_distance(C) for C, _, d in leaves)
+
+    def test_leaf_keys_read_off_the_lifts(self):
+        # The key each leaf reads off its lifts, without an rref, is the
+        # canonical key of the code they span with C'-perp.
+        for Cp in [*search_cases(), *(even_weight_code(n) for n in (6, 8, 10))]:
+            for C, key, _ in isotropic_leaves(Cp):
+                assert key == C.canonical_key()
 
     def test_cap_refused_before_the_search(self):
         Cp = load_fixture("c12_10_2a.txt")
@@ -485,13 +489,23 @@ def random_search_case(seed: int) -> LinearCode:
             return dual(S)
 
 
-def isotropic_leaves(Cp: LinearCode) -> list[tuple[LinearCode, int]]:
-    """Every leaf of the search on C' with pruning off: the lifted code
-    and the minimum of the coset-weight table over its subspace."""
+def search_cases() -> list[LinearCode]:
+    """The C' of `random_search_case` seeds 0-79 that need a search:
+    dual-containing, of even length and not self-dual."""
+    cases = map(random_search_case, range(80))
+    return [Cp for Cp in cases if Cp.n % 2 == 0 and is_subcode(dual(Cp), Cp) and Cp.k > Cp.n // 2]
+
+
+def isotropic_leaves(Cp: LinearCode) -> list[tuple[LinearCode, tuple, int]]:
+    """Every leaf of the search on C' with pruning off: the code spanned
+    by C'-perp and the leaf's lifts, the key read off those lifts, and
+    the minimum of the coset-weight table over its subspace."""
     perp = dual(Cp).basis_ints()
-    reps = _completion_rows(dual(Cp), Cp)
+    reps = gf2._quotient_basis(dual(Cp), Cp)
     weights = _coset_weights(perp, reps, Cp.n)
-    return [
-        (LinearCode(perp + [_lift(v, reps) for v in rows], Cp.n), m)
-        for rows, m in _isotropic_bases(reps, Cp.k - Cp.n // 2, weights, lambda m: False)
-    ]
+    lifts = _ints(_span_limbs(reps, Cp.n), Cp.n)
+    leaves = []
+    for rows, m in _isotropic_bases(lifts, Cp.k - Cp.n // 2, weights, lambda m: False):
+        basis = [lifts[v] for v in rows]
+        leaves.append((LinearCode(perp + basis, Cp.n), _subcode_key(perp, basis), m))
+    return leaves
