@@ -4,7 +4,8 @@
 One line per member: "F m=M ell=L: " and then the line that
 `qsteane family F M L --build` prints for it (`family F5 M L` for F5,
 which has no build).  A member that cannot be built gets its
-closed-form parameters and the reason."""
+closed-form parameters and the reason.  Exits with the worst code of
+the members' lines: 1 if any prints "FAIL" or "unverified", else 0."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ def main() -> int:
     parser.add_argument("--max-m", type=int, default=8)
     args = parser.parse_args()
 
+    worst = 0
     for m in range(2, args.max_m + 1):
         for family in FAMILIES:
             for ell in range(0, 1 << m):
@@ -27,12 +29,13 @@ def main() -> int:
                 if not spec.condition()[0]:
                     continue
                 try:
-                    line, _ = family_line(spec, build=family != "F5")
+                    line, code = family_line(spec, build=family != "F5")
+                    worst = max(worst, code)
                 except CodeConstructionError as exc:
                     n, K, d = family_params(spec)
                     line = f"[[{n},{K},{d}]] ({exc})"
                 print(f"{family} m={m} ell={ell}: {line}")
-    return 0
+    return worst
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import sys
 from .bch import FamilySpec, build_family_code, family_params
 from .bounds import emit_curve, write_curve_csv
 from .distances import min_distance, quantum_distance_exact, second_gdw
+from .enumerators import CertificateError
 from .gf2 import (
     DEFAULT_ENUM_CAP,
     CodeConstructionError,
@@ -59,6 +60,16 @@ def _verdict(Q: QuantumCode, passing: str) -> tuple[str, int]:
     return line + passing, EXIT_OK
 
 
+def _scanned_verdict(Q: QuantumCode, cap: int, exact: str) -> tuple[str, int]:
+    """`_verdict` after the exact scan, run when d is open and Q's
+    generators are within the cap: a known d passes as `exact` with d
+    filled in, a bound proven but not scanned as " bound holds by
+    construction"."""
+    if Q.d_exact is None and Q.num_generators <= cap:
+        Q.d_exact = quantum_distance_exact(Q, cap=cap).value
+    return _verdict(Q, " bound holds by construction" if Q.d_exact is None else exact.format(Q.d_exact))
+
+
 def cmd_steane(args) -> int:
     Cp = _load_code(args.cp_file)
     if args.auto:
@@ -68,9 +79,7 @@ def cmd_steane(args) -> int:
     else:
         raise CodeConstructionError("provide a C matrix file or --auto")
     Q = certified_enlarge(C, Cp, cap=args.cap)
-    if args.exact and Q.d_exact is None:
-        Q.d_exact = quantum_distance_exact(Q, cap=args.cap).value
-    line, code = _verdict(Q, f" exact d={Q.d_exact}" if args.exact else "")
+    line, code = _scanned_verdict(Q, args.cap, " exact d={}") if args.exact else _verdict(Q, "")
     print(line)
     return code
 
@@ -97,10 +106,7 @@ def family_line(spec: FamilySpec, build: bool, cap: int = DEFAULT_ENUM_CAP) -> t
     if not build:
         n, K, d = family_params(spec)
         return f"[[{n},{K},{d}]]" + (" (params only)" if spec.family == "F5" else ""), EXIT_OK
-    Q = build_family_code(spec, cap=cap)
-    if Q.d_exact is None and Q.num_generators <= cap:
-        Q.d_exact = quantum_distance_exact(Q, cap=cap).value
-    return _verdict(Q, " bound holds by construction" if Q.d_exact is None else f" exact d={Q.d_exact} verified")
+    return _scanned_verdict(build_family_code(spec, cap=cap), cap, " exact d={} verified")
 
 
 def cmd_family(args) -> int:
@@ -172,6 +178,9 @@ def main(argv=None) -> int:
     except (MatrixParseError, EnumerationCapError, CodeConstructionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
 
 
 if __name__ == "__main__":

@@ -17,19 +17,16 @@ syndrome does not fit one uint64 word, the scan walks the row space.
 
 Words are ints with coordinate c at bit n - 1 - c (see `gf2`), so int
 order is lexicographic order.  Spans are numpy arrays built by doubling,
-ceil(n/64) uint64 limbs per word: the big-endian limbs of the word
-shifted to start at column 0, so that comparing rows limb by limb
-compares words as ints, lexicographically.  Every row-space walk with
-2^_PURE_LOOP_MAX_K words or more, at any n, runs one numpy kernel
-(`_span_min`): the lightest element of span{(x | z)} by wt(x | z),
-optionally among those of nonzero syndrome.  Only minimum distance keeps
-a Python Gray-code walk, for the small spans where numpy's per-call cost
-would dominate.
+ceil(n/64) uint64 limbs per word, the word's big-endian limbs shifted
+to start at column 0, so that rows compare limb by limb as words do.
+Every span and pair pass runs over the blocks of `_blocks`.  Row-space
+walks of 2^_PURE_LOOP_MAX_K words or more, at any n, run one numpy
+kernel, `_span_min`; only minimum distance keeps a Python Gray-code
+walk, for the small spans where numpy's per-call cost would dominate.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,12 +39,10 @@ from .gf2 import DEFAULT_ENUM_CAP, EnumerationCapError, LinearCode, _combination
 if TYPE_CHECKING:
     from .steane import QuantumCode
 
-_VECTOR_SPLIT = 14  # a block of _span_min holds 2^14 words over all halves
 _PURE_LOOP_MAX_K = 10  # below this a plain Python Gray walk is faster
 # Most rows over the error side's half tables; bounds its memory.
 _HALF_ROWS = 1 << 20
-# Words per block of a second_gdw pass, which bounds its temporaries.
-_BLOCK_ROWS = 1 << 16
+_BLOCK = 1 << 14  # most words in one block of `_blocks`
 
 
 @dataclass(frozen=True)
@@ -117,6 +112,34 @@ def _weights(rows: np.ndarray) -> np.ndarray:
     return np.bitwise_count(rows).sum(axis=1, dtype=np.int16)
 
 
+def _blocks(outer: np.ndarray, inner: np.ndarray, op, width: int = 1):
+    """Yield (start, op(outer[start : start + step], inner)) over outer.
+
+    Rows hold uint64 limbs (`_span_limbs`): `width` n-bit words, then any
+    limbs that ride along uncounted.  Blocks are limb-major, block[i, c, j]
+    = op(outer[start + i, c], inner[j, c]), so each limb is contiguous.
+    This is the block rule of every span and pair pass: a block holds at
+    most _BLOCK words or one row of outer, so a pass keeps one block of
+    temporaries, a few times _BLOCK * limbs * 8 bytes, at any size.
+    """
+    inner = np.ascontiguousarray(inner.T)
+    step = max(1, _BLOCK // (width * inner.shape[1]))
+    for start in range(0, len(outer), step):
+        yield start, op(outer[start : start + step, :, None], inner)
+
+
+def _span_blocks(halves: list[list[int]], n: int, syn: Optional[list[int]] = None):
+    """`_blocks` over span{(x_i | z_i | syn_i)}, the limbs of the rows of
+    `halves` ([rows] or [xs, zs], n bits) and of `syn` joined: the span of
+    the later rows runs over that of the first, so word i of the span is
+    block[i // N - start, :, i % N], N = block.shape[2]."""
+    split = (_BLOCK // len(halves)).bit_length() - 1
+    parts = [(rows, n) for rows in halves] + ([] if syn is None else [(syn, len(syn))])
+    inner = np.concatenate([_span_limbs(rows[:split], m) for rows, m in parts], axis=1)
+    outer = np.concatenate([_span_limbs(rows[split:], m) for rows, m in parts], axis=1)
+    return _blocks(outer, inner, np.bitwise_xor, len(halves))
+
+
 def _coset_weights(perp: list[int], reps: list[int], n: int) -> list[int]:
     """Weight of the lightest word of each coset lift(v) + span(perp).
 
@@ -124,22 +147,17 @@ def _coset_weights(perp: list[int], reps: list[int], n: int) -> list[int]:
     and the rows of perp + reps must be independent.  Entry 0 is the
     lightest nonzero word of span(perp), or n + 1 when perp is empty.
     Walks all 2^(len(perp) + len(reps)) words of the span of perp + reps
-    in blocks of 2^_VECTOR_SPLIT words; word i lies in coset i >> len(perp).
+    (`_span_blocks`); word i lies in coset i >> len(perp).
     """
-    basis = perp + reps
-    p, s = len(perp), min(len(basis), _VECTOR_SPLIT)
-    inner = _span_limbs(basis[:s], n)
+    p = len(perp)
     table = np.full(1 << len(reps), n + 1, dtype=np.int16)
-    for j, row in enumerate(_span_limbs(basis[s:], n)):
-        wts = _weights(inner ^ row)
-        if j == 0:
+    for start, block in _span_blocks([perp + reps], n):
+        wts = _weights(block).ravel()
+        if start == 0:
             wts[0] = n + 1  # the zero word
-        mins = wts.reshape(-1, 1 << min(p, s)).min(axis=1)
-        if p <= s:
-            table[j << (s - p) : (j + 1) << (s - p)] = mins
-        else:
-            v = j >> (p - s)
-            table[v] = min(table[v], mins[0])
+        mins = wts.reshape(-1, min(len(wts), 1 << p)).min(axis=1)
+        rows = table[start * block.shape[2] >> p :][: len(mins)]
+        np.minimum(rows, mins, out=rows)
     return table.tolist()
 
 
@@ -152,27 +170,18 @@ def _span_min(halves: list[list[int]], n: int, syn: Optional[list[int]] = None) 
     every nonzero element does.  The witness is the lexicographically
     smallest element attaining the minimum, compared half by half.
 
-    The span of the first rows is one numpy block per half, built by
-    `_span_limbs`, with 2^_VECTOR_SPLIT words over all halves; each
-    element of the span of the other rows is XORed into it in turn, so
-    every n takes the same path.  Returns (weight, one word per half),
-    or (n + 1, None) when no element counts.
+    Runs over `_span_blocks`, so every n takes the same path.  Returns
+    (weight, one word per half), or (n + 1, None) when no element counts.
     """
-    # Blocks are held as (limb, word) arrays, so each limb is contiguous.
-    split = _VECTOR_SPLIT + 1 - len(halves)
-    inner = [_span_limbs(rows[:split], n).T.copy() for rows in halves]
-    outer = [_span_limbs(rows[split:], n)[:, :, None] for rows in halves]
-    if syn is not None:
-        # Syndromes are only compared with 0, so their bit order is moot.
-        syn_inner = _span_limbs(syn[:split], len(syn)).T.copy()
-        syn_outer = _span_limbs(syn[split:], len(syn))[:, :, None]
+    limbs = -(-n // 64)
+    halves_limbs = len(halves) * limbs
     best, best_wit = n + 1, None
-    for i in range(len(outer[0])):
-        words = [o[i] ^ block for o, block in zip(outer, inner)]
-        counts = np.bitwise_count(functools.reduce(np.bitwise_or, words))
-        vals = counts[0] if len(counts) == 1 else counts.sum(axis=0, dtype=np.int16)
+    for _, block in _span_blocks(halves, n, syn):
+        words = block[:, :limbs] if len(halves) == 1 else block[:, :limbs] | block[:, limbs:halves_limbs]
+        counts = np.bitwise_count(words)
+        vals = counts[:, 0] if counts.shape[1] == 1 else counts.sum(axis=1, dtype=np.int16)
         if syn is not None:
-            vals[((syn_outer[i] ^ syn_inner) == 0).all(axis=0)] = n + 1
+            vals[(block[:, halves_limbs:] == 0).all(axis=1)] = n + 1
         bmin = int(vals.min())
         if bmin == 0:
             # The zero element, which never counts.  With independent
@@ -182,14 +191,9 @@ def _span_min(halves: list[list[int]], n: int, syn: Optional[list[int]] = None) 
         if bmin > min(best, n):
             continue
         # Lexicographic minimum of the tied words, limb by limb, x first.
-        tie = vals == bmin
-        limbs = [limb[tie] for w in words for limb in w]
-        wit = []
-        for j, limb in enumerate(limbs):
-            m = limb.min()
-            wit.append(int(m))
-            limbs[j + 1 :] = [rest[limb == m] for rest in limbs[j + 1 :]]
-        wit = tuple(wit)
+        ties = [block[:, c][vals == bmin] for c in range(halves_limbs)]
+        j = np.lexsort(ties[::-1])[0]
+        wit = tuple(int(tie[j]) for tie in ties)
         if bmin < best or wit < best_wit:
             best, best_wit = bmin, wit
     if best_wit is None:
@@ -218,8 +222,7 @@ def second_gdw(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
     Memory: the span takes 2^k * ceil(n/64) * 8 bytes (512 MB at the
     cap k = 26 for n <= 64), the weights 2 bytes per word, and the pool
     at most the span again, plus an 8-byte index per word of the weight
-    being passed.  Passes run over blocks of _BLOCK_ROWS words, so
-    their temporaries stay bounded.
+    being passed, and one block of temporaries (`_blocks`).
     """
     if C.k < 2:
         raise ValueError("no 2-dimensional subcode: k < 2")
@@ -261,11 +264,10 @@ def second_gdw(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
 def _residual_pass(pool: np.ndarray, i: int, n: int) -> tuple[int, np.ndarray]:
     """Minimum of wt(b & ~a) over the rows b != a of pool, a = pool[i],
     and the rows attaining it."""
-    a = pool[i]
     rest, hits = n + 1, []
-    for start in range(0, len(pool), _BLOCK_ROWS):
-        outside = _weights(pool[start : start + _BLOCK_ROWS] & ~a)
-        if start <= i < start + _BLOCK_ROWS:
+    for start, block in _blocks(pool, ~pool[i, None], np.bitwise_and):
+        outside = _weights(block).ravel()
+        if start <= i < start + len(outside):
             outside[i - start] = n + 1  # b = a
         m = int(outside.min())
         if m < rest:

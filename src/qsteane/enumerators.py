@@ -8,8 +8,8 @@ quantum MacWilliams identities turn each into an exact distance.
 Every count is checked on the way (even, nonnegative, exactly
 divisible), and any failure raises CertificateError.
 
-Spans are `distances._span_limbs` arrays, and the pass runs in blocks
-of `distances._BLOCK_ROWS` pairs.
+Spans are `distances._span_limbs` arrays, and the pass runs over the
+blocks of `distances._blocks`, which bound its temporaries.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .distances import _BLOCK_ROWS, _span_limbs
+from .distances import _blocks, _span_limbs
 from .gf2 import LinearCode, _dual_rows
 
 
@@ -44,8 +44,8 @@ def _coset_distances(C: LinearCode, w: int, stop: int) -> list[int]:
 
     Entry i is d of coset i when it is at most `stop`; the first coset
     above `stop` gets its exact d too, and the others above it read
-    stop + 1.  Costs 2^(2(n-k)) pairs; memory is one block of
-    _BLOCK_ROWS pairs plus the histogram's 2^(n-k) * (n + 1) int64 counts.
+    stop + 1.  Costs 2^(2(n-k)) pairs; memory is one block of pairs
+    (`distances._blocks`) and the 2^(n-k) * (n + 1) int64 counts.
     """
     n, q = C.n, C.n - C.k
     T, f = _coset_histograms(_dual_rows(C), w, n)
@@ -64,21 +64,18 @@ def _coset_word(C: LinearCode, i: int) -> int:
 def _coset_histograms(dual_rows: list[int], w: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(T, f) over the pairs (a, b) of the span of `dual_rows`: T[t] counts
     the pairs with wt(a | b) = t, and f[s, t] sums (-1)^(b.w) over those
-    with a = row s of the span.  Runs over blocks of rows a, each paired
-    with every b in at most about _BLOCK_ROWS pairs."""
+    with a = row s of the span.  Rows a run against every b in the
+    blocks of `distances._blocks`."""
     span = _span_limbs(dual_rows, n)
     odd = (np.bitwise_count(span & _span_limbs([w], n)[1]).sum(axis=1) & 1).astype(bool)
-    signed = ((1, span[~odd]), (-1, span[odd]))
-    step = max(1, _BLOCK_ROWS // len(span))
     f = np.zeros((len(span), n + 1), dtype=np.int64)
     T = np.zeros(n + 1, dtype=np.int64)
-    for start in range(0, len(span), step):
-        a = span[start : start + step, None, :]
-        offsets = np.arange(len(a))[:, None] * (n + 1)
-        for sign, bs in signed:
-            wt = np.bitwise_count(a | bs).sum(axis=2, dtype=np.intp)
-            counts = np.bincount((wt + offsets).ravel(), minlength=len(a) * (n + 1)).reshape(len(a), n + 1)
-            f[start : start + len(a)] += sign * counts
+    for sign, bs in ((1, span[~odd]), (-1, span[odd])):
+        for start, block in _blocks(span, bs, np.bitwise_or):
+            wt = np.bitwise_count(block).sum(axis=1, dtype=np.intp)
+            wt += np.arange(len(wt))[:, None] * (n + 1)
+            counts = np.bincount(wt.ravel(), minlength=len(wt) * (n + 1)).reshape(-1, n + 1)
+            f[start : start + len(counts)] += sign * counts
             T += counts.sum(axis=0)
     return T, f
 

@@ -178,9 +178,9 @@ def certified_enlarge(
     sweep over the 2^(2(n-k)) pairs of C-perp x C-perp
     (`enumerators._coset_distances`), run when 2(n - k) <= cap.  A
     dual-containing C has n - k <= k, so every zero coset within reach
-    of the scan is within reach of the sweep too.  The sweep's
-    temporaries are bounded by its blocks of 2^16 pairs; it keeps
-    2^(n-k) * (n + 1) int64 counts.  The first coset to reach the bound
+    of the scan is within reach of the sweep too.  The sweep keeps one
+    block of temporaries (`distances._blocks`) and 2^(n-k) * (n + 1)
+    int64 counts.  The first coset to reach the bound
     is returned, else the first of highest exact distance: the zero
     coset's code with its last second half replaced.  When the sweep is
     out of reach the zero coset is returned uncertified.

@@ -33,6 +33,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 import pytest
 
+from qsteane import distances
 from qsteane.bch import FamilySpec, build_family_code
 from qsteane.bounds import bound_cs, bound_gf4, bound_steane, bound_thm4
 from qsteane.gf2 import CodeConstructionError, LinearCode, dual, extend_parity, render_matrix
@@ -508,6 +509,15 @@ def reference_curve_csv(points: list[tuple]) -> str:
     for d, g, c, s, t in points:
         lines.append(f"{d:.6f},{g:.6f},{c:.6f},{s:.6f},{t:.6f}\n")
     return "".join(lines)
+
+
+@pytest.fixture(params=[14, 3])
+def block(request, monkeypatch):
+    """Runs a test at `distances._BLOCK` = 2^14, the default, and at 2^3,
+    where every span and pair pass of more than 8 words takes several
+    blocks; the parameter is the exponent."""
+    monkeypatch.setattr(distances, "_BLOCK", 1 << request.param)
+    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from qsteane import steane
 from qsteane.bch import coset_extend, extended_bch
+from qsteane.enumerators import CertificateError
 from qsteane.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAIL, build_parser, main
 from qsteane.gf2 import LinearCode, even_weight_code, render_matrix
 
@@ -78,11 +80,20 @@ class TestSteane:
         assert capsys.readouterr().out == "[[16,7,4]] exact d=3 FAIL\n"
 
     def test_unverified_bound_is_verification_failure(self, tmp_path, capsys):
-        # k' = k + 1 with 9 generators and a 2^8-pair sweep, both over cap 7.
+        # k' = k + 1 with 9 generators and a 2^8-pair sweep, both over cap 7,
+        # so --exact runs no scan either.
         Cp = LinearCode(EXT_HAMMING_8_4.basis_ints() + [0b11000000], 8)
+        argv = ["--cap", "7", "steane", write_code(tmp_path / "c.txt", EXT_HAMMING_8_4), write_code(tmp_path / "cp.txt", Cp)]
+        for exact in ([], ["--exact"]):
+            assert main(argv + exact) == EXIT_VERIFY_FAIL
+            assert capsys.readouterr() == ("[[8,1,4]] distance bound unverified\n", "")
+
+    def test_exact_over_the_cap_keeps_a_proven_bound(self, tmp_path, capsys):
+        # k' = k + 3: the bound is proven, and its 11 generators are over cap 10.
         inner = write_code(tmp_path / "c.txt", EXT_HAMMING_8_4)
-        assert main(["--cap", "7", "steane", inner, write_code(tmp_path / "cp.txt", Cp)]) == EXIT_VERIFY_FAIL
-        assert capsys.readouterr().out == "[[8,1,4]] distance bound unverified\n"
+        argv = ["--cap", "10", "steane", inner, write_code(tmp_path / "cp.txt", even_weight_code(8)), "--exact"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr() == ("[[8,3,3]] bound holds by construction\n", "")
 
     def test_missing_inner_code(self, capsys):
         assert main(["steane", fixture_path("c14_9_2.txt")]) == EXIT_INPUT_ERROR
@@ -128,12 +139,21 @@ class TestFamily:
         assert main(["family", "F4", "5", "0", "--build"]) == EXIT_VERIFY_FAIL
         assert capsys.readouterr().out == "[[32,21,4]] exact d=3 FAIL\n"
 
+    def test_failed_certificate_is_verification_failure(self, capsys, monkeypatch):
+        def fail(C, w, stop):
+            raise CertificateError("coset enumerator numerator is odd")
+
+        monkeypatch.setattr(steane, "_coset_distances", fail)
+        assert main(["family", "F4", "4", "0", "--build"]) == EXIT_VERIFY_FAIL
+        assert capsys.readouterr() == ("", "error: coset enumerator numerator is odd\n")
+
     def test_build_families_script_prints_the_cli_lines(self, capsys, monkeypatch):
         # After its "F m=M ell=L: " label, each member's line is the one
-        # `family F M L --build` prints (`family F5 M L` for F5).
+        # `family F M L --build` prints (`family F5 M L` for F5).  F4 at
+        # m = 3, 4 and 5 prints "exact d=3 FAIL", so the script exits 1.
         script = Path(__file__).parents[1] / "scripts" / "build_families.py"
         monkeypatch.setattr(sys, "argv", [str(script), "--max-m", "5"])
-        with pytest.raises(SystemExit, match="0"):
+        with pytest.raises(SystemExit, match="1"):
             runpy.run_path(str(script), run_name="__main__")
         built = 0
         for line in capsys.readouterr().out.splitlines():

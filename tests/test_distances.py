@@ -102,7 +102,7 @@ class TestMinDistance:
         best, (word,) = _span_min([code.basis_ints()], code.n)
         assert (best, word) == expected
 
-    def test_matches_lex_oracle_on_both_paths(self):
+    def test_matches_lex_oracle_on_both_paths(self, block):
         # Lengths cross the 64- and 128-bit limb boundaries; k falls on
         # both sides of the switch from the Gray walk to the kernel, and
         # the kernel also runs directly on the small codes.
@@ -163,7 +163,7 @@ class TestSecondGdw:
         assert d2 >= d1 + 1
         assert d2 >= math.ceil(3 * d1 / 2)
 
-    def test_matches_reference_value_and_witness(self):
+    def test_matches_reference_value_and_witness(self, block):
         for code in reference_cases():
             rep = second_gdw(code)
             got = (rep.value, rep.witness)
@@ -381,7 +381,7 @@ def multi_limb_case(rng: random.Random, i: int) -> QuantumCode:
 
 
 class TestSpanKernel:
-    def test_multi_limb_quantum_matches_gray_walk(self):
+    def test_multi_limb_quantum_matches_gray_walk(self, block):
         rng = random.Random(65)
         for i in range(60):
             Q = multi_limb_case(rng, i)
@@ -396,12 +396,10 @@ class TestSpanKernel:
 
 
 class TestCosetWeights:
-    @pytest.mark.parametrize("split", [3, 14])
-    def test_matches_brute_force(self, monkeypatch, split):
-        # Split 3 walks several blocks, with cosets both larger and
-        # smaller than a block; split 14 walks one block.
-        monkeypatch.setattr(distances, "_VECTOR_SPLIT", split)
-        rng = random.Random(split)
+    def test_matches_brute_force(self, block):
+        # Blocks of 2^3 words hold cosets both larger and smaller than a
+        # block; at 2^14 every span is one block.
+        rng = random.Random(block)
         for _ in range(80):
             n = rng.choice([6, 12, 20, 70, 130])
             rows = random_code(rng, n, rng.randint(1, 8), min_k=1).basis_ints()

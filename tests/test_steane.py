@@ -275,7 +275,7 @@ class TestCertifiedEnlarge:
 
 
 class TestCosetSweep:
-    def test_distances_match_per_coset_oracle(self):
+    def test_distances_match_per_coset_oracle(self, block):
         for C, Cp in sweep_cases():
             (w,) = _completion_rows(C, Cp)
             want, _ = reference_coset_sweep(C, Cp, 1)
