@@ -2,9 +2,9 @@
 
 Everything here is exhaustive.  Minimum distance walks every codeword.
 The second generalized Hamming weight d2 is read off residual codes:
-for each light codeword a, one numpy pass over the other codewords b
-finds the fewest coordinates outside supp a that b covers; the passes
-stop once a weighs more than 2/3 of the best d2 so far.
+one numpy pass per chunk of light codewords a, over the other codewords
+b, finds the fewest coordinates outside supp a that some b covers; the
+passes stop once a weighs more than 2/3 of the best d2 so far.
 
 The exact quantum distance is certified from the error side first, one
 weight w = 1, 2, ... at a time, by a meet-in-the-middle join: a Pauli
@@ -40,8 +40,7 @@ if TYPE_CHECKING:
     from .steane import QuantumCode
 
 _PURE_LOOP_MAX_K = 10  # below this a plain Python Gray walk is faster
-# Most rows over the error side's half tables; bounds its memory.
-_HALF_ROWS = 1 << 20
+_HALF_ROWS = 1 << 20  # most rows over the error side's half tables; bounds its memory
 _BLOCK = 1 << 14  # most words in one block of `_blocks`
 
 
@@ -54,9 +53,9 @@ class DistanceReport:
 
     `method` names the scan that answered: "span" walked every element
     of the row space, "errors" joined half-weight Pauli errors weight by
-    weight, "residual" ran one pass over a pool of codewords per light
-    word.  `enumerated_count` counts the elements visited by that method
-    (for "errors", the half-table rows built).
+    weight, "residual" ran one pass over a pool of codewords per chunk
+    of light words.  `enumerated_count` counts the elements visited by
+    that method (for "errors", the half-table rows built).
     """
 
     value: int
@@ -109,7 +108,15 @@ def _ints(rows: np.ndarray, n: int) -> list[int]:
 
 
 def _weights(rows: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(rows).sum(axis=1, dtype=np.int16)
+    counts = np.bitwise_count(rows)  # summed limb by limb: np.sum over axis 1 is several times slower
+    return sum((counts[:, c] for c in range(1, counts.shape[1])), counts[:, 0].astype(np.int16))
+
+
+def _lexmin(rows: np.ndarray) -> np.ndarray:
+    """The least of rows of uint64 limbs, compared limb by limb as words."""
+    for c in range(rows.shape[1]):
+        rows = rows[rows[:, c] == rows[:, c].min()]
+    return rows[0]
 
 
 def _blocks(outer: np.ndarray, inner: np.ndarray, op, width: int = 1):
@@ -183,9 +190,7 @@ def _span_min(halves: list[list[int]], n: int, syn: Optional[list[int]] = None) 
         if syn is not None:
             vals[(block[:, halves_limbs:] == 0).all(axis=1)] = n + 1
         bmin = int(vals.min())
-        if bmin == 0:
-            # The zero element, which never counts.  With independent
-            # rows it is only row 0 of the first block.
+        if bmin == 0:  # the zero element never counts; with independent rows it is row 0 of block 0
             vals[vals == 0] = n + 1
             bmin = int(vals.min())
         if bmin > min(best, n):
@@ -196,9 +201,7 @@ def _span_min(halves: list[list[int]], n: int, syn: Optional[list[int]] = None) 
         wit = tuple(int(tie[j]) for tie in ties)
         if bmin < best or wit < best_wit:
             best, best_wit = bmin, wit
-    if best_wit is None:
-        return best, None
-    return best, tuple(_ints(np.array(best_wit, dtype=np.uint64).reshape(len(halves), -1), n))
+    return best, best_wit and tuple(_ints(np.array(best_wit, dtype=np.uint64).reshape(len(halves), -1), n))
 
 
 def second_gdw(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
@@ -207,22 +210,24 @@ def second_gdw(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
     The minimum support of a 2-dimensional subcode {a, b, a^b}.  As
     wt(a) + wt(b) + wt(a^b) = 2 d2 for a minimising subcode, its
     lightest word a weighs at most 2 d2 / 3, and its support has
-    wt(a) + wt(b & ~a) coordinates.  So each nonzero a, in increasing
-    weight while 3 wt(a) <= 2 best, takes one numpy pass for the
+    wt(a) + wt(b & ~a) coordinates.  So the nonzero a, in increasing
+    weight while 3 wt(a) <= 2 best, take one numpy pass per chunk of
+    max(1, _BLOCK // len(pool)) light words of one weight, for the
     minimum of wt(b & ~a) over the other nonzero words b (the residual
     code of C on the complement of supp a; V. K. Wei, IEEE Trans. IT,
     1991).  Every word of a minimising subcode weighs at most d2, so
     after each pass the words heavier than the best value so far leave
-    the pool of b.  `enumerated_count` sums the pool words compared.
+    the pool of b.  `enumerated_count` sums the (a, b) cells compared,
+    len(chunk) * len(pool) per pass: the pool shrinks between chunks.
 
-    The witness is the lexicographically smallest pair among the
-    minimisers: over the minimising subcodes, the smallest pair of its
-    two lexicographically smallest words.
+    The witness is the least, over the minimising subcodes, of the pair
+    of a subcode's two lexicographically smallest words.
 
     Memory: the span takes 2^k * ceil(n/64) * 8 bytes (512 MB at the
-    cap k = 26 for n <= 64), the weights 2 bytes per word, and the pool
-    at most the span again, plus an 8-byte index per word of the weight
-    being passed, and one block of temporaries (`_blocks`).
+    cap k = 26 for n <= 64), the weights 2 bytes per word, the pool at
+    most the span again, an 8-byte index per light word of one weight,
+    and one block of temporaries (`_blocks`), plus under 100 bytes per
+    limb of each tied (a, b) kept at the best value.
     """
     if C.k < 2:
         raise ValueError("no 2-dimensional subcode: k < 2")
@@ -230,51 +235,45 @@ def second_gdw(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
         raise EnumerationCapError(f"second_gdw over 2^{C.k} codewords exceeds cap k <= {cap}")
     pool = _span_limbs(C.basis_ints(), C.n)[1:]
     wt = _weights(pool)
-    best, best_pair, compared = C.n + 1, None, 0
-    w = int(wt.min())
+    best, tied, compared, w = C.n + 1, [], 0, int(wt.min())
     while 3 * w <= 2 * best:
-        # Words of weight w never leave the pool (w < best), and leaving
-        # keeps the order of the rest, so `done` counts them throughout.
-        light = np.flatnonzero(wt == w)
-        done = 0
+        # Words of weight w < best stay in the pool, in order, so `done` counts them throughout.
+        light, done = np.flatnonzero(wt == w), 0
         while done < len(light) and 3 * w <= 2 * best:
-            (a,) = _ints(pool[light[done], None], C.n)
-            rest, hits = _residual_pass(pool, light[done], C.n)
-            done += 1
-            compared += len(pool)
-            if w + rest > best:
-                continue
-            pair = min(sorted((a, b, a ^ b))[:2] for b in _ints(hits, C.n))
+            chunk = light[done : done + max(1, _BLOCK // len(pool))]
+            rest, ties = _residual_pass(pool, chunk, best - w)
+            done += len(chunk)
+            compared += len(chunk) * len(pool)
             if w + rest < best:
-                best, best_pair = w + rest, pair
-                keep = wt <= best
-                pool, wt = pool[keep], wt[keep]
+                best, tied = w + rest, []
+                pool, wt = pool[wt <= best], wt[wt <= best]
                 light = np.flatnonzero(wt == w)
-            else:
-                best_pair = min(best_pair, pair)
+            tied += ties
         w += 1
-    return DistanceReport(
-        value=best,
-        witness=tuple(best_pair),
-        enumerated_count=compared,
-        method="residual",
-    )
+    a, b = (np.concatenate(rows) for rows in zip(*tied))
+    cells = np.concatenate([a, b, a ^ b], axis=1).reshape(len(a), 3, -1)
+    # x, the least tied word, is least in its cells; their least other word is second.
+    x = _lexmin(cells.reshape(-1, a.shape[1]))
+    is_x = (cells == x).all(axis=2)
+    pair = _ints(np.stack([x, _lexmin(cells[is_x.any(axis=1, keepdims=True) & ~is_x])]), C.n)
+    return DistanceReport(value=best, witness=tuple(pair), enumerated_count=compared, method="residual")
 
 
-def _residual_pass(pool: np.ndarray, i: int, n: int) -> tuple[int, np.ndarray]:
-    """Minimum of wt(b & ~a) over the rows b != a of pool, a = pool[i],
-    and the rows attaining it."""
-    rest, hits = n + 1, []
-    for start, block in _blocks(pool, ~pool[i, None], np.bitwise_and):
-        outside = _weights(block).ravel()
-        if start <= i < start + len(outside):
-            outside[i - start] = n + 1  # b = a
-        m = int(outside.min())
+def _residual_pass(pool: np.ndarray, chunk: np.ndarray, rest: int) -> tuple[int, list]:
+    """Least wt(b & ~a) over the rows b != a of pool and a of pool[chunk],
+    if at most rest, and the (a, b) rows attaining it."""
+    ties = []
+    for start, block in _blocks(pool, ~pool[chunk], np.bitwise_and):
+        outside = _weights(block)  # [i, j]: wt(pool[start + i] & ~pool[chunk[j]])
+        if (m := int(outside.min())) == 0:  # b = a: a lighter b inside a would have ended the scan
+            outside[outside == 0] = rest + 1
+            m = int(outside.min())
         if m < rest:
-            rest, hits = m, []
+            rest, ties = m, []
         if m == rest:
-            hits.append(pool[start + np.flatnonzero(outside == m)])
-    return rest, np.concatenate(hits)
+            ib, ia = np.divmod(np.flatnonzero(outside == m), len(chunk))
+            ties.append((pool[chunk[ia]], pool[start + ib]))
+    return rest, ties
 
 
 def quantum_distance_exact(Q: "QuantumCode", cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:

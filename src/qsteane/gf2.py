@@ -65,9 +65,15 @@ def rref_ints(rows: Sequence[int], cols: int) -> tuple[list[int], int, list[int]
     kept at the bottom so the shape is preserved.  A reduced row's pivot
     is its first nonzero column, its highest set bit.  Wide matrices go
     through the bit-packed kernel `_rref_packed`, which returns the same
-    (the reduced row-echelon form is unique).
+    (the reduced row-echelon form is unique).  Rows already in that form
+    (nonzero, top bits descending, no row holding another's top bit), as
+    the parity extension of a reduced basis is, come back as they are.
     """
     work = list(rows)
+    if all(r.bit_length() > s.bit_length() for r, s in zip(work, work[1:] + [0])):
+        pivot_bits = sum(1 << r.bit_length() >> 1 for r in work)  # the top bits, descending
+        if all(r & pivot_bits == 1 << r.bit_length() >> 1 for r in work):
+            return work, len(work), [cols - r.bit_length() for r in work]
     if _packed(cols, work):
         return _rref_packed(work, cols)
     pivots: list[int] = []

@@ -50,7 +50,9 @@ TABLE1_ROWS = (
 )
 
 
+@functools.lru_cache(maxsize=None)
 def load_fixture(name: str) -> LinearCode:
+    """The shipped code `name`, parsed once per process."""
     text = resources.files("qsteane.fixtures").joinpath(name).read_text()
     return LinearCode(*parse_matrix(text))
 

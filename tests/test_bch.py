@@ -129,6 +129,22 @@ class TestBchCode:
         assert min_distance(e).value == 4
         assert is_subcode(dual(e), e)
 
+    @pytest.mark.parametrize("m", range(3, 11))
+    def test_extended_basis_is_the_full_rref(self, m):
+        for t in (1, 2) if m >= 5 else (1,):
+            rows = [r << 1 | r.bit_count() & 1 for r in bch_code(BchSpec(m, t)).basis_ints()]
+            E = extended_bch(m, t)
+            # Reversed, the rows are not reduced, so rref_ints eliminates in full.
+            assert E.basis_ints() == gf2.rref_ints(rows[::-1], E.n)[0]
+
+    def test_extended_bch_runs_one_elimination(self, monkeypatch):
+        calls, packed = [], gf2._rref_packed
+        monkeypatch.setattr(gf2, "_rref_packed", lambda rows, cols: calls.append(len(rows)) or packed(rows, cols))
+        E = extended_bch(10, 2)
+        assert (E.n, E.k) == (1024, 1003)
+        # bch_code's elimination; the parity extension of its basis is reduced.
+        assert calls == [1003]
+
 
 class TestFamilyParams:
     @pytest.mark.parametrize(

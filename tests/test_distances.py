@@ -135,6 +135,26 @@ class TestMinDistance:
             min_distance(LinearCode([0], 4))
 
 
+def record_passes(monkeypatch, n: int) -> list:
+    """Spy on `distances._residual_pass`.  Each pass of a scan appends
+    (own, value, pair): per light word a of its chunk, wt(a) plus the
+    least wt(b & ~a) over the pool alone; the same over the whole chunk;
+    and the least pair of the two smallest words of {a, b, a ^ b} over
+    the chunk's tied cells."""
+    passes, run = [], distances._residual_pass
+
+    def spy(pool, chunk, rest):
+        w = int(distances._weights(pool[chunk[:1]])[0])
+        own = [w + run(pool, chunk[j : j + 1], n)[0] for j in range(len(chunk))]
+        least, ties = run(pool, chunk, n)
+        cells = [cell for a, b in ties for cell in zip(distances._ints(a, n), distances._ints(b, n))]
+        passes.append((own, w + least, min(tuple(sorted((a, b, a ^ b))[:2]) for a, b in cells)))
+        return run(pool, chunk, rest)
+
+    monkeypatch.setattr(distances, "_residual_pass", spy)
+    return passes
+
+
 class TestSecondGdw:
     def test_known_values(self):
         # Even-weight code: two weight-2 words sharing a coordinate.
@@ -168,6 +188,61 @@ class TestSecondGdw:
             rep = second_gdw(code)
             got = (rep.value, rep.witness)
             assert got == reference_second_gdw(code), (code.n, code.basis_ints())
+
+    def test_best_drops_on_a_later_word_of_one_chunk(self, block, monkeypatch):
+        code = LinearCode([0b100001, 0b010010, 0b001011, 0b000110], 6)
+        passes = record_passes(monkeypatch, code.n)
+        rep = second_gdw(code)
+        assert (rep.value, rep.witness) == reference_second_gdw(code)
+        if block == 14:
+            # The four weight-2 words share the first pass, and the first
+            # of them lies in no minimising subcode.
+            own, value, _ = passes[0]
+            assert len(own) == 4 and own[0] > min(own) == value == rep.value
+
+    @pytest.mark.parametrize("rows, n, first", [
+        # Minimising subcodes whose lightest word weighs 1 and 2: the
+        # passes of both weights tie, and a later one holds the witness.
+        ([0b1000000, 0b0100001, 0b0010001, 0b0001001, 0b0000101, 0b0000011], 7, False),
+        # Here the first pass that ties holds it.
+        ([0b100101, 0b010100, 0b001100, 0b000010], 6, True),
+    ])
+    def test_tie_spanning_two_chunks(self, rows, n, first, block, monkeypatch):
+        code = LinearCode(rows, n)
+        passes = record_passes(monkeypatch, n)
+        rep = second_gdw(code)
+        assert (rep.value, rep.witness) == reference_second_gdw(code)
+        tied = [pair for _, value, pair in passes if value == rep.value]
+        assert len(tied) >= 2 and rep.witness == min(tied)
+        assert (tied[0] == rep.witness) == first
+
+    def test_multi_limb_ties_match_reference(self, block):
+        # Sparse rows on 65..130 coordinates: many tied minimisers, on
+        # two or three limbs.
+        rng = random.Random(65)
+        checked = 0
+        while checked < 40:
+            n = rng.randint(65, 130)
+            rows = [sum(1 << c for c in rng.sample(range(n), rng.randint(1, 3))) for _ in range(rng.randint(2, 10))]
+            code = LinearCode(rows, n)
+            if code.k >= 2:
+                rep = second_gdw(code)
+                assert (rep.value, rep.witness) == reference_second_gdw(code), (n, rows)
+                checked += 1
+
+    def test_light_words_of_one_weight_share_a_pass(self, monkeypatch):
+        calls, run = [], distances._residual_pass
+        monkeypatch.setattr(distances, "_residual_pass",
+                            lambda pool, chunk, *rest: calls.append((len(pool), len(chunk))) or run(pool, chunk, *rest))
+        # 66 weight-2 words: 8 meet all 2047 words, the other 58 the 66
+        # words left once best = 3; one word per pass would take 66.
+        rep = second_gdw(even_weight_code(12))
+        assert calls == [(2047, 8), (66, 58)]
+        assert (rep.value, rep.enumerated_count) == (3, 8 * 2047 + 58 * 66)
+        # A pool over _BLOCK words takes one light word per pass.
+        calls.clear()
+        assert second_gdw(even_weight_code(16)).value == 3
+        assert calls == [(32767, 1), (120, 119)]
 
     def test_memory_is_bounded_by_the_span(self):
         code = random_code(random.Random(48), n=48, k_target=22, min_k=22)

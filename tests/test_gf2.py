@@ -129,6 +129,17 @@ class TestRref:
             code = LinearCode(rows, n)
             assert r in code
 
+    def test_reduced_rows_come_back_as_they_are(self):
+        rng = random.Random(5)
+        for n in (8, 64, 300):
+            red, rank, pivots = rref_ints([rng.getrandbits(n) for _ in range(n // 2)], n)
+            basis = red[:rank]
+            assert rref_ints(basis, n) == (basis, rank, pivots)
+            # Rows out of order, a row holding another's top bit, or a
+            # zero row are not reduced: they take the full elimination.
+            for rows in (basis[::-1], [basis[0] ^ basis[1]] + basis[1:], basis + [0]):
+                assert rref_ints(rows, n) == (basis + [0] * (len(rows) - rank), rank, pivots)
+
     def test_pivot_columns_are_unit(self):
         red, rank, pivots = rref_ints([0b111, 0b011, 0b110], 3)
         for i, p in enumerate(pivots):

@@ -4,9 +4,11 @@ import pytest
 
 from qsteane.distances import min_distance
 from qsteane.gf2 import dual, even_weight_code, is_subcode
+from qsteane import table1
 from qsteane.table1 import (
     TABLE1_ROWS,
     Table1Row,
+    check_all_rows,
     enlargement_code_for_row,
     load_fixture,
     self_dual_code_for_row,
@@ -33,6 +35,16 @@ class TestFixtures:
         for name in ("c12_10_2a.txt", "c12_10_2b.txt"):
             code = load_fixture(name)
             assert is_subcode(dual(code), code)
+
+    def test_each_fixture_is_parsed_once(self, monkeypatch):
+        load_fixture.cache_clear()
+        table1._self_dual_from_fixture.cache_clear()
+        parsed, parse = [], table1.parse_matrix
+        monkeypatch.setattr(table1, "parse_matrix", lambda text: parsed.append(text) or parse(text))
+        check_all_rows()
+        check_all_rows()
+        # c12_10_2a, c14_9_2, c14_10_2 and c18_12_4, once each.
+        assert len(parsed) == len(set(parsed)) == 4
 
     def test_length_18_matrix_is_not_dual_containing(self):
         # Documented defect: the published [18,12,4] matrix does not
