@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Rebuild every published table row and print a verification report.
 
-Equivalent to `qsteane table1`, but also shows the recovered inner
-codes, the chosen distance bound ingredients, and scan witnesses.
+Like `qsteane table1`, one PASS/FAIL line per row, and under it the
+enlargement code C' as [n, k', d] with its d2, then either the built
+[[n, K, d]] code and whether its distance bound is proven by the
+construction or certified by exhaustive scan, or why the row is
+refused.  Exits 1 when any row fails.
 """
 
 from __future__ import annotations

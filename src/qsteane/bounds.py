@@ -146,7 +146,8 @@ def emit_curve(delta_min: float, delta_max: float, step: float) -> np.recarray:
     if delta_min == delta_max:
         deltas = np.array([delta_min], dtype=np.float64)
     else:
-        count = int(math.floor((delta_max - delta_min) / step + 1e-9)) + 1
+        cells = (delta_max - delta_min) / step + 1e-9  # inf for a step below about 2.8e-309
+        count = math.floor(cells) + 1 if math.isfinite(cells) else math.inf
         if count > 10**6:
             raise ValueError(f"grid of {count} points exceeds 10^6; use a larger step")
         deltas = np.minimum(delta_min + np.arange(count) * step, delta_max)

@@ -19,10 +19,10 @@ Words are ints with coordinate c at bit n - 1 - c (see `gf2`), so int
 order is lexicographic order.  Spans are numpy arrays built by doubling,
 ceil(n/64) uint64 limbs per word, the word's big-endian limbs shifted
 to start at column 0, so that rows compare limb by limb as words do.
-Every span and pair pass runs over the blocks of `_blocks`.  Row-space
-walks of 2^_PURE_LOOP_MAX_K words or more, at any n, run one numpy
-kernel, `_span_min`; only minimum distance keeps a Python Gray-code
-walk, for the small spans where numpy's per-call cost would dominate.
+Every span and pair pass runs over the blocks of `_blocks`.  Every
+row-space walk, at any n and k, runs one numpy kernel, `_span_min`;
+`_weights` is the one popcount over limbs and `_lexmin` the one rule
+that picks a lex-least row.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .gf2 import DEFAULT_ENUM_CAP, EnumerationCapError, LinearCode, _combination
 if TYPE_CHECKING:
     from .steane import QuantumCode
 
-_PURE_LOOP_MAX_K = 10  # below this a plain Python Gray walk is faster
 _HALF_ROWS = 1 << 20  # most rows over the error side's half tables; bounds its memory
 _BLOCK = 1 << 14  # most words in one block of `_blocks`
 
@@ -68,25 +67,15 @@ class DistanceReport:
 def min_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
     """Exact minimum distance by full codeword enumeration.
 
-    Codes of dimension below _PURE_LOOP_MAX_K take a Python Gray-code
-    walk; the rest take the numpy kernel `_span_min`, whatever n.  The
-    witness is the lexicographically smallest codeword attaining the
-    minimum, so results do not depend on which path ran.
+    Every code, at any n and k, takes the one span kernel `_span_min`.
+    The witness is the lexicographically smallest codeword attaining
+    the minimum.
     """
     if C.k == 0:
         raise ValueError("distance undefined for zero code")
     if C.k > cap:
         raise EnumerationCapError(f"min_distance over 2^{C.k} codewords exceeds cap k <= {cap}")
-    basis = C.basis_ints()
-    if C.k < _PURE_LOOP_MAX_K:
-        best, best_word, word = C.n + 1, None, 0
-        for i in range(1, 1 << C.k):
-            word ^= basis[(i & -i).bit_length() - 1]
-            w = word.bit_count()
-            if w < best or (w == best and word < best_word):
-                best, best_word = w, word
-    else:
-        best, (best_word,) = _span_min([basis], C.n)
+    best, (best_word,) = _span_min([C.basis_ints()], C.n)
     return DistanceReport(value=best, witness=(best_word,), enumerated_count=1 << C.k, method="span")
 
 
@@ -108,12 +97,14 @@ def _ints(rows: np.ndarray, n: int) -> list[int]:
 
 
 def _weights(rows: np.ndarray) -> np.ndarray:
+    """int16 weight of each word of limbs along axis 1: the one popcount of the scans."""
     counts = np.bitwise_count(rows)  # summed limb by limb: np.sum over axis 1 is several times slower
     return sum((counts[:, c] for c in range(1, counts.shape[1])), counts[:, 0].astype(np.int16))
 
 
 def _lexmin(rows: np.ndarray) -> np.ndarray:
-    """The least of rows of uint64 limbs, compared limb by limb as words."""
+    """The least of rows of uint64 limbs, compared limb by limb as words:
+    the one rule that picks a lex-least witness among numpy rows."""
     for c in range(rows.shape[1]):
         rows = rows[rows[:, c] == rows[:, c].min()]
     return rows[0]
@@ -177,16 +168,17 @@ def _span_min(halves: list[list[int]], n: int, syn: Optional[list[int]] = None) 
     every nonzero element does.  The witness is the lexicographically
     smallest element attaining the minimum, compared half by half.
 
-    Runs over `_span_blocks`, so every n takes the same path.  Returns
-    (weight, one word per half), or (n + 1, None) when no element counts.
+    The one span walk of the module, for minimum distance at every n
+    and k and for the quantum span side; it runs over `_span_blocks`.
+    Returns (weight, one word per half), or (n + 1, None) when no
+    element counts.
     """
     limbs = -(-n // 64)
     halves_limbs = len(halves) * limbs
     best, best_wit = n + 1, None
     for _, block in _span_blocks(halves, n, syn):
         words = block[:, :limbs] if len(halves) == 1 else block[:, :limbs] | block[:, limbs:halves_limbs]
-        counts = np.bitwise_count(words)
-        vals = counts[:, 0] if counts.shape[1] == 1 else counts.sum(axis=1, dtype=np.int16)
+        vals = _weights(words)
         if syn is not None:
             vals[(block[:, halves_limbs:] == 0).all(axis=1)] = n + 1
         bmin = int(vals.min())
@@ -195,13 +187,12 @@ def _span_min(halves: list[list[int]], n: int, syn: Optional[list[int]] = None) 
             bmin = int(vals.min())
         if bmin > min(best, n):
             continue
-        # Lexicographic minimum of the tied words, limb by limb, x first.
-        ties = [block[:, c][vals == bmin] for c in range(halves_limbs)]
-        j = np.lexsort(ties[::-1])[0]
-        wit = tuple(int(tie[j]) for tie in ties)
-        if bmin < best or wit < best_wit:
-            best, best_wit = bmin, wit
-    return best, best_wit and tuple(_ints(np.array(best_wit, dtype=np.uint64).reshape(len(halves), -1), n))
+        # The least tied row, limbs gathered column by column, x first.
+        wit = _lexmin(np.stack([block[:, c][vals == bmin] for c in range(halves_limbs)], axis=1))
+        if bmin == best:
+            wit = _lexmin(np.stack([best_wit, wit]))
+        best, best_wit = bmin, wit
+    return best, None if best_wit is None else tuple(_ints(best_wit.reshape(len(halves), -1), n))
 
 
 def second_gdw(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
@@ -433,6 +424,5 @@ def _quantum_scan_errors(gx, gz, n, self_orthogonal, budget):
         if not self_orthogonal:
             found = found[found[:, 1] != 0]  # drop the elements of the stabilizer S
         if len(found):
-            ux = found[:, 2].min()
-            return w, (int(ux), int(found[found[:, 2] == ux, 3].min())), rows, pairs
+            return w, tuple(map(int, _lexmin(found[:, 2:]))), rows, pairs
     return None

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .distances import _blocks, _span_limbs
+from .distances import _blocks, _span_limbs, _weights
 from .gf2 import LinearCode, _dual_rows
 
 
@@ -67,12 +67,12 @@ def _coset_histograms(dual_rows: list[int], w: int, n: int) -> tuple[np.ndarray,
     with a = row s of the span.  Rows a run against every b in the
     blocks of `distances._blocks`."""
     span = _span_limbs(dual_rows, n)
-    odd = (np.bitwise_count(span & _span_limbs([w], n)[1]).sum(axis=1) & 1).astype(bool)
+    odd = (_weights(span & _span_limbs([w], n)[1]) & 1).astype(bool)
     f = np.zeros((len(span), n + 1), dtype=np.int64)
     T = np.zeros(n + 1, dtype=np.int64)
     for sign, bs in ((1, span[~odd]), (-1, span[odd])):
         for start, block in _blocks(span, bs, np.bitwise_or):
-            wt = np.bitwise_count(block).sum(axis=1, dtype=np.intp)
+            wt = _weights(block).astype(np.intp)
             wt += np.arange(len(wt))[:, None] * (n + 1)
             counts = np.bincount(wt.ravel(), minlength=len(wt) * (n + 1)).reshape(-1, n + 1)
             f[start : start + len(counts)] += sign * counts

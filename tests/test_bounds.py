@@ -5,8 +5,11 @@ import itertools
 import math
 import os
 import random
+import runpy
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +187,10 @@ class TestEmitCurve:
         # 5 * 10^11 points would exhaust memory; the refusal comes first.
         with pytest.raises(ValueError, match="exceeds 10\\^6"):
             emit_curve(0.0, 0.5, 1e-12)
+        # Below about 2.8e-309 the point count overflows to inf.
+        for step in (1e-310, 5e-324):
+            with pytest.raises(ValueError, match="grid of inf points exceeds 10\\^6"):
+                emit_curve(0.0, 0.5, step)
         with pytest.raises(ValueError, match="1000001 points"):
             emit_curve(0.0, 0.5, 0.5 / 10**6)
 
@@ -240,3 +247,21 @@ class TestEmitCurve:
         assert lines[1] == "0.000000,1.000000,1.000000,1.000000,1.000000"
         assert len(lines) == 4
         assert all(len(line.split(",")) == 5 for line in lines[1:])
+
+
+def test_emit_bounds_script(tmp_path, capsys, monkeypatch):
+    # Each printed zero crossing lies within 1e-3 of where the scalar
+    # bound changes sign.
+    out = tmp_path / "curve.csv"
+    script = Path(__file__).parents[1] / "scripts" / "emit_bounds.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--out", str(out)])
+    with pytest.raises(SystemExit, match="0"):
+        runpy.run_path(str(script), run_name="__main__")
+    head, *rows = capsys.readouterr().out.splitlines()
+    assert head == f"wrote 501 grid points to {out}"
+    assert len(out.read_text().splitlines()) == 1 + 501
+    bound = {"gf4": bound_gf4, "cs": bound_cs, "steane": bound_steane, "thm4": bound_thm4}
+    crossings = {name.strip(): float(at) for name, at in (row.split(" positive until delta ~ ") for row in rows)}
+    assert list(crossings) == list(bound)
+    for name, at in crossings.items():
+        assert bound[name](at - 1e-3) > 0 >= bound[name](at + 1e-3), name

@@ -221,6 +221,13 @@ class TestBounds:
         assert out.read_text() == "delta,gf4,cs,steane,thm4\n0.000000,1.000000,1.000000,1.000000,1.000000\n"
         assert capsys.readouterr().out == f"wrote 1 points to {out}\n"
 
+    def test_subnormal_step_is_input_error(self, tmp_path, capsys):
+        # The point count overflows to inf; it is refused, not a traceback.
+        out = tmp_path / "curve.csv"
+        assert main(["bounds", "0", "0.5", "1e-310", str(out)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: grid of inf points exceeds 10^6; use a larger step\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("step", ["nan", "inf"])
     def test_non_finite_step_is_input_error(self, tmp_path, capsys, step):
         out = tmp_path / "curve.csv"

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from qsteane import distances
 from qsteane.distances import (
     _HALF_ROWS,
-    _PURE_LOOP_MAX_K,
     DistanceReport,
     _coset_weights,
     _quantum_scan_errors,
@@ -104,7 +103,7 @@ class TestMinDistance:
 
     def test_matches_lex_oracle_on_both_paths(self, block):
         # Lengths cross the 64- and 128-bit limb boundaries; k falls on
-        # both sides of the switch from the Gray walk to the kernel, and
+        # both sides of k = 10, below which a Gray walk once answered, and
         # the kernel also runs directly on the small codes.
         rng = random.Random(2027)
         ks = set()
@@ -118,7 +117,7 @@ class TestMinDistance:
                 best, (word,) = _span_min([code.basis_ints()], n)
                 assert (best, word) == expected, (n, code.basis_ints())
                 ks.add(code.k)
-        assert min(ks) < _PURE_LOOP_MAX_K < max(ks)
+        assert min(ks) < 10 < max(ks)
 
     def test_kernel_skips_zero_words_of_dependent_rows(self):
         # Repeated rows put the zero word in every block of the kernel.
@@ -368,6 +367,20 @@ class TestErrorSideScan:
             assert pairs == count_weight(gx, gz, Q.n, value)
         assert rows == half_rows(Q.n, value)
 
+    def test_witness_compares_ux_before_uz(self, block):
+        # d = 3: the least ux among the weight-3 elements outside S carries
+        # several uz, and a greater ux carries a uz below all of them.
+        n, gx, gz = 8, [147, 85, 54, 15, 0, 0, 0, 0, 144], [0, 0, 0, 0, 147, 85, 54, 15, 33]
+        syn = [_syndrome(x, z, gx, gz) for x, z in zip(gx, gz)]
+        rows = [s << 2 * n | x << n | z for x, z, s in zip(gx, gz, syn)]
+        outside = [(v >> n & 0xFF, v & 0xFF) for v in enumerate_span(rows) if v >> 2 * n]
+        tied = sorted((x, z) for x, z in outside if (x | z).bit_count() == 3)
+        (ux, uz), second = tied[:2]
+        assert second[0] == ux and any(x > ux and z < uz for x, z in tied)
+        rep = quantum_distance_exact(QuantumCode(n=n, gx=gx, gz=gz, K=0, d_lower=1))
+        assert (rep.method, rep.value, rep.witness) == ("errors", 3, (ux, uz))
+        assert reference_error_scan(gx, gz, n, False, budget=4**n)[:2] == (3, (ux, uz))
+
     def test_self_orthogonal_convention(self):
         # C = {I, XX, ZZ, YY}: the weight-1 half table (2 * 3 rows) meets
         # all three weight-2 elements; the prefix loop visits 2 * 3 + 1 * 9.
@@ -455,7 +468,42 @@ def multi_limb_case(rng: random.Random, i: int) -> QuantumCode:
     return QuantumCode(n=n, gx=gx, gz=gz, K=0, d_lower=1)
 
 
+def word(n: int, *coords: int) -> int:
+    """The length-n word with the given coordinates set."""
+    return sum(1 << (n - 1 - c) for c in coords)
+
+
 class TestSpanKernel:
+    @pytest.mark.parametrize(
+        "n, rows",
+        [
+            # Rows 0, 1 and their sum weigh 2; row 3 is the least word of weight 2.
+            (8, [0b11000000, 0b10100000, 0b00011111, 0b00000011]),
+            # Across the limb boundary: of the ties {63, 64}, {64, 69} and
+            # {63, 69} in span(rows[:3]), limb 0 is zero only in {64, 69};
+            # {65, 66} is zero there too and less in limb 1.
+            (70, [word(70, 63, 64), word(70, 64, 69), word(70, *range(10)), word(70, 65, 66)]),
+        ],
+    )
+    def test_lex_least_tie_in_a_later_block(self, n, rows, block):
+        # At 2^3 words, block 0 is span(rows[:3]) and block 1 adds row 3:
+        # the least weight is reached in block 0, the lex-least tie in block 1.
+        first = reference_min_word(enumerate_span(rows[:3]), n)
+        expected = reference_min_word(enumerate_span(rows), n)
+        assert first[0] == expected[0] and first[1] > expected[1]
+        assert _span_min([rows], n) == (expected[0], (expected[1],))
+
+    def test_quantum_lex_least_tie_in_a_later_block(self, block):
+        # At 2^3 words a quantum block holds the 4 elements of span(rows
+        # 0, 1).  (0011 | 0000) reaches wt(x | z) = 2 in block 0; row 2,
+        # (0001 | 0011), ties it in block 1 with the lesser x and wins,
+        # though its z is greater: x is compared first.
+        gx, gz = [0b0011, 0b1111, 0b0001], [0b0000, 0b1111, 0b0011]
+        assert reference_quantum_scan(gx[:2], gz[:2], [0, 0], 4, True) == (2, (0b0011, 0b0000))
+        expected = reference_quantum_scan(gx, gz, [0, 0, 0], 4, True)
+        assert expected == (2, (0b0001, 0b0011))
+        assert _span_min([gx, gz], 4) == expected
+
     def test_multi_limb_quantum_matches_gray_walk(self, block):
         rng = random.Random(65)
         for i in range(60):

@@ -1,5 +1,9 @@
 """Fixture loading and the published-table row machinery."""
 
+import runpy
+import sys
+from pathlib import Path
+
 import pytest
 
 from qsteane.distances import min_distance
@@ -87,3 +91,16 @@ class TestRowChecks:
         assert not final.ok
         assert final.quantum is None
         assert "dual-containing" in final.details
+
+    def test_report_script_matches_the_row_checks(self, capsys, monkeypatch):
+        # Five rows pass; the n=18 row is refused, so the script exits 1.
+        script = Path(__file__).parents[1] / "scripts" / "run_table1.py"
+        monkeypatch.setattr(sys, "argv", [str(script)])
+        with pytest.raises(SystemExit, match="1"):
+            runpy.run_path(str(script), run_name="__main__")
+        lines = capsys.readouterr().out.splitlines()
+        verdicts = [line.rsplit(": ", 1)[1] for line in lines if line.startswith("row ")]
+        assert verdicts == ["PASS" if check.ok else "FAIL" for check in check_all_rows()]
+        assert verdicts == ["PASS"] * 5 + ["FAIL"]
+        assert "  no self-dual C: C' is not dual-containing" in lines
+        assert lines[-1] == "overall: FAIL"
