@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .gf2 import DEFAULT_ENUM_CAP, EnumerationCapError, LinearCode, _combinations, _dual_rows, _pack, _unpack
+from .gf2 import DEFAULT_ENUM_CAP, EnumerationCapError, LinearCode, _bits, _combinations, _dual_rows, _pack, _unpack
 
 if TYPE_CHECKING:
     from .steane import QuantumCode
@@ -285,14 +285,14 @@ def quantum_distance_exact(Q: "QuantumCode", cap: int = DEFAULT_ENUM_CAP) -> Dis
     r, n = len(gx), Q.n
     if r > cap:
         raise EnumerationCapError(f"quantum distance over 2^{r} vectors exceeds cap {cap}")
-    syn = [_syndrome(x, z, gx, gz) for x, z in zip(gx, gz)]
-    self_orthogonal = all(s == 0 for s in syn)
+    self_orthogonal = not any(_syndrome(x, z, gx, gz) for x, z in zip(gx, gz))
     note = "self-dual convention: minimum over nonzero elements of C" if self_orthogonal else ""
 
     if found := _quantum_scan_errors(gx, gz, n, self_orthogonal, budget=1 << r):
         (value, wit, visited, _), method = found, "errors"
     else:
-        (value, wit), visited, method = _span_min([gx, gz], n, None if self_orthogonal else syn), 1 << r, "span"
+        syn = None if self_orthogonal else [_syndrome(x, z, gx, gz) for x, z in zip(gx, gz)]
+        (value, wit), visited, method = _span_min([gx, gz], n, syn), 1 << r, "span"
     if wit is None:
         raise ValueError("no vector outside the stabilizer: empty scan")
     return DistanceReport(value=value, witness=wit, enumerated_count=visited, method=method, note=note)
@@ -311,7 +311,7 @@ def _columns(blocks: list[list[int]], n: int) -> np.ndarray:
     blocks[j], of at most 64 rows, has column q set."""
     bits = np.zeros((64 * len(blocks), n), dtype=np.uint8)
     at = [64 * j + i for j, block in enumerate(blocks) for i in range(len(block))]
-    bits[at] = np.unpackbits(_pack([row for block in blocks for row in block], n).view(np.uint8), axis=1, count=n)
+    bits[at] = _bits(_pack([row for block in blocks for row in block], n), n)
     return np.packbits(bits, axis=0, bitorder="little").T.copy().view("<u8")
 
 

@@ -7,15 +7,15 @@ a plain comparison.  One machine word for n <= 64, a big int up to
 n = 1024.  A matrix is a list of such rows together with n.
 
 Matrices with at least _PACKED_MIN_COLS columns and _PACKED_MIN_ROWS
-rows (_PACKED_MIN_WORDS words for residuals) are row-reduced,
-dualised and reduced modulo a code on a bit-packed copy instead, and the
-results come back as the same ints the int paths give.  A packed row
-is the big-endian bytes of the row's int, shifted left to fill
-ceil(n/64) 64-bit limbs: coordinate c is bit 7 - c % 8 of byte c // 8,
-so byte j holds the strip of columns 8j .. 8j + 7 that the
-Four-Russians elimination works on, most significant bit first.
-`distances._span_limbs` reads the same bytes as big-endian uint64 limbs,
-so that comparing limbs compares words.
+rows (_PACKED_MIN_WORDS words for residuals) go to numpy kernels
+instead, which return the same ints the int paths give.  Elimination
+runs on packed rows: the big-endian bytes of the row's int, shifted left
+to fill ceil(n/64) 64-bit limbs, so coordinate c is bit 7 - c % 8 of
+byte c // 8 and byte j holds the strip of columns 8j .. 8j + 7, most
+significant bit first.  The dual and a word's bits at the pivot columns
+are read off the unpacked rows, one 0/1 byte per column (`_bits`).
+`distances._span_limbs` reads the packed bytes as big-endian uint64
+limbs, so that comparing limbs compares words.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ DEFAULT_ENUM_CAP = 26
 # kernels.  Timed on random matrices (2-core x86-64, numpy 2.4): the
 # packed rref costs a near-fixed ~0.1 ms per strip of 8 pivots, the int
 # one a Python step per row per pivot, and they cross at 64-96 rows for
-# n = 256..1024; the packed dual is faster at every k from n = 256.
+# n = 256..1024.  The dual on 0/1 bytes beats the int one 5-16 times from
+# n = 256 (0.3 ms at n = 256, 1.2-3 ms at 1024) unless it has under ~8
+# rows (k = n - 1: 0.3 against 0.05 ms at n = 256).
 # Below n = 256 numpy's per-call cost would dominate the many small
 # codes the searches build.
 _PACKED_MIN_COLS = 256
@@ -39,7 +41,6 @@ _PACKED_MIN_ROWS = 64
 # n - 60 rows, n = 256..1024, costs the same as testing 16-18 member
 # words one by one, and less from 20 words on.
 _PACKED_MIN_WORDS = 20
-_LE64 = np.dtype("<u8")  # the 8 x 8 bit blocks of `_transpose`
 # The nonzero byte values, scrambled (times 101 mod 256) so that the
 # first few a strip holds are likely independent: the first nine of the
 # full order already span GF(2)^8.
@@ -128,10 +129,16 @@ def _pack(rows: Sequence[int], n: int) -> np.ndarray:
 
 
 def _unpack(M: np.ndarray, n: int) -> list[int]:
-    """Inverse of `_pack`: the rows of M as ints of n columns."""
+    """Inverse of `_pack`, and of `np.packbits` along rows: the rows of
+    M, of any byte width, as ints of n columns."""
     buf, step = M.tobytes(), M.itemsize * M.shape[1]
     pad = 8 * step - n
     return [int.from_bytes(buf[i : i + step], "big") >> pad for i in range(0, len(buf), step)]
+
+
+def _bits(M: np.ndarray, n: int) -> np.ndarray:
+    """Packed rows (`_pack`, `np.packbits`) as 0/1 bytes: [i, c] is column c of row i."""
+    return np.unpackbits(M.view(np.uint8), axis=1, count=n)
 
 
 def _combinations(R: np.ndarray) -> np.ndarray:
@@ -143,42 +150,6 @@ def _combinations(R: np.ndarray) -> np.ndarray:
     for j, row in enumerate(R):
         np.bitwise_xor(table[: 1 << j], row, out=table[1 << j : 2 << j])
     return table
-
-
-def _transpose(M: np.ndarray) -> np.ndarray:
-    """Packed transpose: row c of the result is column c of M (row i of M
-    at column i), for every c < 64 * limbs; M's rows are padded to whole
-    limbs.
-
-    Works on 8 x 8 bit blocks held one per little-endian uint64, byte i
-    the byte of row i.  Bit t of that byte is column 7 - t of the strip,
-    so the block is transposed about its anti-diagonal: the three masked
-    swaps transpose it about the diagonal, conjugated by a byteswap.
-    """
-    m, limbs = M.shape
-    blocks = -(-m // 64) * 8
-    X = np.zeros((8 * limbs, 8 * blocks), dtype=np.uint8)
-    X[:, :m] = M.view(np.uint8).T
-    X = X.view(_LE64)
-    X.byteswap(inplace=True)
-    t = np.empty_like(X)
-    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)):
-        np.right_shift(X, shift, out=t)
-        t ^= X
-        t &= mask
-        X ^= t
-        t <<= shift
-        X ^= t
-    X.byteswap(inplace=True)
-    # Byte c of block (j, b) now holds column 8j + c over rows 8b .. 8b + 7,
-    # row 8b + i at bit 7 - i.
-    Y = X.view(np.uint8).reshape(8 * limbs, blocks, 8).transpose(0, 2, 1)
-    return np.ascontiguousarray(Y).reshape(64 * limbs, blocks).view(np.uint64)
-
-
-def _select_columns(M: np.ndarray, cols: Sequence[int]) -> np.ndarray:
-    """Columns `cols` of M, in that order, packed from column 0."""
-    return _transpose(_transpose(M)[list(cols)])[: len(M)]
 
 
 def _rref_packed(rows: list[int], cols: int) -> tuple[list[int], int, list[int]]:
@@ -248,20 +219,15 @@ def _rref_packed(rows: list[int], cols: int) -> tuple[list[int], int, list[int]]
 
 
 def _dual_packed(basis: list[int], pivots: list[int], n: int) -> list[int]:
-    """Generator rows of the dual of an rref basis, by packed transposes.
-
-    Dual row f is e_c + sum_i basis[i][c] e_{pivots[i]}, c the f-th free
-    column.  So in the transpose D^T, row c is the unit vector e_f, and
-    row pivots[i] is basis[i] restricted to the free columns.
-    """
-    k = len(basis)
-    pivset = set(pivots)
+    """Generator rows of the dual of an rref basis, built on 0/1 bytes (`_bits`):
+    dual row f has a 1 at c, the f-th free column, and bit c of basis[i]
+    at pivots[i], for every i."""
+    k, pivset = len(basis), set(pivots)
     free = [c for c in range(n) if c not in pivset]
-    restricted = _select_columns(_pack(basis, n), free)
-    dt = np.zeros((n, restricted.shape[1]), dtype=np.uint64)
-    dt[pivots] = restricted
-    dt[free] = _pack([1 << f for f in reversed(range(n - k))], n - k)
-    return _unpack(_transpose(dt)[: n - k], n)
+    D = np.zeros((n - k, n), dtype=np.uint8)
+    D[:, pivots] = _bits(_pack(basis, n), n)[:, free].T
+    D[np.arange(n - k), free] = 1
+    return _unpack(np.packbits(D, axis=1), n)
 
 
 def _residual_packed(words: list[int], basis: list[int], pivots: list[int], n: int) -> np.ndarray:
@@ -270,7 +236,7 @@ def _residual_packed(words: list[int], basis: list[int], pivots: list[int], n: i
     its own bits at the pivot columns, so every word is reduced in one
     pass, eight basis rows (one table) at a time."""
     W, R = _pack(words, n), _pack(basis, n)
-    coef = _select_columns(W, pivots).view(np.uint8)
+    coef = np.packbits(np.take(_bits(W, n), pivots, axis=1), axis=1)  # np.take: 2.5x faster than [:, pivots]
     for q in range(0, len(basis), 8):
         # Byte q // 8 holds the coefficients of rows q .., the first at
         # its top bit: drop the unused low bits and take the rows reversed.

@@ -292,6 +292,17 @@ class TestQuantumDistance:
         assert rep.value == 2
         assert "self-dual" in rep.note
 
+    def test_error_side_builds_no_syndrome_list(self, monkeypatch):
+        # C is not self-orthogonal, so the test stops at the first nonzero
+        # syndrome; only the span side reads all r of them.
+        Q = css_code(HAMMING_7_4, HAMMING_7_4)
+        calls = []
+        syndrome = distances._syndrome
+        monkeypatch.setattr(distances, "_syndrome", lambda *args: calls.append(1) or syndrome(*args))
+        rep = quantum_distance_exact(Q)
+        assert (rep.method, rep.note) == ("errors", "")
+        assert 0 < len(calls) < Q.num_generators == 8
+
     def test_cap(self):
         Q = css_code(HAMMING_7_4, HAMMING_7_4)
         with pytest.raises(EnumerationCapError):

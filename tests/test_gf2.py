@@ -284,13 +284,38 @@ class TestPackedKernels:
             assert gf2._rref_packed(rows, n) == rref_ints(rows, n)
         assert gf2._rref_packed([], 300) == ([], 0, [])
 
-    def test_transpose(self):
-        rng = random.Random(3)
-        for m, n in ((1, 1), (7, 70), (64, 64), (65, 129), (130, 300)):
-            rows = [rng.getrandbits(n) for _ in range(m)]
-            cols = gf2._unpack(gf2._transpose(gf2._pack(rows, n)), m)
-            assert cols[:n] == [sum((r >> (n - 1 - c) & 1) << (m - 1 - i) for i, r in enumerate(rows)) for c in range(n)]
-            assert not any(cols[n:])
+    SHAPES = [(n, k) for n in (256, 257, 263, 319, 320, 511, 1000, 1024) for k in (64, n // 2, n - 1)]
+
+    @staticmethod
+    def _shape_codes(rng, n, k):
+        """A random [n, k] code, and one whose pivots are k sorted random
+        columns that take in the last column (a last, partial byte unless
+        8 divides n), each basis row its pivot plus random later columns."""
+        yield LinearCode([rng.getrandbits(n) for _ in range(k)], n)
+        pivots = sorted(rng.sample(range(n - 1), k - 1) + [n - 1])
+        yield LinearCode([1 << (n - 1 - p) | rng.getrandbits(n - 1 - p) for p in pivots], n)
+
+    def test_dual_rows_match_the_int_path_row_for_row(self, monkeypatch):
+        rng = random.Random(19)
+        for n, k in self.SHAPES:
+            for C in self._shape_codes(rng, n, k):
+                assert gf2._packed(n, C._basis) and C.k < n
+                packed = gf2._dual_rows(C)
+                monkeypatch.setattr(gf2, "_PACKED_MIN_COLS", MAX_LENGTH + 1)
+                assert packed == gf2._dual_rows(C), (n, C.k, C._pivots[-1])
+                monkeypatch.undo()
+
+    def test_residuals_match_reduce_word_by_word(self, monkeypatch):
+        rng = random.Random(23)
+        calls = []
+        residual = gf2._residual_packed
+        monkeypatch.setattr(gf2, "_residual_packed", lambda *args: calls.append(1) or residual(*args))
+        for n, k in self.SHAPES:
+            for C in self._shape_codes(rng, n, k):
+                basis = C.basis_ints()
+                words = [rng.getrandbits(n) for _ in range(12)] + [xor_sum(rng.sample(basis, 5)) for _ in range(12)]
+                assert list(gf2._residuals(words, C)) == [gf2._reduce(w, basis) for w in words], (n, C.k)
+        assert len(calls) == 2 * len(self.SHAPES)  # every batch took the packed kernel
 
     @pytest.mark.parametrize("n", [255, 256, 257, 320])
     def test_public_entry_points_agree_across_the_crossover(self, n, monkeypatch):

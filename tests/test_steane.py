@@ -6,13 +6,14 @@ from collections import Counter
 import pytest
 
 from qsteane import gf2, steane
-from qsteane.bch import coset_extend, extended_bch
+from qsteane.bch import Gf2mField, coset_extend, extended_bch
 from qsteane.distances import _coset_weights, _ints, _span_limbs, min_distance, quantum_distance_exact
 from qsteane.enumerators import (
     CertificateError,
     _coset_distances,
     _coset_enumerators,
     _coset_histograms,
+    _coset_word,
     _enumerator_distances,
 )
 from qsteane.gf2 import (
@@ -294,6 +295,70 @@ class TestCosetSweep:
         C, Cp = f4_pair(m)
         (w,) = _completion_rows(C, Cp)
         assert Counter(_coset_distances(C, w, C.n)) == {2: 2**m + 2, 3: 2**m - 2}
+
+    @pytest.mark.parametrize("m", range(3, 11))
+    def test_f4_ell_0_theorem(self, m):
+        # C is the extended Hamming code: coordinate c < n - 1 has label
+        # p_c = alpha^c, the parity coordinate 0, and sigma(u) = (wt u mod 2,
+        # sum of p_c over supp u) has kernel exactly C.  For every even w
+        # outside C, coset v has d = 2 when v is odd, v in C or v in w + C,
+        # and d = 3 otherwise: x = e_i + e_j with p_i + p_j = s_w, and
+        # z = e_i + e_k with p_k = p_i + s_v.  No z inside a pair {i, j}
+        # has the syndrome of such a v, so no weight-2 element exists.
+        C, Cp = f4_pair(m)
+        n, mask = C.n, (1 << m) - 1
+        label = [Gf2mField(m).power(c) for c in range(n - 1)] + [0]
+        at = {p: c for c, p in enumerate(label)}
+        assert len(at) == n
+        checks = [(1 << n) - 1] + [sum(1 << (n - 1 - c) for c in range(n) if label[c] >> b & 1) for b in range(m)]
+        assert all((row & h).bit_count() % 2 == 0 for row in C.basis_ints() for h in checks)
+        assert LinearCode(checks, n).k == m + 1 == n - C.k
+
+        def sigma(u: int) -> int:
+            s = (u.bit_count() & 1) << m
+            while u:
+                low = u & -u
+                s ^= label[n - low.bit_length()]
+                u ^= low
+            return s
+
+        def e(*coords: int) -> int:
+            return sum(1 << (n - 1 - c) for c in set(coords))
+
+        D = dual(C)
+        cosets = [_coset_word(C, i) for i in range(1 << (m + 1))]
+        syndromes = [sigma(v) for v in cosets]
+        rng = random.Random(m)
+        words = list(_completion_rows(C, Cp))
+        while len(words) < 4:
+            u = rng.getrandbits(n)
+            u ^= u.bit_count() & 1  # even, through the parity coordinate
+            if sigma(u):
+                words.append(u)
+        for w in words:
+            sw = sigma(w)
+            assert sw and not sw >> m  # x in w + C is even and nonzero: d >= 2
+            # Every syndrome of a z inside a pair {i, j} with p_i + p_j = s_w.
+            pairs = [(i, at[label[i] ^ sw]) for i in range(n)]
+            reach = {sigma(z) for i, j in pairs for z in (0, e(i), e(j), e(i, j))}
+            dist = []
+            for v, sv in zip(cosets, syndromes):
+                i = at[sv & mask] if sv >> m else 0
+                x = e(*pairs[i])
+                if sv >> m:
+                    z = e(i)
+                elif sv in (0, sw):
+                    z = x if sv else 0
+                else:
+                    z = e(i, at[label[i] ^ sv])
+                assert sigma(x) == sw and sigma(z) == sv and x not in D
+                if m <= 6:
+                    assert x ^ w in C and z ^ v in C
+                dist.append((x | z).bit_count())
+                assert (dist[-1] == 2) == (sv in reach)
+            assert Counter(dist) == {2: 2**m + 2, 3: 2**m - 2}
+            if m <= 8:
+                assert _coset_distances(C, w, n) == dist
 
     def test_corrupted_histograms_raise(self):
         C, Cp = f4_pair(3)
