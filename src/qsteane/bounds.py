@@ -164,7 +164,8 @@ def emit_curve(delta_min: float, delta_max: float, step: float) -> np.recarray:
 
 def write_curve_csv(points: np.recarray, out: TextIO) -> None:
     """CSV with header delta,gf4,cs,steane,thm4 and fixed 6-decimal cells,
-    one write per block of rows."""
+    one `%` format and one write per block of rows."""
     out.write("delta,gf4,cs,steane,thm4\n")
     for lo in range(0, len(points), _CSV_BLOCK):
-        out.write("".join([_CSV_ROW % row for row in points[lo : lo + _CSV_BLOCK].tolist()]))
+        block = points[lo : lo + _CSV_BLOCK]
+        out.write((_CSV_ROW * len(block)) % tuple(block.view(np.float64).tolist()))

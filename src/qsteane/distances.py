@@ -19,7 +19,7 @@ Words are ints with coordinate c at bit n - 1 - c (see `gf2`), so int
 order is lexicographic order.  Spans are numpy arrays built by doubling,
 ceil(n/64) uint64 limbs per word, the word's big-endian limbs shifted
 to start at column 0, so that rows compare limb by limb as words do.
-Every span and pair pass runs over the blocks of `_blocks`.  Every
+Every span and pair pass runs over the blocks of `gf2._blocks`.  Every
 row-space walk, at any n and k, runs one numpy kernel, `_span_min`;
 `_weights` is the one popcount over limbs and `_lexmin` the one rule
 that picks a lex-least row.
@@ -34,13 +34,13 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .gf2 import DEFAULT_ENUM_CAP, EnumerationCapError, LinearCode, _bits, _combinations, _dual_rows, _pack, _unpack
+from . import gf2  # gf2._BLOCK is read at call time, so one setattr resizes every pass
+from .gf2 import DEFAULT_ENUM_CAP, EnumerationCapError, LinearCode, _bits, _blocks, _combinations, _dual_rows, _pack, _unpack
 
 if TYPE_CHECKING:
     from .steane import QuantumCode
 
 _HALF_ROWS = 1 << 20  # most rows over the error side's half tables; bounds its memory
-_BLOCK = 1 << 14  # most words in one block of `_blocks`
 
 
 @dataclass(frozen=True)
@@ -110,28 +110,12 @@ def _lexmin(rows: np.ndarray) -> np.ndarray:
     return rows[0]
 
 
-def _blocks(outer: np.ndarray, inner: np.ndarray, op, width: int = 1):
-    """Yield (start, op(outer[start : start + step], inner)) over outer.
-
-    Rows hold uint64 limbs (`_span_limbs`): `width` n-bit words, then any
-    limbs that ride along uncounted.  Blocks are limb-major, block[i, c, j]
-    = op(outer[start + i, c], inner[j, c]), so each limb is contiguous.
-    This is the block rule of every span and pair pass: a block holds at
-    most _BLOCK words or one row of outer, so a pass keeps one block of
-    temporaries, a few times _BLOCK * limbs * 8 bytes, at any size.
-    """
-    inner = np.ascontiguousarray(inner.T)
-    step = max(1, _BLOCK // (width * inner.shape[1]))
-    for start in range(0, len(outer), step):
-        yield start, op(outer[start : start + step, :, None], inner)
-
-
 def _span_blocks(halves: list[list[int]], n: int, syn: Optional[list[int]] = None):
     """`_blocks` over span{(x_i | z_i | syn_i)}, the limbs of the rows of
     `halves` ([rows] or [xs, zs], n bits) and of `syn` joined: the span of
     the later rows runs over that of the first, so word i of the span is
     block[i // N - start, :, i % N], N = block.shape[2]."""
-    split = (_BLOCK // len(halves)).bit_length() - 1
+    split = (gf2._BLOCK // len(halves)).bit_length() - 1
     parts = [(rows, n) for rows in halves] + ([] if syn is None else [(syn, len(syn))])
     inner = np.concatenate([_span_limbs(rows[:split], m) for rows, m in parts], axis=1)
     outer = np.concatenate([_span_limbs(rows[split:], m) for rows, m in parts], axis=1)
@@ -203,7 +187,7 @@ def second_gdw(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
     lightest word a weighs at most 2 d2 / 3, and its support has
     wt(a) + wt(b & ~a) coordinates.  So the nonzero a, in increasing
     weight while 3 wt(a) <= 2 best, take one numpy pass per chunk of
-    max(1, _BLOCK // len(pool)) light words of one weight, for the
+    max(1, gf2._BLOCK // len(pool)) light words of one weight, for the
     minimum of wt(b & ~a) over the other nonzero words b (the residual
     code of C on the complement of supp a; V. K. Wei, IEEE Trans. IT,
     1991).  Every word of a minimising subcode weighs at most d2, so
@@ -231,7 +215,7 @@ def second_gdw(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
         # Words of weight w < best stay in the pool, in order, so `done` counts them throughout.
         light, done = np.flatnonzero(wt == w), 0
         while done < len(light) and 3 * w <= 2 * best:
-            chunk = light[done : done + max(1, _BLOCK // len(pool))]
+            chunk = light[done : done + max(1, gf2._BLOCK // len(pool))]
             rest, ties = _residual_pass(pool, chunk, best - w)
             done += len(chunk)
             compared += len(chunk) * len(pool)

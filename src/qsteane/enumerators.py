@@ -9,7 +9,7 @@ Every count is checked on the way (even, nonnegative, exactly
 divisible), and any failure raises CertificateError.
 
 Spans are `distances._span_limbs` arrays, and the pass runs over the
-blocks of `distances._blocks`, which bound its temporaries.
+blocks of `gf2._blocks`, which bound its temporaries.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import math
 
 import numpy as np
 
-from .distances import _blocks, _span_limbs, _weights
-from .gf2 import LinearCode, _dual_rows
+from .distances import _span_limbs, _weights
+from .gf2 import LinearCode, _blocks, _dual_rows
 
 
 class CertificateError(RuntimeError):
@@ -45,7 +45,7 @@ def _coset_distances(C: LinearCode, w: int, stop: int) -> list[int]:
     Entry i is d of coset i when it is at most `stop`; the first coset
     above `stop` gets its exact d too, and the others above it read
     stop + 1.  Costs 2^(2(n-k)) pairs; memory is one block of pairs
-    (`distances._blocks`) and the 2^(n-k) * (n + 1) int64 counts.
+    (`gf2._blocks`) and the 2^(n-k) * (n + 1) int64 counts.
     """
     n, q = C.n, C.n - C.k
     T, f = _coset_histograms(_dual_rows(C), w, n)
@@ -65,7 +65,7 @@ def _coset_histograms(dual_rows: list[int], w: int, n: int) -> tuple[np.ndarray,
     """(T, f) over the pairs (a, b) of the span of `dual_rows`: T[t] counts
     the pairs with wt(a | b) = t, and f[s, t] sums (-1)^(b.w) over those
     with a = row s of the span.  Rows a run against every b in the
-    blocks of `distances._blocks`."""
+    blocks of `gf2._blocks`."""
     span = _span_limbs(dual_rows, n)
     odd = (_weights(span & _span_limbs([w], n)[1]) & 1).astype(bool)
     f = np.zeros((len(span), n + 1), dtype=np.int64)

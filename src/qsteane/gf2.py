@@ -15,7 +15,8 @@ byte c // 8 and byte j holds the strip of columns 8j .. 8j + 7, most
 significant bit first.  The dual and a word's bits at the pivot columns
 are read off the unpacked rows, one 0/1 byte per column (`_bits`).
 `distances._span_limbs` reads the packed bytes as big-endian uint64
-limbs, so that comparing limbs compares words.
+limbs, so that comparing limbs compares words.  Every span, pair and
+Gram pass runs over the blocks of `_blocks`.
 """
 
 from __future__ import annotations
@@ -37,10 +38,12 @@ DEFAULT_ENUM_CAP = 26
 # codes the searches build.
 _PACKED_MIN_COLS = 256
 _PACKED_MIN_ROWS = 64
-# Batched membership (`_residual_packed`) against a basis of k = n/2 ..
-# n - 60 rows, n = 256..1024, costs the same as testing 16-18 member
-# words one by one, and less from 20 words on.
+# Batched membership (`_residual_packed`, for `is_subcode` and the coset
+# bases) against a basis of k = n/2 .. n - 60 rows, n = 256..1024, costs
+# the same as testing 16-18 member words one by one, and less from 20
+# words on.
 _PACKED_MIN_WORDS = 20
+_BLOCK = 1 << 14  # most words in one block of `_blocks`
 # The nonzero byte values, scrambled (times 101 mod 256) so that the
 # first few a strip holds are likely independent: the first nine of the
 # full order already span GF(2)^8.
@@ -141,6 +144,23 @@ def _bits(M: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(M.view(np.uint8), axis=1, count=n)
 
 
+def _blocks(outer: np.ndarray, inner: np.ndarray, op, width: int = 1):
+    """Yield (start, op(outer[start : start + step], inner)) over outer.
+
+    Rows hold uint64 limbs: `width` n-bit words, then any limbs that ride
+    along uncounted.  Blocks are limb-major, block[i, c, j] =
+    op(outer[start + i, c], inner[j, c]), so each limb is contiguous.
+    This is the block rule of every span, pair and Gram pass: a block
+    holds at most _BLOCK words or one row of outer, so a pass keeps one
+    block of temporaries, a few times _BLOCK * limbs * 8 bytes, at any
+    size.
+    """
+    inner = np.ascontiguousarray(inner.T)
+    step = max(1, _BLOCK // (width * inner.shape[1]))
+    for start in range(0, len(outer), step):
+        yield start, op(outer[start : start + step, :, None], inner)
+
+
 def _combinations(R: np.ndarray) -> np.ndarray:
     """All 2^m sums of the rows of the (m, limbs) array R, m >= 0: entry x
     sums the rows picked by the bits of x.  The Four-Russians table, and
@@ -218,16 +238,47 @@ def _rref_packed(rows: list[int], cols: int) -> tuple[list[int], int, list[int]]
     return _unpack(M[:r], cols) + [0] * (m - r), r, pivots
 
 
-def _dual_packed(basis: list[int], pivots: list[int], n: int) -> list[int]:
-    """Generator rows of the dual of an rref basis, built on 0/1 bytes (`_bits`):
-    dual row f has a 1 at c, the f-th free column, and bit c of basis[i]
-    at pivots[i], for every i."""
-    k, pivset = len(basis), set(pivots)
+def _free_bits(basis: list[int], pivots: list[int], n: int) -> tuple[list[int], np.ndarray]:
+    """The free (non-pivot) columns of an rref basis, and A, its bits there
+    on 0/1 bytes (`_bits`): A[i, f] is the f-th free column of basis[i]."""
+    pivset = set(pivots)
     free = [c for c in range(n) if c not in pivset]
-    D = np.zeros((n - k, n), dtype=np.uint8)
-    D[:, pivots] = _bits(_pack(basis, n), n)[:, free].T
-    D[np.arange(n - k), free] = 1
+    return free, np.take(_bits(_pack(basis, n), n), free, axis=1)
+
+
+def _dual_packed(basis: list[int], pivots: list[int], n: int) -> list[int]:
+    """Generator rows of the dual of an rref basis: dual row f has a 1 at
+    the f-th free column and A[i, f] (`_free_bits`) at pivots[i]."""
+    free, A = _free_bits(basis, pivots, n)
+    D = np.zeros((len(free), n), dtype=np.uint8)
+    D[:, pivots] = A.T
+    D[np.arange(len(free)), free] = 1
     return _unpack(np.packbits(D, axis=1), n)
+
+
+def _odd_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """An `_blocks` op: [i, j] = parity of popcount(a[i] & b[j]), the
+    parity of the XOR of the limbs' ANDs, taken one limb at a time so
+    that no temporary holds more than one limb."""
+    acc = a[:, 0] & b[0]
+    for c in range(1, len(b)):
+        acc ^= a[:, c] & b[c]
+    return np.bitwise_count(acc) & 1
+
+
+def _gram_is_identity(A: np.ndarray) -> bool:
+    """Whether AᵀA = I over GF(2), for the 0/1 bytes A (k, f): the columns
+    of A packed as rows of uint64 limbs, one `_blocks` pass of parities,
+    stopping at the first block that differs from the identity."""
+    k, f = A.shape
+    cols = np.zeros((f, -(-k // 64) * 8), dtype=np.uint8)
+    cols[:, : -(-k // 8)] = np.packbits(A.T, axis=1)
+    cols = cols.view(np.uint64)
+    for start, odd in _blocks(cols, cols, _odd_overlaps):
+        odd[np.arange(len(odd)), np.arange(start, start + len(odd))] ^= 1
+        if odd.any():
+            return False
+    return True
 
 
 def _residual_packed(words: list[int], basis: list[int], pivots: list[int], n: int) -> np.ndarray:
@@ -364,9 +415,24 @@ def is_subcode(A: LinearCode, B: LinearCode) -> bool:
 
 
 def is_dual_containing(C: LinearCode) -> bool:
-    """True iff dual(C) <= C: `is_subcode(dual(C), C)` without the rref
-    of the dual's generator rows that building dual(C) costs."""
-    return _all_in(_dual_rows(C), C)
+    """True iff dual(C) <= C, by the Gram identity AᵀA = I over GF(2).
+
+    With the pivot columns first, C's rref basis reads [I | A] and
+    dual(C) has generator [Aᵀ | I], whose rows f, g have inner product
+    (AᵀA + I)[f, g].  As C = dual(dual(C)), dual(C) <= C iff dual(C) is
+    self-orthogonal, iff AᵀA = I; this needs n - k <= k.  Wide codes
+    test AᵀA on packed columns of A (`_gram_is_identity`), the others
+    the pairwise parity of the dual's rows as ints.
+    """
+    n, k = C.n, C.k
+    if 2 * k < n:
+        return False
+    if k == n:
+        return True
+    if _packed(n, C._basis):
+        return _gram_is_identity(_free_bits(C._basis, C._pivots, n)[1])
+    rows = _dual_rows(C)
+    return not any((a & b).bit_count() & 1 for i, a in enumerate(rows) for b in rows[i:])
 
 
 _NOT_DIGITS = str.maketrans("", "", "01")
@@ -376,22 +442,26 @@ def parse_matrix(text: str) -> tuple[list[int], int]:
     """Parse a text block of 0/1 rows into (rows, n).
 
     Each row is read as a binary number, so its first digit is
-    coordinate 0.  Spaces and tabs between digits are ignored; blank
-    lines and lines starting with '#' are skipped.  Ragged rows or
+    coordinate 0.  Lines end at '\n' only.  Spaces and tabs between
+    digits are ignored; blank lines and lines starting with '#' are
+    skipped.  Ragged rows or
     foreign characters raise MatrixParseError with the offending line
     number.
     """
     rows: list[int] = []
     width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         digits = stripped.replace(" ", "").replace("\t", "")
-        # Checked before int(), which would also take '_', a sign, a
-        # '0b' prefix or non-ASCII digits.
-        bad = digits.translate(_NOT_DIGITS)
-        if bad:
+        try:
+            row = int(digits, 2)
+        except ValueError:
+            row = None
+        # int() also takes a sign, '_', a '0b' prefix and non-ASCII digits.
+        if row is None or digits[0] in "+-" or "_" in digits or "b" in digits or "B" in digits or not digits.isascii():
+            bad = digits.translate(_NOT_DIGITS)  # only to word the error
             raise MatrixParseError(
                 f"line {lineno}: unexpected characters {sorted(set(bad))}"
             )
@@ -401,7 +471,7 @@ def parse_matrix(text: str) -> tuple[list[int], int]:
             raise MatrixParseError(
                 f"line {lineno}: row has {len(digits)} columns, expected {width}"
             )
-        rows.append(int(digits, 2))
+        rows.append(row)
     if width is None:
         raise MatrixParseError("no matrix rows found")
     return rows, width

@@ -179,7 +179,7 @@ def certified_enlarge(
     (`enumerators._coset_distances`), run when 2(n - k) <= cap.  A
     dual-containing C has n - k <= k, so every zero coset within reach
     of the scan is within reach of the sweep too.  The sweep keeps one
-    block of temporaries (`distances._blocks`) and 2^(n-k) * (n + 1)
+    block of temporaries (`gf2._blocks`) and 2^(n-k) * (n + 1)
     int64 counts.  The first coset to reach the bound
     is returned, else the first of highest exact distance: the zero
     coset's code with its last second half replaced.  When the sweep is
@@ -295,9 +295,9 @@ def find_self_dual_subcode(Cp: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Linea
     n, kp = Cp.n, Cp.k
     if n % 2:
         raise CodeConstructionError("self-dual codes need even length")
-    Cperp = dual(Cp)
-    if not is_subcode(Cperp, Cp):
+    if not is_dual_containing(Cp):
         raise CodeConstructionError("C' is not dual-containing")
+    Cperp = dual(Cp)
     r = kp - n // 2  # >= 0, as dual(C') <= C'
     if r == 0:
         return Cp  # C' is already self-dual

@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 import pytest
 
-from qsteane import distances
+from qsteane import gf2
 from qsteane.bch import FamilySpec, build_family_code
 from qsteane.bounds import bound_cs, bound_gf4, bound_steane, bound_thm4
 from qsteane.gf2 import CodeConstructionError, LinearCode, dual, extend_parity, render_matrix
@@ -511,12 +511,22 @@ def reference_curve_csv(points: list[tuple]) -> str:
     return "".join(lines)
 
 
+def dual_containing_code(rng, half: int, t: int) -> LinearCode:
+    """[2 half, half + t] code span{(y|y)} + {(z_j|0)}, coordinates shuffled:
+    it holds its dual {(x|x) : x orthogonal to every z_j}."""
+    n = 2 * half
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [(1 << i) | (1 << (i + half)) for i in range(half)] + [rng.getrandbits(half) for _ in range(t)]
+    return LinearCode([sum(1 << perm[c] for c in range(n) if r >> c & 1) for r in rows], n)
+
+
 @pytest.fixture(params=[14, 3])
 def block(request, monkeypatch):
-    """Runs a test at `distances._BLOCK` = 2^14, the default, and at 2^3,
-    where every span and pair pass of more than 8 words takes several
-    blocks; the parameter is the exponent."""
-    monkeypatch.setattr(distances, "_BLOCK", 1 << request.param)
+    """Runs a test at `gf2._BLOCK` = 2^14, the default, and at 2^3,
+    where every span, pair and Gram pass of more than 8 words takes
+    several blocks; the parameter is the exponent."""
+    monkeypatch.setattr(gf2, "_BLOCK", 1 << request.param)
     return request.param
 
 

@@ -218,6 +218,18 @@ class TestEmitCurve:
             write_curve_csv(emit_curve(*grid), buf)
             assert buf.getvalue() == reference_curve_csv(reference_curve(*grid)), grid
 
+    @pytest.mark.parametrize("block", [1024, 4])
+    def test_block_format_equals_per_row_format(self, block, monkeypatch):
+        # 20,001 and 7 rows: a partial last block at either block size.
+        monkeypatch.setattr(bounds, "_CSV_BLOCK", block)
+        for grid in ((0.0123, 0.5, (0.5 - 0.0123) / 20000), (0.0, 0.3, 0.05)):
+            pts = emit_curve(*grid)
+            assert len(pts) % block
+            buf = io.StringIO()
+            write_curve_csv(pts, buf)
+            rows = "".join(bounds._CSV_ROW % row for row in pts.tolist())
+            assert buf.getvalue() == "delta,gf4,cs,steane,thm4\n" + rows, grid
+
     def test_negative_zero_endpoints_become_zero(self):
         for grid in ((-0.0, -0.0, 0.1), (-0.0, 0.0, 0.1), (-0.0, 0.1, 0.05)):
             pts = emit_curve(*grid)

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import random
 import runpy
 import sys
 from importlib import resources
@@ -11,9 +12,9 @@ from qsteane import steane
 from qsteane.bch import coset_extend, extended_bch
 from qsteane.enumerators import CertificateError
 from qsteane.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAIL, build_parser, main
-from qsteane.gf2 import LinearCode, even_weight_code, render_matrix
+from qsteane.gf2 import LinearCode, dual, even_weight_code, is_subcode, render_matrix
 
-from conftest import EXT_HAMMING_8_4
+from conftest import EXT_HAMMING_8_4, dual_containing_code
 
 
 def fixture_path(name: str) -> str:
@@ -38,6 +39,23 @@ class TestVerify:
     def test_missing_file(self, capsys):
         assert main(["verify", "/no/such/file"]) == EXIT_INPUT_ERROR
         assert "error:" in capsys.readouterr().err
+
+    def test_wide_dual_containing_code_and_one_row_changed(self, tmp_path, capsys):
+        rng = random.Random(1024)
+        C = dual_containing_code(rng, 512, 100)
+        rows = C.basis_ints()
+        # Each row plus a random later one: the file is not in rref.
+        rows = [r ^ rows[rng.randrange(i + 1, len(rows))] if i < len(rows) - 1 else r for i, r in enumerate(rows)]
+        path = tmp_path / "c.txt"
+        path.write_text(render_matrix(rows, 1024))
+        assert main(["verify", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == "n=1024 k=612 dual_containing=yes\n"
+        rows[300] ^= 1 << 17
+        B = LinearCode(rows, 1024)
+        assert B.k == 612 and not is_subcode(dual(B), B)
+        path.write_text(render_matrix(rows, 1024))
+        assert main(["verify", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == "n=1024 k=612 dual_containing=no\n"
 
     def test_bad_matrix(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

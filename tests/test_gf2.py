@@ -26,7 +26,7 @@ from qsteane.gf2 import (
     rref_ints,
 )
 
-from conftest import enumerate_codewords, enumerate_span, lex, span_words, xor_sum
+from conftest import dual_containing_code, enumerate_codewords, enumerate_span, lex, span_words, xor_sum
 
 
 small_matrices = st.integers(2, 10).flatmap(
@@ -59,7 +59,7 @@ class TestParseRender:
         with pytest.raises(MatrixParseError):
             parse_matrix("# nothing\n\n")
 
-    @pytest.mark.parametrize("row", ["1_0", "+1", "0b1", "\uff11\uff10", "\u0661\u0660"])
+    @pytest.mark.parametrize("row", ["1_0", "+1", "0b1", "\uff11\uff10", "\u0661\u0660", "0B1", "-1", "1\x0b0", "1\u00a00"])
     def test_rows_int_would_accept_are_refused(self, row):
         # int(row, 2) takes each of these (a digit separator, a sign, a
         # prefix, fullwidth and Arabic-Indic digits); the parser must not.
@@ -256,16 +256,6 @@ def _case_rows(rng, kind, m, n):
     return rows
 
 
-def _dual_containing(rng, half, t):
-    """[2 half, half + t] code span{(y|y)} + {(z_j|0)}, coordinates shuffled:
-    it holds its dual {(x|x) : x orthogonal to every z_j}."""
-    n = 2 * half
-    perm = list(range(n))
-    rng.shuffle(perm)
-    rows = [(1 << i) | (1 << (i + half)) for i in range(half)] + [rng.getrandbits(half) for _ in range(t)]
-    return LinearCode([sum(1 << perm[c] for c in range(n) if r >> c & 1) for r in rows], n)
-
-
 class TestPackedKernels:
     KINDS = ("random", "deficient", "duplicates", "zeros")
 
@@ -332,7 +322,7 @@ class TestPackedKernels:
     @pytest.mark.parametrize("half", [127, 128, 160])
     def test_dual_containing_on_both_paths(self, half, monkeypatch):
         rng = random.Random(half)
-        C = _dual_containing(rng, half, 20)
+        C = dual_containing_code(rng, half, 20)
         D = dual(C)
         assert (C.k, D.k) == (half + 20, half - 20)
         assert is_subcode(D, C)
@@ -352,12 +342,12 @@ class TestPackedKernels:
             codes += [LinearCode([rng.getrandbits(n) for _ in range(rng.randrange(1, n + 1))], n) for _ in range(2)]
             if n % 2 == 0:
                 half = n // 2
-                C = _dual_containing(rng, half, rng.randrange(min(half, 40) + 1))
+                C = dual_containing_code(rng, half, rng.randrange(min(half, 40) + 1))
                 codes += [C, LinearCode(C.basis_ints()[:-1] + [rng.getrandbits(n)], n)]
             for C in codes:
                 yes = is_dual_containing(C)
                 assert yes == is_subcode(dual(C), C), (n, C.k)
-                seen[n >= gf2._PACKED_MIN_COLS and len(gf2._dual_rows(C)) >= gf2._PACKED_MIN_WORDS, yes] += 1
+                seen[gf2._packed(n, C.basis_ints()) and C.k < n <= 2 * C.k, yes] += 1  # the Gram pass ran
         assert (codes[0].k, codes[1].k) == (0, 320)
         assert min(seen.values()) >= 3, seen
 
@@ -385,3 +375,86 @@ class TestPackedKernels:
             res = gf2._residual_packed(words, C.basis_ints(), C._pivots, n)
             assert [not row.any() for row in res] == [w in C for w in words]
             assert [not row.any() for row in res][5:] == [True] * 5
+
+
+class TestGramRule:
+    """`is_dual_containing` by AᵀA = I, against `is_subcode(dual(C), C)`."""
+
+    @staticmethod
+    def _verdicts(C, monkeypatch):
+        """is_dual_containing(C) on the path C's size picks, then on the int
+        path, then the oracle is_subcode(dual(C), C)."""
+        verdict = is_dual_containing(C)
+        with monkeypatch.context() as m:
+            m.setattr(gf2, "_PACKED_MIN_COLS", MAX_LENGTH + 1)
+            return verdict, is_dual_containing(C), is_subcode(dual(C), C)
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        """Count the calls of gf2.<name>."""
+        calls, f = [], getattr(gf2, name)
+        monkeypatch.setattr(gf2, name, lambda *args: calls.append(1) or f(*args))
+        return calls
+
+    def test_matches_dual_subcode_on_both_paths(self, block, monkeypatch):
+        rng = random.Random(41 + block)
+        gram = self._spy(monkeypatch, "_gram_is_identity")
+        seen = []
+        for n in (256, 300, 512, 1024):
+            codes = [LinearCode([rng.getrandbits(n) for _ in range(rng.randrange(n // 2, n))], n) for _ in range(2)]
+            C = dual_containing_code(rng, n // 2, rng.randrange(64))
+            codes += [C, LinearCode(C.basis_ints()[:-1] + [rng.getrandbits(n)], n)]
+            for C in codes:
+                verdicts = self._verdicts(C, monkeypatch)
+                assert len(set(verdicts)) == 1, (n, C.k, verdicts)
+                seen.append(verdicts[0])
+        assert len(gram) == 16 and seen.count(True) == 4  # every code took the Gram pass once
+
+    @pytest.mark.parametrize("n", [9, 10, 255, 256, 257, 300])
+    def test_edge_shapes(self, n, block, monkeypatch):
+        rng = random.Random(n)
+        half = n // 2
+        cases = [
+            (LinearCode([0], n), False),  # k = 0
+            (LinearCode([1 << i for i in range(n)], n), True),  # k = n
+            (even_weight_code(n), n % 2 == 0),  # n - k = 1: dual is the all-ones word
+        ]
+        for h in (rng.getrandbits(n) | 1, rng.getrandbits(n) | 1):
+            # h-perp, spanned by e_i + h_i e_0 (i > 0; coordinate n - 1 is bit 0):
+            # it holds its dual {0, h} iff wt(h) is even.
+            cases.append((LinearCode([1 << i | h >> i & 1 for i in range(1, n)], n), h.bit_count() % 2 == 0))
+        if n % 2:
+            cases.append((LinearCode([rng.getrandbits(n) for _ in range(half)], n), False))  # 2k = n - 1
+        else:
+            C = dual_containing_code(rng, half, 0)  # 2k = n: self-dual
+            cases += [(C, True), (LinearCode(C.basis_ints()[:-1] + [rng.getrandbits(n)], n), False)]
+        for C, want in cases:
+            verdicts = self._verdicts(C, monkeypatch)
+            assert len(set(verdicts)) == 1, (n, C.k, verdicts)
+            assert verdicts[0] is want, (n, C.k)
+
+    def test_wide_1024_612_with_one_row_replaced(self, block, monkeypatch):
+        rng = random.Random(612)
+        C = dual_containing_code(rng, 512, 100)
+        broken = LinearCode(C.basis_ints()[:-1] + [rng.getrandbits(1024)], 1024)
+        assert (C.n, C.k, broken.k) == (1024, 612, 612)
+        assert self._verdicts(C, monkeypatch) == (True, True, True)
+        assert self._verdicts(broken, monkeypatch) == (False, False, False)
+
+    def test_pass_stops_at_the_first_block_that_differs(self, block, monkeypatch):
+        # [I | A] with A's columns e_0 .. e_(f-2) and a last column c zero on
+        # rows 0 .. f-2: AᵀA differs from I at most at its last diagonal entry.
+        n, k = 600, 320
+        f = n - k
+        step = max(1, gf2._BLOCK // f)
+        for c, want in ((1 << f - 1 | 1 << f, False), (1 << f - 1, True), (1 << f - 1 | 1 << f | 1 << f + 1, True)):
+            cols = [1 << g for g in range(f - 1)] + [c]
+            A = [sum((col >> i & 1) << (f - 1 - g) for g, col in enumerate(cols)) for i in range(k)]
+            C = LinearCode([1 << (n - 1 - i) | a for i, a in enumerate(A)], n)
+            blocks = self._spy(monkeypatch, "_odd_overlaps")
+            assert is_dual_containing(C) is want is is_subcode(dual(C), C)
+            assert len(blocks) == -(-f // step)  # every block ran
+        broken = LinearCode(C.basis_ints()[:-1] + [random.Random(5).getrandbits(n)], n)
+        blocks = self._spy(monkeypatch, "_odd_overlaps")
+        assert not is_dual_containing(broken)
+        assert len(blocks) == 1
