@@ -3,8 +3,11 @@ families built from their nested, dual-containing chain.
 
 Dual containment holds exactly when the designed distance 2t+1 stays
 below 2^ceil(m/2); inside that regime the codes have dimension
-2^m - 1 - m*t and true distance equal to the designed one (verified
-exhaustively at desk scale by the test suite).
+2^m - 1 - m*t and, by the BCH bound, distance at least the designed
+2t+1.  The test suite checks that the distance equals it at
+(m, t) = (4, 1), (5, 1), (5, 2) and (5, 3).  The distance bound a
+family build passes on is derived from those proven bounds alone
+(`family_bound`), never taken from the closed form.
 """
 
 from __future__ import annotations
@@ -236,6 +239,37 @@ def family_params(spec: FamilySpec) -> tuple[int, int, int]:
     return (n, n - (5 * ell + 3) * m - 1, 6 * ell + 5)
 
 
+def _family_ts(spec: FamilySpec) -> tuple[int, int, Optional[int]]:
+    """The BCH t values a member is built from: t of C, t of C' (for
+    F4, of the ambient code the coset is taken from) and, for F4 only,
+    t of C1."""
+    ell = spec.ell
+    return {
+        "F0": (3 * ell - 1, 2 * ell - 1, None),
+        "F2": (3 * ell, 2 * ell, None),
+        "F3": (3 * ell + 1, 2 * ell, None),
+        "F4": (3 * ell + 1, 2 * ell, 2 * ell + 1),
+    }[spec.family]
+
+
+def family_bound(spec: FamilySpec) -> int:
+    """The enlargement bound min(d(C), d2(C')) for an F0/F2/F3/F4 member,
+    proven from the t values it is built from:
+
+    (a) d(extended_bch(m, t)) >= 2t + 2: the BCH bound, plus the parity
+        bit, which makes every odd weight even;
+    (b) d2 >= ceil(3d/2) for a code of minimum distance d: two distinct
+        nonzero words a, b cover (wt a + wt b + wt(a + b)) / 2 positions;
+    (c) for F4, C' = C1 + <c> inside the ambient code A: a 2-dimensional
+        subspace not within C1 holds one word of C1 and two of A, so
+        d2(C') >= ceil((d(C1) + 2 d(A)) / 2), which (b) on C1 does not
+        undercut because d(C1) >= d(A).
+    """
+    dc, dp, d1 = (None if t is None else 2 * t + 2 for t in _family_ts(spec))  # (a)
+    d2 = -(-3 * dp // 2) if d1 is None else -(-(d1 + 2 * dp) // 2)  # (b), (c)
+    return min(dc, d2)
+
+
 def coset_extend(C1: LinearCode, big: LinearCode) -> LinearCode:
     """span(C1 + {c}) for the lexicographically smallest c in big \\ C1.
 
@@ -256,8 +290,10 @@ def build_family_code(spec: FamilySpec, cap: int = DEFAULT_ENUM_CAP) -> QuantumC
     F0/F2/F3 run the enlargement on parity-extended nested BCH codes;
     F4 enlarges into the union of a BCH code with one coset inside the
     next code of the chain.  F5 has no in-scope construction and is
-    refused (its parameters remain available via family_params).  `cap`
-    bounds the scans `certified_enlarge` runs, as everywhere.
+    refused (its parameters remain available via family_params).  The
+    distance bound passed on is `family_bound`'s proven one; a closed
+    form claiming more is refused.  `cap` bounds the scans
+    `certified_enlarge` runs, as everywhere.
     """
     n, K, d = family_params(spec)
     m, ell = spec.m, spec.ell
@@ -266,22 +302,21 @@ def build_family_code(spec: FamilySpec, cap: int = DEFAULT_ENUM_CAP) -> QuantumC
             "F5 is a parameters-only family (derived from F0 by an external "
             "construction); use family_params"
         )
-    if spec.family == "F0":
-        C, Cp = extended_bch(m, 3 * ell - 1), extended_bch(m, 2 * ell - 1)
-    elif spec.family == "F2":
-        C, Cp = extended_bch(m, 3 * ell), extended_bch(m, 2 * ell)
-    elif spec.family == "F3":
-        C, Cp = extended_bch(m, 3 * ell + 1), extended_bch(m, 2 * ell)
-    else:  # F4
-        C = extended_bch(m, 3 * ell + 1)
-        C1 = C if ell == 0 else extended_bch(m, 2 * ell + 1)
-        Cp = coset_extend(C1, extended_bch(m, 2 * ell))
+    proven = family_bound(spec)
+    if d > proven:
+        raise CodeConstructionError(
+            f"claimed distance d={d} exceeds the proven bound d={proven}"
+        )
+    tc, tp, t1 = _family_ts(spec)
+    C, Cp = extended_bch(m, tc), extended_bch(m, tp)
+    if t1 is not None:  # F4; at ell = 0, C1 is C
+        Cp = coset_extend(C if t1 == tc else extended_bch(m, t1), Cp)
     if Cp.k == C.k:
         raise CodeConstructionError(
             f"{spec.family} degenerates at ell={ell}: C' equals C, so there "
             "is nothing to enlarge (the closed-form parameters still hold)"
         )
-    Q = certified_enlarge(C, Cp, d_lower=d, cap=cap)
+    Q = certified_enlarge(C, Cp, d_lower=proven, cap=cap)
     if Q.K != K:
         raise CodeConstructionError(
             f"constructed K={Q.K} disagrees with the closed form K={K}"

@@ -11,7 +11,7 @@ import sys
 
 from .bch import FamilySpec, build_family_code, family_params
 from .bounds import emit_curve, write_curve_csv
-from .distances import min_distance, quantum_distance_exact, second_gdw
+from .distances import min_distance, second_gdw
 from .enumerators import CertificateError
 from .gf2 import (
     DEFAULT_ENUM_CAP,
@@ -48,26 +48,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _verdict(Q: QuantumCode, passing: str) -> tuple[str, int]:
+def _verdict(Q: QuantumCode, exact: str) -> tuple[str, int]:
     """Q's [[n,K,d]] line and exit code: "exact d=D FAIL" for a known
     exact distance below the bound and "distance bound unverified" for a
-    bound neither proven nor certified, both exit 1; else `passing`."""
+    bound neither proven nor certified, both exit 1.  Else the line
+    passes with `exact` filled in with d when d is known, and with
+    " bound holds by construction" when it is not; an empty `exact`
+    adds nothing."""
     line = f"[[{Q.n},{Q.K},{Q.d_lower}]]"
     if Q.d_exact is not None and Q.d_exact < Q.d_lower:
         return f"{line} exact d={Q.d_exact} FAIL", EXIT_VERIFY_FAIL
     if Q.d_exact is None and not Q.bound_proven:
         return f"{line} distance bound unverified", EXIT_VERIFY_FAIL
-    return line + passing, EXIT_OK
-
-
-def _scanned_verdict(Q: QuantumCode, cap: int, exact: str) -> tuple[str, int]:
-    """`_verdict` after the exact scan, run when d is open and Q's
-    generators are within the cap: a known d passes as `exact` with d
-    filled in, a bound proven but not scanned as " bound holds by
-    construction"."""
-    if Q.d_exact is None and Q.num_generators <= cap:
-        Q.d_exact = quantum_distance_exact(Q, cap=cap).value
-    return _verdict(Q, " bound holds by construction" if Q.d_exact is None else exact.format(Q.d_exact))
+    if exact and Q.d_exact is None:
+        return line + " bound holds by construction", EXIT_OK
+    return line + exact.format(Q.d_exact), EXIT_OK
 
 
 def cmd_steane(args) -> int:
@@ -79,7 +74,7 @@ def cmd_steane(args) -> int:
     else:
         raise CodeConstructionError("provide a C matrix file or --auto")
     Q = certified_enlarge(C, Cp, cap=args.cap)
-    line, code = _scanned_verdict(Q, args.cap, " exact d={}") if args.exact else _verdict(Q, "")
+    line, code = _verdict(Q, " exact d={}" if args.exact else "")
     print(line)
     return code
 
@@ -101,12 +96,12 @@ def cmd_table1(args) -> int:
 
 
 def family_line(spec: FamilySpec, build: bool, cap: int = DEFAULT_ENUM_CAP) -> tuple[str, int]:
-    """The line `family` prints for a member, and its exit code.  With
-    `build`, d is scanned when the build left it open and the cap allows."""
+    """The line `family` prints for a member, and its exit code: with
+    `build`, the verdict on the built code."""
     if not build:
         n, K, d = family_params(spec)
         return f"[[{n},{K},{d}]]" + (" (params only)" if spec.family == "F5" else ""), EXIT_OK
-    return _scanned_verdict(build_family_code(spec, cap=cap), cap, " exact d={} verified")
+    return _verdict(build_family_code(spec, cap=cap), " exact d={} verified")
 
 
 def cmd_family(args) -> int:
@@ -148,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("c_file", nargs="?", help="generator matrix of the inner code C")
     p.add_argument("cp_file", help="generator matrix of the enlargement C'")
     p.add_argument("--auto", action="store_true", help="recover C from C' by search")
-    p.add_argument("--exact", action="store_true", help="also compute the exact distance")
+    p.add_argument("--exact", action="store_true", help="also print the exact distance")
     p.set_defaults(func=cmd_steane)
 
     p = sub.add_parser("table1", help="recompute every published table row")

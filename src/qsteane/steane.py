@@ -10,9 +10,10 @@ from a dual-containing C with generator G and an enlargement C' whose
 basis extends G by G'.  H' is G' under a fix-point-free invertible
 linear map of its rows, which proves the distance bound when G' has at
 least two rows.  With one row, H' matters only through its coset of C:
-the zero coset is scanned first, and when it falls short of the bound,
-one batched sweep over the pairs of C-perp x C-perp gives the exact
-distance of every coset at once.  Also provides the stabilizer checks
+when the zero coset's code falls short of the bound, one batched sweep
+over the pairs of C-perp x C-perp gives the exact distance of every
+coset at once.  `certified_enlarge` is the one place that settles a
+built code's exact distance.  Also provides the stabilizer checks
 and the search that recovers a self-dual code sitting between C'-perp
 and C': a depth-first walk over the isotropic subspaces of C'/C'-perp,
 which reads each candidate's distance off a table of coset weights and
@@ -43,7 +44,7 @@ from .gf2 import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantumCode:
     """An [[n, K, d]] stabilizer code given by its generator halves:
     generator i is (gx[i] | gz[i]), each half a word of length n."""
@@ -60,7 +61,8 @@ class QuantumCode:
     bound_proven: bool = False
 
     def __post_init__(self):
-        self.gx, self.gz = tuple(self.gx), tuple(self.gz)
+        object.__setattr__(self, "gx", tuple(self.gx))
+        object.__setattr__(self, "gz", tuple(self.gz))
         if not 0 < self.n <= MAX_LENGTH:
             raise ValueError(f"n must be in [1, {MAX_LENGTH}]")
         if len(self.gx) != len(self.gz):
@@ -72,13 +74,9 @@ class QuantumCode:
     def num_generators(self) -> int:
         return len(self.gx)
 
-    def params(self) -> tuple[int, int, int]:
-        return (self.n, self.K, self.d_exact if self.d_exact is not None else self.d_lower)
-
     def __repr__(self):
-        n, K, d = self.params()
-        tag = "" if self.d_exact is not None else ">="
-        return f"QuantumCode[[{n},{K},{tag}{d}]]"
+        d = f">={self.d_lower}" if self.d_exact is None else self.d_exact
+        return f"QuantumCode[[{self.n},{self.K},{d}]]"
 
 
 def mix_completion_rows(rows: Sequence[int]) -> list[int]:
@@ -111,7 +109,8 @@ def steane_enlarge(
     Requires dual(C) <= C and C a proper subcode of C'.  The logical
     dimension is K = k + k' - n; the constructive distance bound is
     min(d1(C), d2(C')), computed here unless supplied by the caller
-    (closed-form family builds pass it in to avoid huge pair scans).
+    (family builds pass the bound `bch.family_bound` proves, to avoid
+    huge pair scans).
 
     `halves` gives the second halves of the completion rows explicitly,
     one word per row; the result is a stabilizer code for any choice,
@@ -164,6 +163,10 @@ def certified_enlarge(
 ) -> QuantumCode:
     """Enlargement whose distance bound is proved or exhaustively checked.
 
+    The one place that settles a built code's exact distance: the code
+    is scanned once with `quantum_distance_exact` when its k + k'
+    generators are within the cap, and d_exact is left None otherwise.
+
     With at least two completion rows the fix-point-free row mixing
     applies and the bound min(d1(C), d2(C')) holds by construction.
     The k' = k + 1 case admits no such map.  Its one completion row w
@@ -171,38 +174,31 @@ def certified_enlarge(
     the coset v + C, so one representative per coset covers every
     choice: the words supported off the pivot columns of rref(C), the
     i-th setting the free columns picked by the bits of i, from v = 0.
-
-    The zero coset is scanned first with `quantum_distance_exact`, when
-    its k + k' generators are within the cap, and returned if it reaches
-    the bound.  Otherwise every coset's exact distance comes from one
-    sweep over the 2^(2(n-k)) pairs of C-perp x C-perp
-    (`enumerators._coset_distances`), run when 2(n - k) <= cap.  A
-    dual-containing C has n - k <= k, so every zero coset within reach
-    of the scan is within reach of the sweep too.  The sweep keeps one
-    block of temporaries (`gf2._blocks`) and 2^(n-k) * (n + 1)
-    int64 counts.  The first coset to reach the bound
-    is returned, else the first of highest exact distance: the zero
-    coset's code with its last second half replaced.  When the sweep is
-    out of reach the zero coset is returned uncertified.
+    The zero coset's code is built first and returned if its scan
+    reaches the bound.  Otherwise every coset's exact distance comes
+    from one sweep over the 2^(2(n-k)) pairs of C-perp x C-perp
+    (`enumerators._coset_distances`), run when 2(n - k) <= cap and
+    checked against the scan for v = 0.  A dual-containing C has
+    n - k <= k, so every zero coset within reach of the scan is within
+    reach of the sweep too.  The sweep keeps one block of temporaries
+    (`gf2._blocks`) and 2^(n-k) * (n + 1) int64 counts.  The first
+    coset to reach the bound is returned, else the first of highest
+    exact distance.  When the sweep is out of reach the zero coset is
+    returned uncertified.
     """
-    if Cp.k - C.k >= 2:
-        return steane_enlarge(C, Cp, d_lower=d_lower, cap=cap)
-
-    zero = steane_enlarge(C, Cp, [0], d_lower=d_lower, cap=cap)
-    d_lower = zero.d_lower
-    if C.k + Cp.k <= cap:
-        zero.d_exact = quantum_distance_exact(zero, cap=cap).value
-        if zero.d_exact >= d_lower:
-            return zero
-    if 2 * (C.n - C.k) > cap:
-        return zero
-    ds = _coset_distances(C, zero.gx[-1], d_lower - 1)
-    if zero.d_exact is not None and ds[0] != zero.d_exact:
-        raise CertificateError(f"coset sweep gives d={ds[0]} for v = 0, the scan d={zero.d_exact}")
-    best = next((i for i, d in enumerate(ds) if d >= d_lower), None)
+    single = Cp.k == C.k + 1
+    Q = steane_enlarge(C, Cp, [0] if single else None, d_lower=d_lower, cap=cap)
+    if Q.num_generators <= cap:
+        Q = dataclasses.replace(Q, d_exact=quantum_distance_exact(Q, cap=cap).value)
+    if not single or 2 * (C.n - C.k) > cap or Q.d_exact is not None and Q.d_exact >= Q.d_lower:
+        return Q
+    ds = _coset_distances(C, Q.gx[-1], Q.d_lower - 1)
+    if Q.d_exact is not None and ds[0] != Q.d_exact:
+        raise CertificateError(f"coset sweep gives d={ds[0]} for v = 0, the scan d={Q.d_exact}")
+    best = next((i for i, d in enumerate(ds) if d >= Q.d_lower), None)
     if best is None:
         best = ds.index(max(ds))
-    return dataclasses.replace(zero, gz=zero.gz[:-1] + (_coset_word(C, best),), d_exact=ds[best])
+    return dataclasses.replace(Q, gz=Q.gz[:-1] + (_coset_word(C, best),), d_exact=ds[best])
 
 
 def symplectic_dual(Q: QuantumCode) -> list[int]:

@@ -21,6 +21,7 @@ oracle evaluates the scalar bound functions point by point.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import functools
 import itertools
 import math
@@ -222,7 +223,7 @@ def reference_coset_sweep(C: LinearCode, Cp: LinearCode, d_lower: int) -> tuple[
     for i in range(1 << len(free)):
         v = sum(bit for j, bit in enumerate(free) if i >> j & 1)
         Q = steane_enlarge(C, Cp, [v], d_lower=d_lower)
-        Q.d_exact = quantum_distance_exact(Q).value
+        Q = dataclasses.replace(Q, d_exact=quantum_distance_exact(Q).value)
         ds.append(Q.d_exact)
         if best is None or best.d_exact < d_lower and Q.d_exact > best.d_exact:
             best = Q

@@ -15,6 +15,7 @@ from qsteane.bch import (
     coset_extend,
     cyclotomic_cosets,
     extended_bch,
+    family_bound,
     family_params,
     verify_nesting,
 )
@@ -159,6 +160,21 @@ class TestFamilyParams:
     )
     def test_spot_values(self, family, m, ell, expected):
         assert family_params(FamilySpec(family, m, ell)) == expected
+
+    def test_proven_bound_equals_closed_form(self, monkeypatch):
+        # Arithmetic only: nothing is built.
+        monkeypatch.setattr(bch, "extended_bch", None)
+        members = 0
+        for family in ("F0", "F2", "F3", "F4"):
+            for m in range(3, 17):
+                for ell in range(1 << m):
+                    spec = FamilySpec(family, m, ell)
+                    if spec.condition()[0]:
+                        members += 1
+                        assert family_bound(spec) == family_params(spec)[2], spec
+                    elif ell:
+                        break
+        assert members == 678
 
     def test_condition_violation(self):
         with pytest.raises(CodeConstructionError, match="requires"):

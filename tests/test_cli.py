@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qsteane import steane
+from qsteane import bch, steane
 from qsteane.bch import coset_extend, extended_bch
 from qsteane.enumerators import CertificateError
 from qsteane.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAIL, build_parser, main
@@ -194,6 +194,16 @@ class TestFamily:
         assert capsys.readouterr().out == "[[64,51,4]] exact d=3 FAIL\n"
         assert main(["family", "F0", "6", "1", "--build"]) == EXIT_OK
         assert capsys.readouterr().out == "[[64,44,6]] bound holds by construction\n"
+
+    def test_claim_above_the_proven_bound_is_refused(self, capsys, monkeypatch):
+        # A closed form claiming one more than the bound its t values
+        # prove is an input error, never "bound holds by construction".
+        params = bch.family_params
+        monkeypatch.setattr(bch, "family_params", lambda spec: (*params(spec)[:2], params(spec)[2] + 1))
+        for member in (["F0", "6", "1"], ["F2", "5", "1"], ["F0", "10", "1"]):
+            assert main(["family", *member, "--build"]) == EXIT_INPUT_ERROR
+            out, err = capsys.readouterr()
+            assert out == "" and "exceeds the proven bound" in err
 
     @pytest.mark.parametrize(
         "argv, line",

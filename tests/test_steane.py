@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -100,6 +101,8 @@ class TestSteaneEnlarge:
         assert Q.d_lower == min(4, 3) == 3
         assert Q.num_generators == 11
         assert Q.bound_proven
+        with pytest.raises(FrozenInstanceError):
+            Q.d_exact = 3
 
     def test_bound_proven_holds_exactly(self):
         Q = steane_enlarge(EXT_HAMMING_8_4, even_weight_code(8))
@@ -198,9 +201,13 @@ class TestSupportingPermutations:
 
 class TestCertifiedEnlarge:
     def test_wide_completion_uses_proven_mixing(self):
+        # k' - k = 3: the bound is proven, and the code is scanned once
+        # when its 11 generators are within the cap.
         Q = certified_enlarge(EXT_HAMMING_8_4, even_weight_code(8))
         assert Q.bound_proven
-        assert quantum_distance_exact(Q).value >= Q.d_lower
+        assert Q.d_exact == quantum_distance_exact(Q).value >= Q.d_lower
+        Q = certified_enlarge(EXT_HAMMING_8_4, even_weight_code(8), cap=Q.num_generators - 1)
+        assert Q.d_exact is None and Q.bound_proven
 
     def test_single_row_completion_is_scanned(self):
         # k' = k + 1: no fix-point-free linear map exists, so the result
