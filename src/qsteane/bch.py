@@ -264,6 +264,13 @@ def family_bound(spec: FamilySpec) -> int:
         subspace not within C1 holds one word of C1 and two of A, so
         d2(C') >= ceil((d(C1) + 2 d(A)) / 2), which (b) on C1 does not
         undercut because d(C1) >= d(A).
+
+    With k' - k >= 2 the row mixing turns this into a proven quantum
+    distance bound.  F4 at ell = 0 (C1 = C) has k' = k + 1, where no
+    mixing applies: the chain then bounds only the classical d(C) and
+    d2(C'), and the quantum distance is certified by `certified_enlarge`'s
+    scan or coset sweep, not proven (at m = 4 and 5 it is 3, below the 4
+    returned here).
     """
     dc, dp, d1 = (None if t is None else 2 * t + 2 for t in _family_ts(spec))  # (a)
     d2 = -(-3 * dp // 2) if d1 is None else -(-(d1 + 2 * dp) // 2)  # (b), (c)
@@ -291,8 +298,8 @@ def build_family_code(spec: FamilySpec, cap: int = DEFAULT_ENUM_CAP) -> QuantumC
     F4 enlarges into the union of a BCH code with one coset inside the
     next code of the chain.  F5 has no in-scope construction and is
     refused (its parameters remain available via family_params).  The
-    distance bound passed on is `family_bound`'s proven one; a closed
-    form claiming more is refused.  `cap` bounds the scans
+    distance bound passed on is `family_bound`'s; a closed form claiming
+    more is refused.  `cap` bounds the scans
     `certified_enlarge` runs, as everywhere.
     """
     n, K, d = family_params(spec)

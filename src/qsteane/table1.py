@@ -11,13 +11,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from importlib import resources
-
 from typing import Optional
 
 from .distances import min_distance, second_gdw
 from .gf2 import (
     DEFAULT_ENUM_CAP,
     CodeConstructionError,
+    EnumerationCapError,
     LinearCode,
     even_weight_code,
     parse_matrix,
@@ -123,11 +123,12 @@ def check_row(row: Table1Row, cap: int = DEFAULT_ENUM_CAP) -> RowCheck:
         failures.append(f"K={Q.K}!={row.K}")
     if not is_stabilizer_code(Q):
         failures.append("not a stabilizer code")
+    if Q.d_exact is None:
+        raise EnumerationCapError(f"quantum distance over 2^{Q.num_generators} vectors exceeds cap {cap}")
     if Q.d_exact != row.d_quantum:
         failures.append(f"d_exact={Q.d_exact}!={row.d_quantum}")
-    ok = not failures
     details = "; ".join(failures) if failures else f"d2'={d2p}"
-    return RowCheck(row=row, quantum=Q, ok=ok, details=details)
+    return RowCheck(row=row, quantum=Q, ok=not failures, details=details)
 
 
 def check_all_rows(cap: int = DEFAULT_ENUM_CAP) -> list[RowCheck]:

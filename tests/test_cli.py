@@ -136,6 +136,13 @@ class TestTable1:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("cap, r", [(12, 16), (16, 17)])
+    def test_row_over_the_cap_is_input_error(self, capsys, cap, r):
+        # A row whose k + k' generators exceed the cap is left unscanned:
+        # an input error, never a failed row.
+        assert main(["--cap", str(cap), "table1"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", f"error: quantum distance over 2^{r} vectors exceeds cap {cap}\n")
+
 
 class TestFamily:
     def test_params_only(self, capsys):
