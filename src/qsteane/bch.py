@@ -269,8 +269,8 @@ def family_bound(spec: FamilySpec) -> int:
     distance bound.  F4 at ell = 0 (C1 = C) has k' = k + 1, where no
     mixing applies: the chain then bounds only the classical d(C) and
     d2(C'), and the quantum distance is certified by `certified_enlarge`'s
-    scan or coset sweep, not proven (at m = 4 and 5 it is 3, below the 4
-    returned here).
+    scan or coset sweep, not proven (it is 3 at every m >= 3, below the 4
+    returned here; see the README's theorem).
     """
     dc, dp, d1 = (None if t is None else 2 * t + 2 for t in _family_ts(spec))  # (a)
     d2 = -(-3 * dp // 2) if d1 is None else -(-(d1 + 2 * dp) // 2)  # (b), (c)

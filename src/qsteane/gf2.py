@@ -6,14 +6,16 @@ int order is lexicographic order and every lex-smallest witness rule is
 a plain comparison.  One machine word for n <= 64, a big int up to
 n = 1024.  A matrix is a list of such rows together with n.
 
-Matrices with at least _PACKED_MIN_COLS columns and _PACKED_MIN_ROWS
-rows (_PACKED_MIN_WORDS words for residuals) go to numpy kernels
-instead, which return the same ints the int paths give.  Elimination
-runs on packed rows: the big-endian bytes of the row's int, shifted left
-to fill ceil(n/64) 64-bit limbs, so coordinate c is bit 7 - c % 8 of
-byte c // 8 and byte j holds the strip of columns 8j .. 8j + 7, most
-significant bit first.  The dual and a word's bits at the pivot columns
-are read off the unpacked rows, one 0/1 byte per column (`_bits`).
+Elimination, batched membership and the Gram pass take numpy kernels
+instead when the matrix has at least _PACKED_MIN_COLS columns and
+_PACKED_MIN_ROWS rows (`_packed`); they return the same ints the int
+paths give.  The dual is always built on ints.  Elimination runs on
+packed rows: the big-endian bytes of the row's int, shifted left to fill
+ceil(n/64) 64-bit limbs, so coordinate c is bit 7 - c % 8 of byte c // 8
+and byte j holds the strip of columns 8j .. 8j + 7, most significant bit
+first.  A word's bits at the pivot columns, and the free columns of the
+Gram pass, are read off the unpacked rows, one 0/1 byte per column
+(`_bits`).
 `distances._span_limbs` reads the packed bytes as big-endian uint64
 limbs, so that comparing limbs compares words.  Every span, pair and
 Gram pass runs over the blocks of `_blocks`.
@@ -27,22 +29,16 @@ import numpy as np
 
 MAX_LENGTH = 1024
 DEFAULT_ENUM_CAP = 26
-# Matrices with at least this many columns and rows go to the packed
-# kernels.  Timed on random matrices (2-core x86-64, numpy 2.4): the
-# packed rref costs a near-fixed ~0.1 ms per strip of 8 pivots, the int
-# one a Python step per row per pivot, and they cross at 64-96 rows for
-# n = 256..1024.  The dual on 0/1 bytes beats the int one 5-16 times from
-# n = 256 (0.3 ms at n = 256, 1.2-3 ms at 1024) unless it has under ~8
-# rows (k = n - 1: 0.3 against 0.05 ms at n = 256).
-# Below n = 256 numpy's per-call cost would dominate the many small
-# codes the searches build.
+# Matrices (or batches of words) with at least this many columns and
+# rows go to the packed kernels.  Timed on random matrices (2-core x86-64,
+# numpy 2.4): the packed rref costs a near-fixed ~0.1 ms per strip of 8
+# pivots, the int one a Python step per row per pivot, and they cross at
+# 64-96 rows for n = 256..1024.  Batched membership is cheaper packed
+# from about 20 words, but no caller sends a batch of 20-63 words at
+# n >= 256, so one rule serves both.  Below n = 256 numpy's per-call cost
+# would dominate the many small codes the searches build.
 _PACKED_MIN_COLS = 256
 _PACKED_MIN_ROWS = 64
-# Batched membership (`_residual_packed`, for `is_subcode` and the coset
-# bases) against a basis of k = n/2 .. n - 60 rows, n = 256..1024, costs
-# the same as testing 16-18 member words one by one, and less from 20
-# words on.
-_PACKED_MIN_WORDS = 20
 _BLOCK = 1 << 14  # most words in one block of `_blocks`
 # The nonzero byte values, scrambled (times 101 mod 256) so that the
 # first few a strip holds are likely independent: the first nine of the
@@ -246,16 +242,6 @@ def _free_bits(basis: list[int], pivots: list[int], n: int) -> tuple[list[int], 
     return free, np.take(_bits(_pack(basis, n), n), free, axis=1)
 
 
-def _dual_packed(basis: list[int], pivots: list[int], n: int) -> list[int]:
-    """Generator rows of the dual of an rref basis: dual row f has a 1 at
-    the f-th free column and A[i, f] (`_free_bits`) at pivots[i]."""
-    free, A = _free_bits(basis, pivots, n)
-    D = np.zeros((len(free), n), dtype=np.uint8)
-    D[:, pivots] = A.T
-    D[np.arange(len(free)), free] = 1
-    return _unpack(np.packbits(D, axis=1), n)
-
-
 def _odd_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """An `_blocks` op: [i, j] = parity of popcount(a[i] & b[j]), the
     parity of the XOR of the limbs' ANDs, taken one limb at a time so
@@ -341,8 +327,6 @@ def _dual_rows(C: LinearCode) -> list[int]:
     rref basis; that column is the row's only non-pivot one, so the rows
     are independent."""
     n = C.n
-    if _packed(n, C._basis) and C.k < n:
-        return _dual_packed(C._basis, C._pivots, n)
     pivset = set(C._pivots)
     rows = []
     for c in range(n):
@@ -365,9 +349,10 @@ def dual(C: LinearCode) -> LinearCode:
 def _residuals(words: list[int], B: LinearCode) -> Iterable[int]:
     """Each word modulo B: the lex-smallest word of its coset w + B, zero
     exactly when w lies in B; a linear map with kernel B.  Wide batches
-    take one `_residual_packed` call, unpacked only when not all zero;
-    otherwise the words are reduced lazily, so a caller may stop early."""
-    if not (B.n >= _PACKED_MIN_COLS and len(words) >= _PACKED_MIN_WORDS and B.k):
+    (`_packed`) take one `_residual_packed` call, unpacked only when not
+    all zero; otherwise the words are reduced lazily, so a caller may stop
+    early."""
+    if not _packed(B.n, words):
         return (_reduce(w, B._basis) for w in words)
     W = _residual_packed(words, B._basis, B._pivots, B.n)
     return _unpack(W, B.n) if W.any() else [0] * len(words)

@@ -293,7 +293,6 @@ def find_self_dual_subcode(Cp: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Linea
         raise CodeConstructionError("self-dual codes need even length")
     if not is_dual_containing(Cp):
         raise CodeConstructionError("C' is not dual-containing")
-    Cperp = dual(Cp)
     r = kp - n // 2  # >= 0, as dual(C') <= C'
     if r == 0:
         return Cp  # C' is already self-dual
@@ -301,6 +300,7 @@ def find_self_dual_subcode(Cp: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Linea
         raise EnumerationCapError(
             f"coset-weight table over 2^{kp} words of C' exceeds cap k' <= {cap}"
         )
+    Cperp = dual(Cp)
 
     # The reps are in rref and zero on dual(C')'s pivot columns, so the
     # lifts of a canonical basis are in rref too.

@@ -113,8 +113,13 @@ class TestSteane:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr() == ("[[8,3,3]] bound holds by construction\n", "")
 
-    def test_missing_inner_code(self, capsys):
+    def test_missing_inner_code(self, tmp_path, capsys):
         assert main(["steane", fixture_path("c14_9_2.txt")]) == EXIT_INPUT_ERROR
+        capsys.readouterr()
+        # An inner code of another length is refused as well.
+        inner = write_code(tmp_path / "c.txt", EXT_HAMMING_8_4)
+        assert main(["steane", inner, write_code(tmp_path / "cp.txt", even_weight_code(10))]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", "error: C and C' have different lengths\n")
 
 
 class TestTable1:

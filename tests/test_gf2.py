@@ -285,15 +285,13 @@ class TestPackedKernels:
         pivots = sorted(rng.sample(range(n - 1), k - 1) + [n - 1])
         yield LinearCode([1 << (n - 1 - p) | rng.getrandbits(n - 1 - p) for p in pivots], n)
 
-    def test_dual_rows_match_the_int_path_row_for_row(self, monkeypatch):
+    def test_dual_rows_are_independent_and_orthogonal(self):
         rng = random.Random(19)
         for n, k in self.SHAPES:
             for C in self._shape_codes(rng, n, k):
-                assert gf2._packed(n, C._basis) and C.k < n
-                packed = gf2._dual_rows(C)
-                monkeypatch.setattr(gf2, "_PACKED_MIN_COLS", MAX_LENGTH + 1)
-                assert packed == gf2._dual_rows(C), (n, C.k, C._pivots[-1])
-                monkeypatch.undo()
+                rows = dual(C).basis_ints()
+                assert len(rows) == n - C.k == LinearCode(rows, n).k, (n, C.k, C._pivots[-1])
+                assert not any((a & b).bit_count() & 1 for a in rows for b in C.basis_ints()), (n, C.k)
 
     def test_residuals_match_reduce_word_by_word(self, monkeypatch):
         rng = random.Random(23)
@@ -303,7 +301,7 @@ class TestPackedKernels:
         for n, k in self.SHAPES:
             for C in self._shape_codes(rng, n, k):
                 basis = C.basis_ints()
-                words = [rng.getrandbits(n) for _ in range(12)] + [xor_sum(rng.sample(basis, 5)) for _ in range(12)]
+                words = [rng.getrandbits(n) for _ in range(32)] + [xor_sum(rng.sample(basis, 5)) for _ in range(32)]
                 assert list(gf2._residuals(words, C)) == [gf2._reduce(w, basis) for w in words], (n, C.k)
         assert len(calls) == 2 * len(self.SHAPES)  # every batch took the packed kernel
 
@@ -355,7 +353,7 @@ class TestPackedKernels:
     def test_containment_paths_agree_across_the_word_threshold(self, n, monkeypatch):
         rng = random.Random(n + 1)
         B = LinearCode([rng.getrandbits(n) for _ in range(n // 2 + 40)], n)
-        low = gf2._PACKED_MIN_WORDS
+        low = gf2._PACKED_MIN_ROWS
         calls = []
         residual = gf2._residual_packed
         monkeypatch.setattr(gf2, "_residual_packed", lambda words, *rest: calls.append(len(words)) or residual(words, *rest))

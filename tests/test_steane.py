@@ -43,6 +43,7 @@ from conftest import (
     EXT_HAMMING_8_4,
     brute_min_distance,
     css_code,
+    dual_containing_code,
     random_code,
     random_self_orthogonal,
     reference_coset_sweep,
@@ -206,8 +207,10 @@ class TestCertifiedEnlarge:
         Q = certified_enlarge(EXT_HAMMING_8_4, even_weight_code(8))
         assert Q.bound_proven
         assert Q.d_exact == quantum_distance_exact(Q).value >= Q.d_lower
+        assert repr(Q) == "QuantumCode[[8,3,3]]"
         Q = certified_enlarge(EXT_HAMMING_8_4, even_weight_code(8), cap=Q.num_generators - 1)
         assert Q.d_exact is None and Q.bound_proven
+        assert repr(Q) == "QuantumCode[[8,3,>=3]]"  # the proven bound, unscanned
 
     def test_single_row_completion_is_scanned(self):
         # k' = k + 1: no fix-point-free linear map exists, so the result
@@ -531,11 +534,17 @@ class TestFindSelfDualSubcode:
             for C, key, _ in isotropic_leaves(Cp):
                 assert key == C.canonical_key()
 
-    def test_cap_refused_before_the_search(self):
+    def test_cap_refused_before_the_search(self, monkeypatch):
         Cp = load_fixture("c12_10_2a.txt")
         with pytest.raises(EnumerationCapError, match="k' <= 9"):
             find_self_dual_subcode(Cp, cap=Cp.k - 1)
         assert find_self_dual_subcode(Cp, cap=Cp.k) == find_self_dual_subcode(Cp)
+        # A wide C' over the cap is refused before its dual is built.
+        wide = dual_containing_code(random.Random(5), 256, 20)
+        monkeypatch.setattr(steane, "dual", lambda C: pytest.fail("dual(C') built for a refused search"))
+        with pytest.raises(EnumerationCapError) as refused:
+            find_self_dual_subcode(wide)
+        assert str(refused.value) == "coset-weight table over 2^276 words of C' exceeds cap k' <= 26"
         # A self-dual C' needs no search, so no table and no cap.
         assert find_self_dual_subcode(EXT_HAMMING_8_4, cap=1) == EXT_HAMMING_8_4
 

@@ -1,8 +1,6 @@
 """Fixture loading and the published-table row machinery."""
 
-import runpy
-import sys
-from pathlib import Path
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +11,7 @@ from qsteane.table1 import (
     TABLE1_ROWS,
     Table1Row,
     check_all_rows,
+    check_row,
     enlargement_code_for_row,
     load_fixture,
     self_dual_code_for_row,
@@ -92,15 +91,19 @@ class TestRowChecks:
         assert final.quantum is None
         assert "dual-containing" in final.details
 
-    def test_report_script_matches_the_row_checks(self, capsys, monkeypatch):
-        # Five rows pass; the n=18 row is refused, so the script exits 1.
-        script = Path(__file__).parents[1] / "scripts" / "run_table1.py"
-        monkeypatch.setattr(sys, "argv", [str(script)])
-        with pytest.raises(SystemExit, match="1"):
-            runpy.run_path(str(script), run_name="__main__")
-        lines = capsys.readouterr().out.splitlines()
-        verdicts = [line.rsplit(": ", 1)[1] for line in lines if line.startswith("row ")]
-        assert verdicts == ["PASS" if check.ok else "FAIL" for check in check_all_rows()]
-        assert verdicts == ["PASS"] * 5 + ["FAIL"]
-        assert "  no self-dual C: C' is not dual-containing" in lines
-        assert lines[-1] == "overall: FAIL"
+    @pytest.mark.parametrize(
+        "changes,details",
+        [
+            (dict(k=5, K=4), "k=4!=5; K=3!=4"),
+            (dict(kprime=6, K=2), "k'=7!=6; K=3!=2"),
+            (dict(d=3), "d=4!=3"),
+            (dict(dprime=3), "d'=2!=3"),
+            (dict(d_quantum=4), "d_exact=3!=4"),
+        ],
+    )
+    def test_wrong_published_value_is_reported(self, changes, details):
+        # The [[8,3,3]] row with one published value wrong (K follows k
+        # and k', as the row invariant asks).
+        check = check_row(replace(TABLE1_ROWS[0], **changes))
+        assert check.ok is False
+        assert check.details == details
