@@ -15,7 +15,6 @@ from .bch import (
     bch_code,
     build_family_code,
     coset_extend,
-    cyclotomic_cosets,
     extended_bch,
     family_params,
     verify_nesting,
@@ -58,7 +57,6 @@ from .steane import (
     find_self_dual_subcode,
     is_stabilizer_code,
     mix_completion_rows,
-    steane_enlarge,
     symplectic_dual,
 )
 from .table1 import TABLE1_ROWS, Table1Row, check_all_rows, check_row, load_fixture

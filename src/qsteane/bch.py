@@ -120,45 +120,15 @@ class FamilySpec:
         return checks[self.family]
 
 
-def cyclotomic_cosets(m: int) -> list[list[int]]:
-    """2-cyclotomic cosets mod 2^m - 1, ordered by smallest element."""
-    if not 2 <= m <= 16:
-        raise ValueError("m must be in [2, 16]")
-    n = (1 << m) - 1
-    seen = [False] * n
-    cosets = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        coset = []
-        x = s
-        while not seen[x]:
-            seen[x] = True
-            coset.append(x)
-            x = (2 * x) % n
-        cosets.append(sorted(coset))
-    return cosets
-
-
-def _minimal_poly(field: Gf2mField, coset: list[int]) -> list[int]:
-    """Coefficients (GF(2^m), low degree first) of prod_{j in coset} (x - alpha^j)."""
-    poly = [1]
-    for j in coset:
-        root = field.power(j)
-        nxt = [0] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i + 1] ^= c
-            nxt[i] ^= field.mul(c, root)
-        poly = nxt
-    return poly
-
-
 def bch_code(spec: BchSpec) -> LinearCode:
     """The narrow-sense primitive BCH code of length 2^m - 1.
 
-    Generator polynomial: lcm of the minimal polynomials of
-    alpha, alpha^3, ..., alpha^(2t-1).  Only the dual-containing regime
-    is accepted; t = 0 yields the full [n, n, 1] space.
+    Generator polynomial: g(x) = prod (x - alpha^r) over every root
+    r = s 2^i mod n with s odd, s < 2t and i < m, the union of the
+    2-cyclotomic cosets of 1, 3, ..., 2t - 1; that is the lcm of the
+    minimal polynomials of alpha, alpha^3, ..., alpha^(2t-1).  Only the
+    dual-containing regime is accepted; t = 0 yields the full [n, n, 1]
+    space.
     """
     if not spec.in_dual_containing_regime():
         raise CodeConstructionError(
@@ -168,40 +138,21 @@ def bch_code(spec: BchSpec) -> LinearCode:
     m, t = spec.m, spec.t
     n = (1 << m) - 1
     field = Gf2mField(m)
-    coset_of = {}
-    for coset in cyclotomic_cosets(m):
-        for s in coset:
-            coset_of[s] = coset
-    gen_poly = 1
-    covered: set[int] = set()
-    for s in range(1, 2 * t + 1):
-        if s in covered:
-            continue
-        coset = coset_of[s]
-        covered.update(coset)
-        coeffs = _minimal_poly(field, coset)
-        assert all(c in (0, 1) for c in coeffs)
-        block = sum(c << i for i, c in enumerate(coeffs))
-        gen_poly = _poly_mul_gf2(gen_poly, block)
-    k = n - (gen_poly.bit_length() - 1)
+    gen = [1]  # coefficients in GF(2^m), x^0 first
+    for r in {(s << i) % n for s in range(1, 2 * t, 2) for i in range(m)}:
+        root = field.power(r)
+        gen = [a ^ field.mul(root, b) for a, b in zip([0] + gen, gen + [0])]
+    assert all(c in (0, 1) for c in gen)
+    k = n - (len(gen) - 1)
     # Row i is x^i g(x), coefficient j at coordinate j: g's coefficients
-    # read from x^0 up, as a word, starting at coordinate i.
-    g = int(format(gen_poly, "b")[::-1], 2)
+    # from x^0 up, as a word, starting at coordinate i.
+    g = int("".join(map(str, gen)), 2)
     code = LinearCode([g << (k - 1 - i) for i in range(k)], n)
     if t >= 1 and code.k != n - m * t:
         raise CodeConstructionError(
             f"dimension {code.k} != {n - m * t}: outside the clean BCH regime"
         )
     return code
-
-
-def _poly_mul_gf2(a: int, b: int) -> int:
-    out = 0
-    while b:
-        low = b & -b
-        out ^= a << (low.bit_length() - 1)
-        b ^= low
-    return out
 
 
 def extended_bch(m: int, t: int) -> LinearCode:

@@ -66,6 +66,8 @@ def _verdict(Q: QuantumCode, exact: str) -> tuple[str, int]:
 
 
 def cmd_steane(args) -> int:
+    if args.auto and args.c_file:
+        raise CodeConstructionError("give a C matrix file or --auto, not both")
     Cp = _load_code(args.cp_file)
     if args.auto:
         C = find_self_dual_subcode(Cp, cap=args.cap)

@@ -234,12 +234,12 @@ def _rref_packed(rows: list[int], cols: int) -> tuple[list[int], int, list[int]]
     return _unpack(M[:r], cols) + [0] * (m - r), r, pivots
 
 
-def _free_bits(basis: list[int], pivots: list[int], n: int) -> tuple[list[int], np.ndarray]:
-    """The free (non-pivot) columns of an rref basis, and A, its bits there
-    on 0/1 bytes (`_bits`): A[i, f] is the f-th free column of basis[i]."""
+def _free_bits(basis: list[int], pivots: list[int], n: int) -> np.ndarray:
+    """A, the bits of an rref basis on its free (non-pivot) columns, as
+    0/1 bytes (`_bits`): A[i, f] is the f-th free column of basis[i]."""
     pivset = set(pivots)
     free = [c for c in range(n) if c not in pivset]
-    return free, np.take(_bits(_pack(basis, n), n), free, axis=1)
+    return np.take(_bits(_pack(basis, n), n), free, axis=1)
 
 
 def _odd_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -415,7 +415,7 @@ def is_dual_containing(C: LinearCode) -> bool:
     if k == n:
         return True
     if _packed(n, C._basis):
-        return _gram_is_identity(_free_bits(C._basis, C._pivots, n)[1])
+        return _gram_is_identity(_free_bits(C._basis, C._pivots, n))
     rows = _dual_rows(C)
     return not any((a & b).bit_count() & 1 for i, a in enumerate(rows) for b in rows[i:])
 

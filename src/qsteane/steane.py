@@ -1,23 +1,22 @@
 """Steane enlargement of dual-containing binary codes.
 
-Builds the 2n-column generator
+`certified_enlarge` builds the 2n-column generator
 
     (G  | 0  )
     (0  | G  )
     (G' | H' )
 
 from a dual-containing C with generator G and an enlargement C' whose
-basis extends G by G'.  H' is G' under a fix-point-free invertible
-linear map of its rows, which proves the distance bound when G' has at
-least two rows.  With one row, H' matters only through its coset of C:
-when the zero coset's code falls short of the bound, one batched sweep
-over the pairs of C-perp x C-perp gives the exact distance of every
-coset at once.  `certified_enlarge` is the one place that settles a
-built code's exact distance.  Also provides the stabilizer checks
-and the search that recovers a self-dual code sitting between C'-perp
-and C': a depth-first walk over the isotropic subspaces of C'/C'-perp,
-which reads each candidate's distance off a table of coset weights and
-cuts every branch lighter than the best code found.
+basis extends G by G', and settles the built code's distance.  With at
+least two rows in G', H' is G' under a fix-point-free invertible linear
+map of its rows, which proves the distance bound.  With one row, H'
+matters only through its coset of C: when the zero coset's code falls
+short of the bound, one batched sweep over the pairs of C-perp x C-perp
+gives the exact distance of every coset at once.  Also provides the
+stabilizer checks and the search that recovers a self-dual code sitting
+between C'-perp and C': a depth-first walk over the isotropic subspaces
+of C'/C'-perp, which reads each candidate's distance off a table of
+coset weights and cuts every branch lighter than the best code found.
 """
 
 from __future__ import annotations
@@ -75,7 +74,12 @@ class QuantumCode:
         return len(self.gx)
 
     def __repr__(self):
-        d = f">={self.d_lower}" if self.d_exact is None else self.d_exact
+        """[[n,K,d]]: d_exact when known, else ">=d_lower" for a proven
+        bound and "d_lower?" for an unverified one."""
+        if self.d_exact is not None:
+            d = self.d_exact
+        else:
+            d = f">={self.d_lower}" if self.bound_proven else f"{self.d_lower}?"
         return f"QuantumCode[[{self.n},{self.K},{d}]]"
 
 
@@ -96,64 +100,6 @@ def mix_completion_rows(rows: Sequence[int]) -> list[int]:
     return [rows[i + 1] for i in range(r - 1)] + [rows[0] ^ rows[1]]
 
 
-def steane_enlarge(
-    C: LinearCode,
-    Cp: LinearCode,
-    halves: Optional[Sequence[int]] = None,
-    *,
-    d_lower: Optional[int] = None,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> QuantumCode:
-    """Assemble the enlargement quantum code from C and C' >= C.
-
-    Requires dual(C) <= C and C a proper subcode of C'.  The logical
-    dimension is K = k + k' - n; the constructive distance bound is
-    min(d1(C), d2(C')), computed here unless supplied by the caller
-    (family builds pass the bound `bch.family_bound` proves, to avoid
-    huge pair scans).
-
-    `halves` gives the second halves of the completion rows explicitly,
-    one word per row; the result is a stabilizer code for any choice,
-    but its distance needs separate certification.  Without `halves`
-    the fix-point-free linear row mixing produces them, which makes the
-    distance bound provable outright; that needs k' - k >= 2.
-    """
-    if C.n != Cp.n:
-        raise CodeConstructionError("C and C' have different lengths")
-    if not is_dual_containing(C):
-        raise CodeConstructionError("C is not dual-containing: dual(C) not within C")
-    if not is_subcode(C, Cp):
-        raise CodeConstructionError("C is not a subcode of C'")
-    if Cp.k < C.k + 1:
-        raise CodeConstructionError(
-            f"k' too small: enlargement needs k' > k, got k'={Cp.k}, k={C.k}"
-        )
-    n = C.n
-    g_rows = C.basis_ints()
-    gp_rows = _completion_rows(C, Cp)
-    if halves is None:
-        mixed = mix_completion_rows(gp_rows)
-    elif len(halves) == len(gp_rows):
-        mixed = list(halves)
-    else:
-        raise CodeConstructionError(
-            f"{len(halves)} halves given for {len(gp_rows)} completion rows"
-        )
-    gx = g_rows + [0] * len(g_rows) + gp_rows
-    gz = [0] * len(g_rows) + g_rows + mixed
-
-    if d_lower is None:
-        d_lower = min(min_distance(C, cap=cap).value, second_gdw(Cp, cap=cap).value)
-    return QuantumCode(
-        n=n,
-        gx=gx,
-        gz=gz,
-        K=C.k + Cp.k - n,
-        d_lower=d_lower,
-        bound_proven=halves is None,
-    )
-
-
 def certified_enlarge(
     C: LinearCode,
     Cp: LinearCode,
@@ -161,20 +107,27 @@ def certified_enlarge(
     d_lower: Optional[int] = None,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> QuantumCode:
-    """Enlargement whose distance bound is proved or exhaustively checked.
+    """The enlargement quantum code of C and C' >= C, its distance bound
+    proved or exhaustively checked.
+
+    Requires dual(C) <= C and C a proper subcode of C'.  The logical
+    dimension is K = k + k' - n; the distance bound is min(d1(C),
+    d2(C')), computed here unless supplied by the caller (family builds
+    pass the bound `bch.family_bound` proves, to avoid huge pair scans).
+    The completion rows G' get second halves H' by k' - k:
+
+    - k' - k >= 2: H' is G' under the fix-point-free row mixing
+      (`mix_completion_rows`), and the bound holds by construction.
+    - k' = k + 1 admits no such map.  The one completion row w gets a
+      second half v, and span{(C|0), (0|C), (w|v)} depends only on the
+      coset v + C, so one representative per coset covers every choice:
+      the words supported off the pivot columns of rref(C), the i-th
+      setting the free columns picked by the bits of i, from v = 0.
 
     The one place that settles a built code's exact distance: the code
     is scanned once with `quantum_distance_exact` when its k + k'
     generators are within the cap, and d_exact is left None otherwise.
-
-    With at least two completion rows the fix-point-free row mixing
-    applies and the bound min(d1(C), d2(C')) holds by construction.
-    The k' = k + 1 case admits no such map.  Its one completion row w
-    gets a second half v, and span{(C|0), (0|C), (w|v)} depends only on
-    the coset v + C, so one representative per coset covers every
-    choice: the words supported off the pivot columns of rref(C), the
-    i-th setting the free columns picked by the bits of i, from v = 0.
-    The zero coset's code is built first and returned if its scan
+    With k' = k + 1 the zero coset's code is returned if its scan
     reaches the bound.  Otherwise every coset's exact distance comes
     from one sweep over the 2^(2(n-k)) pairs of C-perp x C-perp
     (`enumerators._coset_distances`), run when 2(n - k) <= cap and
@@ -186,16 +139,37 @@ def certified_enlarge(
     exact distance.  When the sweep is out of reach the zero coset is
     returned uncertified.
     """
+    if C.n != Cp.n:
+        raise CodeConstructionError("C and C' have different lengths")
+    if not is_dual_containing(C):
+        raise CodeConstructionError("C is not dual-containing: dual(C) not within C")
+    if not is_subcode(C, Cp):
+        raise CodeConstructionError("C is not a subcode of C'")
+    if Cp.k < C.k + 1:
+        raise CodeConstructionError(
+            f"k' too small: enlargement needs k' > k, got k'={Cp.k}, k={C.k}"
+        )
+    if d_lower is None:
+        d_lower = min(min_distance(C, cap=cap).value, second_gdw(Cp, cap=cap).value)
     single = Cp.k == C.k + 1
-    Q = steane_enlarge(C, Cp, [0] if single else None, d_lower=d_lower, cap=cap)
+    g_rows = C.basis_ints()
+    gp_rows = _completion_rows(C, Cp)
+    Q = QuantumCode(
+        n=C.n,
+        gx=g_rows + [0] * C.k + gp_rows,
+        gz=[0] * C.k + g_rows + ([0] if single else mix_completion_rows(gp_rows)),
+        K=C.k + Cp.k - C.n,
+        d_lower=d_lower,
+        bound_proven=not single,
+    )
     if Q.num_generators <= cap:
         Q = dataclasses.replace(Q, d_exact=quantum_distance_exact(Q, cap=cap).value)
-    if not single or 2 * (C.n - C.k) > cap or Q.d_exact is not None and Q.d_exact >= Q.d_lower:
+    if not single or 2 * (C.n - C.k) > cap or Q.d_exact is not None and Q.d_exact >= d_lower:
         return Q
-    ds = _coset_distances(C, Q.gx[-1], Q.d_lower - 1)
+    ds = _coset_distances(C, gp_rows[0], d_lower - 1)
     if Q.d_exact is not None and ds[0] != Q.d_exact:
         raise CertificateError(f"coset sweep gives d={ds[0]} for v = 0, the scan d={Q.d_exact}")
-    best = next((i for i, d in enumerate(ds) if d >= Q.d_lower), None)
+    best = next((i for i, d in enumerate(ds) if d >= d_lower), None)
     if best is None:
         best = ds.index(max(ds))
     return dataclasses.replace(Q, gz=Q.gz[:-1] + (_coset_word(C, best),), d_exact=ds[best])

@@ -11,8 +11,10 @@ kernel, the prefix-loop error scan that checks the meet-in-the-middle
 join, and the running-echelon completion rows and coset-leader subset
 walk that check `_completion_rows` and `coset_extend`.  The one
 exception is the per-coset k' = k + 1 loop, which checks the batched
-coset sweep with the library's own single-code builder and distance
-scan.  The certificate checkers (fixture rows,
+coset sweep with the library's own distance scan, on codes assembled
+here from the running-echelon completion rows (`enlargement_code`,
+which also serves the tests that need second halves of their own).
+The certificate checkers (fixture rows,
 span membership, symplectic product, the Gleason-shadow obstruction)
 work on plain ints and exact fractions only.  The rate-bound curve's
 oracle evaluates the scalar bound functions point by point.
@@ -39,7 +41,7 @@ from qsteane.bch import FamilySpec, build_family_code
 from qsteane.bounds import bound_cs, bound_gf4, bound_steane, bound_thm4
 from qsteane.gf2 import CodeConstructionError, LinearCode, dual, extend_parity, render_matrix
 from qsteane.distances import quantum_distance_exact
-from qsteane.steane import QuantumCode, steane_enlarge
+from qsteane.steane import QuantumCode
 from qsteane.table1 import TABLE1_ROWS, check_row
 
 
@@ -207,9 +209,20 @@ def count_weight(gx, gz, n, w) -> int:
     return sum(((v >> n) | v & ((1 << n) - 1)).bit_count() == w for v in enumerate_span(rows))
 
 
+def enlargement_code(C: LinearCode, Cp: LinearCode, halves: Sequence[int], d_lower: int = 1) -> QuantumCode:
+    """The enlargement code with explicit second halves: generators
+    (g|0) and (0|g) per row g of rref(C), and (w_i|halves[i]) per
+    completion row w_i (`reference_completion_rows`).  A stabilizer code
+    for any halves when C is dual-containing; its bound d_lower is not
+    proven."""
+    G, W = C.basis_ints(), reference_completion_rows(C, Cp)
+    assert len(halves) == len(W)
+    return QuantumCode(n=C.n, gx=G + [0] * C.k + W, gz=[0] * C.k + G + list(halves), K=C.k + Cp.k - C.n, d_lower=d_lower)
+
+
 def reference_coset_sweep(C: LinearCode, Cp: LinearCode, d_lower: int) -> tuple[list[int], QuantumCode]:
     """The k' = k + 1 certification one coset at a time: each coset's
-    code is built with `steane_enlarge` and scanned with
+    code is built with `enlargement_code` and scanned with
     `quantum_distance_exact`.
 
     Returns every coset's exact distance, coset i setting the non-pivot
@@ -222,7 +235,7 @@ def reference_coset_sweep(C: LinearCode, Cp: LinearCode, d_lower: int) -> tuple[
     ds, best = [], None
     for i in range(1 << len(free)):
         v = sum(bit for j, bit in enumerate(free) if i >> j & 1)
-        Q = steane_enlarge(C, Cp, [v], d_lower=d_lower)
+        Q = enlargement_code(C, Cp, [v], d_lower)
         Q = dataclasses.replace(Q, d_exact=quantum_distance_exact(Q).value)
         ds.append(Q.d_exact)
         if best is None or best.d_exact < d_lower and Q.d_exact > best.d_exact:

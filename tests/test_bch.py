@@ -13,7 +13,6 @@ from qsteane.bch import (
     bch_code,
     build_family_code,
     coset_extend,
-    cyclotomic_cosets,
     extended_bch,
     family_bound,
     family_params,
@@ -65,27 +64,6 @@ class TestGf2mField:
             Gf2mField(1)
 
 
-class TestCyclotomicCosets:
-    @pytest.mark.parametrize("m", [3, 4, 5])
-    def test_partition_closed_under_doubling(self, m):
-        n = (1 << m) - 1
-        cosets = cyclotomic_cosets(m)
-        flat = [s for coset in cosets for s in coset]
-        assert sorted(flat) == list(range(n))
-        for coset in cosets:
-            members = set(coset)
-            assert all((2 * s) % n in members for s in coset)
-
-    def test_known_cosets_m4(self):
-        assert cyclotomic_cosets(4) == [
-            [0],
-            [1, 2, 4, 8],
-            [3, 6, 9, 12],
-            [5, 10],
-            [7, 11, 13, 14],
-        ]
-
-
 class TestBchCode:
     @pytest.mark.parametrize(
         "m,t,k", [(4, 1, 11), (5, 1, 26), (5, 2, 21), (5, 3, 16)]
@@ -94,6 +72,23 @@ class TestBchCode:
         code = bch_code(BchSpec(m, t))
         assert (code.n, code.k) == ((1 << m) - 1, k)
         assert min_distance(code).value == 2 * t + 1
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_rows_vanish_at_the_designed_roots(self, m):
+        # The definition: every codeword c(x) = sum_j c_j x^j (c_j at
+        # coordinate j) has c(alpha^j) = 0 for j = 1 .. 2t.
+        field = Gf2mField(m)
+        n, t = field.order, 0
+        while BchSpec(m, t).in_dual_containing_regime():
+            code = bch_code(BchSpec(m, t))
+            for c in code.basis_ints():
+                support = [q for q, ch in enumerate(lex(c, n)) if ch == "1"]
+                for j in range(1, 2 * t + 1):
+                    value = 0
+                    for q in support:
+                        value ^= field.power(j * q)
+                    assert value == 0, (m, t, j)
+            t += 1
 
     def test_trivial_t_zero(self):
         code = bch_code(BchSpec(4, 0))

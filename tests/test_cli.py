@@ -76,6 +76,13 @@ class TestSteane:
         assert main(["steane", inner, write_code(tmp_path / "cp.txt", even_weight_code(8))]) == EXIT_OK
         assert capsys.readouterr().out.startswith("[[8,3,")
 
+    def test_auto_with_inner_code_is_input_error(self, capsys):
+        # --auto would find C itself, so a C file beside it is refused
+        # before either file is opened.
+        argv = ["steane", "/no/such/file.txt", fixture_path("c14_9_2.txt"), "--auto", "--exact"]
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", "error: give a C matrix file or --auto, not both\n")
+
     def test_auto_failure_is_input_error(self, capsys):
         code = main(["steane", "--auto", fixture_path("c18_12_4.txt")])
         assert code == EXIT_INPUT_ERROR

@@ -23,13 +23,12 @@ from qsteane.distances import (
 from qsteane.gf2 import (
     EnumerationCapError,
     LinearCode,
-    _completion_rows,
     dual,
     even_weight_code,
     extend_parity,
     repetition_code,
 )
-from qsteane.steane import QuantumCode, steane_enlarge
+from qsteane.steane import QuantumCode, certified_enlarge, mix_completion_rows
 
 from conftest import (
     EXT_HAMMING_8_4,
@@ -37,9 +36,11 @@ from conftest import (
     brute_second_gdw,
     count_weight,
     css_code,
+    enlargement_code,
     enumerate_span,
     random_code,
     random_self_orthogonal,
+    reference_completion_rows,
     reference_error_scan,
     reference_min_word,
     reference_quantum_scan,
@@ -282,7 +283,7 @@ class TestQuantumDistance:
     def test_enlargement_code_value(self):
         C = extend_parity(HAMMING_7_4)  # self-dual [8,4,4]
         Cp = even_weight_code(8)
-        Q = steane_enlarge(C, Cp)
+        Q = certified_enlarge(C, Cp)
         assert quantum_distance_exact(Q).value == 3
 
     def test_self_dual_convention_notes(self):
@@ -345,11 +346,11 @@ def random_scan_case(seed: int) -> QuantumCode:
         Cp = LinearCode(C.basis_ints() + extra, n)
         if Cp.k > C.k and C.k + Cp.k <= 18:
             break
-    halves = None
+    rows = reference_completion_rows(C, Cp)
     if kind == 0 or Cp.k == C.k + 1:
         image = random_derangement(rng, n)
-        halves = [permute_bits(image, w) for w in _completion_rows(C, Cp)]
-    return steane_enlarge(C, Cp, halves, d_lower=1)
+        return enlargement_code(C, Cp, [permute_bits(image, w) for w in rows])
+    return enlargement_code(C, Cp, mix_completion_rows(rows))
 
 
 def half_rows(n: int, d: int) -> int:
