@@ -17,6 +17,9 @@ stabilizer checks and the search that recovers a self-dual code sitting
 between C'-perp and C': a depth-first walk over the isotropic subspaces
 of C'/C'-perp, which reads each candidate's distance off a table of
 coset weights and cuts every branch lighter than the best code found.
+Its pools of candidate rows are bitmasks over the quotient's vectors,
+cut down by ANDs with masks of the walk's linear conditions, and each
+leaf's canonical key is carried down the walk with it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from .distances import _coset_weights, _ints, _span_limbs, min_distance, quantum_distance_exact, second_gdw
+from .distances import _coset_weights, min_distance, quantum_distance_exact, second_gdw
 from .enumerators import CertificateError, _coset_distances, _coset_word
 from .gf2 import (
     DEFAULT_ENUM_CAP,
@@ -36,7 +39,6 @@ from .gf2 import (
     _all_in,
     _completion_rows,
     _quotient_basis,
-    _reduce,
     dual,
     is_dual_containing,
     is_subcode,
@@ -196,51 +198,97 @@ def is_stabilizer_code(Q: QuantumCode) -> bool:
 
 
 def _isotropic_bases(
-    lifts: Sequence[int], r: int, weights: Sequence[int], prune: Callable[[int], bool]
-) -> Iterator[tuple[list[int], int]]:
+    lifts: Sequence[int], r: int, weights: Sequence[int], perp: Sequence[int], prune: Callable[[int], bool]
+) -> Iterator[tuple[list[int], int, tuple]]:
     """Depth-first walk over the r-dimensional isotropic subspaces V of
     GF(2)^q, 2^q = len(lifts): every lifts[v], v in V, is even and any
-    two are orthogonal.  Yields (rows, m) per V: its canonical rref
-    basis, each row's pivot its lowest set bit, pivots ascending, and m,
-    the minimum of `weights` over V with weights[0] counted.
+    two are orthogonal.  Yields (basis, m, key) per V: the lifts of its
+    canonical rref basis (each row's pivot its lowest set bit), last row
+    first; m, the minimum of `weights` over V with weights[0] counted;
+    and the canonical key of span(perp + basis), for perp an rref basis
+    on whose pivot columns every lift is zero.
 
     Rows are filled from the last to the first, each from a pool of the
     v that can still follow the rows chosen so far: lift even and
     orthogonal to theirs, pivot below the last chosen pivot, no bit at
-    any chosen pivot.  Choosing a row filters the pool once, by the
-    parity of each lift's overlap with the row's lift.  A branch is cut
-    when prune(m) holds for the minimum m over its partial span, which
-    can only fall as rows are added.
-    """
+    any chosen pivot.  A pool is a bitmask over [0, 2^q), and choosing a
+    row takes a few ANDs of it with fixed masks: bit[j] holds the v with
+    bit j set and mult[j] the multiples of 2^j.  Evenness and
+    orthogonality to lifts[u] are linear in v, <v, parity> = 0 and
+    <v, gram[u]> = 0, so the v that break them are an XOR of bit masks.
+    A branch is cut when prune(m) holds for the minimum m over its
+    partial span, which can only fall as rows are added.
 
-    def extend(rows, pool, span, m):
-        i = r - 1 - len(rows)  # the row to fill; its pivot is at least i
-        for v in pool:
-            bit = v & -v
-            if bit >> i == 0:
-                continue
+    perp's rows go down the walk reduced by the lifts chosen so far: a
+    lift clears its pivot, its highest bit, in a row w by
+    min(w, w ^ lift).  A leaf's key is then those rows and its basis,
+    sorted.
+    """
+    size = len(lifts)
+    q = size.bit_length() - 1
+
+    def tile(pattern, period):
+        # The pattern of bits 0 .. period - 1 repeated over [0, 2^q).
+        while period < size:
+            pattern |= pattern << period
+            period <<= 1
+        return pattern
+
+    mult = [tile(1, 1 << j) for j in range(q)]
+    bit = [tile(((1 << (1 << j)) - 1) << (1 << j), 2 << j) for j in range(q)]
+
+    def odd(a):
+        """The v with <v, a> = 1."""
+        mask = 0
+        while a:
+            j = a.bit_length() - 1
+            mask ^= bit[j]
+            a ^= 1 << j
+        return mask
+
+    # <lifts[u], lifts[v]> = <u, gram[v]>, and wt(lifts[v]) is odd iff
+    # <v, parity> = 1: both are linear over the reps lifts[1 << j].
+    reps = [lifts[1 << j] for j in range(q)]
+    gram = [0]
+    for rep in reps:
+        col = sum(((rep & other).bit_count() & 1) << k for k, other in enumerate(reps))
+        gram += [g ^ col for g in gram]
+    parity = sum((rep.bit_count() & 1) << j for j, rep in enumerate(reps))
+
+    def extend(i, chosen, reduced, pool, span, m):
+        # Fill row i from the v of the pool with pivot at least i; chosen
+        # holds the lifts of the rows above it, reduced perp's rows.
+        cand = pool & mult[i]
+        if i == 0:
+            while cand:
+                v = cand.bit_length() - 1
+                cand ^= 1 << v
+                low = min(m, min([weights[x ^ v] for x in span]))
+                if not prune(low):
+                    lift = lifts[v]
+                    basis = chosen + [lift]
+                    key = basis + [min(w, w ^ lift) for w in reduced]
+                    key.sort(reverse=True)
+                    yield basis, low, tuple(key)
+            return
+        while cand:
+            v = cand.bit_length() - 1
+            cand ^= 1 << v
             new = [x ^ v for x in span]
             low = min(m, min([weights[x] for x in new]))
             if prune(low):
                 continue
-            if i == 0:
-                yield [v] + rows, low
-            else:
-                # Some bit below v's pivot, none at it, lift orthogonal to v's.
-                g = lifts[v]
-                sub = [u for u in pool if 0 < u & (2 * bit - 1) < bit and not (lifts[u] & g).bit_count() & 1]
-                yield from extend([v] + rows, sub, span + new, low)
+            # What follows has no bit at v's pivot p, a bit below it, and
+            # a lift orthogonal to v's.
+            p = (v & -v).bit_length() - 1
+            sub = pool & ~(bit[p] | mult[p] | odd(gram[v]))
+            lift = lifts[v]
+            yield from extend(i - 1, chosen + [lift], [min(w, w ^ lift) for w in reduced], sub, span + new, low)
 
-    # Largest v first: fewer tied leaves on the table's codes than ascending.
-    pool = [v for v in range(len(lifts) - 1, 0, -1) if not lifts[v].bit_count() & 1]
-    yield from extend([], pool, [0], weights[0])
-
-
-def _subcode_key(perp: Sequence[int], lifts: list[int]) -> tuple:
-    """Canonical key of span(perp + lifts), for perp an rref basis and
-    lifts rref rows zero on its pivot columns: the lifts and perp's rows
-    reduced by them form the rref."""
-    return tuple(sorted(lifts + [_reduce(w, lifts) for w in perp], reverse=True))
+    # The first pool: every nonzero v with an even lift.  Each row is
+    # tried largest v first: fewer tied leaves on the table's codes than
+    # ascending.
+    yield from extend(r - 1, [], list(perp), (1 << size) - 2 & ~odd(parity), [0], weights[0])
 
 
 def find_self_dual_subcode(Cp: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> LinearCode:
@@ -254,8 +302,8 @@ def find_self_dual_subcode(Cp: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Linea
     first and cuts every branch whose partial span already holds a word
     lighter than the best candidate found.  The winner is the candidate
     of maximum minimum distance, ties broken by the lexicographically
-    smallest canonical generator matrix, which each leaf reads off its
-    lifts; only the winner becomes a code.  That key is unique per code,
+    smallest canonical generator matrix, which the walk carries down to
+    each leaf; only the winner becomes a code.  That key is unique per code,
     so the result does not depend on the order of the walk.
 
     A self-dual C' is returned as it is.  Otherwise the table walks all
@@ -281,10 +329,11 @@ def find_self_dual_subcode(Cp: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Linea
     perp_basis = Cperp.basis_ints()
     reps = _quotient_basis(Cperp, Cp)
     weights = _coset_weights(perp_basis, reps, n)
-    lifts = _ints(_span_limbs(reps, n), n)
+    lifts = [0]  # lifts[v]: the sum of the reps picked by the bits of v
+    for rep in reps:
+        lifts += [x ^ rep for x in lifts]
     best_d, best_key = 0, None
-    for rows, d in _isotropic_bases(lifts, r, weights, lambda m: m < best_d):
-        key = _subcode_key(perp_basis, [lifts[v] for v in rows])
+    for _, d, key in _isotropic_bases(lifts, r, weights, perp_basis, lambda m: m < best_d):
         if best_key is None or d > best_d or key < best_key:
             best_d, best_key = d, key
     # A dual-containing C' of even length holds the all-ones word and so a

@@ -1,5 +1,6 @@
 """Enlargement construction, row mixing, coset sweep, self-dual search."""
 
+import hashlib
 import random
 from collections import Counter
 from dataclasses import FrozenInstanceError
@@ -29,7 +30,6 @@ from qsteane.gf2 import (
 from qsteane.steane import (
     QuantumCode,
     _isotropic_bases,
-    _subcode_key,
     certified_enlarge,
     find_self_dual_subcode,
     is_stabilizer_code,
@@ -504,11 +504,20 @@ class TestFindSelfDualSubcode:
                 outcomes.add("found")
         assert outcomes == {"refused", "self-dual", "found"}
 
-    @pytest.mark.parametrize("n,count", [(6, 15), (8, 135), (10, 2295)])
+    def test_even_weight_12_winner_is_pinned(self):
+        # The flat reference cannot reach q = 10, so the winner (highest d,
+        # then least key) is pinned by the sha256 of repr(canonical_key()).
+        C = find_self_dual_subcode(even_weight_code(12))
+        assert C == dual(C) and min_distance(C).value == 4
+        digest = hashlib.sha256(repr(C.canonical_key()).encode()).hexdigest()
+        assert digest == "4421ebe3000315a93089e08337b8a97e7aa846ddf4aefbe08837ac7492afeafc"
+
+    @pytest.mark.parametrize("n,count", [(6, 15), (8, 135), (10, 2295), (12, 75735)])
     def test_isotropic_leaves_match_mass_formula(self, n, count):
         # Self-dual codes of length n: prod_{i=1}^{n/2-1} (2^i + 1), all
         # of them inside the even-weight code.
-        assert len(isotropic_leaves(even_weight_code(n))) == count
+        _, walk = unpruned_walk(even_weight_code(n))
+        assert sum(1 for _ in walk) == count
 
     def test_isotropic_leaves_match_reference(self):
         for Cp in search_cases():
@@ -519,8 +528,8 @@ class TestFindSelfDualSubcode:
             assert all(d == brute_min_distance(C) for C, _, d in leaves)
 
     def test_leaf_keys_read_off_the_lifts(self):
-        # The key each leaf reads off its lifts, without an rref, is the
-        # canonical key of the code they span with C'-perp.
+        # The key the walk carries down to each leaf, without an rref, is
+        # the canonical key of the code its lifts span with C'-perp.
         for Cp in [*search_cases(), *(even_weight_code(n) for n in (6, 8, 10))]:
             for C, key, _ in isotropic_leaves(Cp):
                 assert key == C.canonical_key()
@@ -568,16 +577,18 @@ def search_cases() -> list[LinearCode]:
     return [Cp for Cp in cases if Cp.n % 2 == 0 and is_subcode(dual(Cp), Cp) and Cp.k > Cp.n // 2]
 
 
-def isotropic_leaves(Cp: LinearCode) -> list[tuple[LinearCode, tuple, int]]:
-    """Every leaf of the search on C' with pruning off: the code spanned
-    by C'-perp and the leaf's lifts, the key read off those lifts, and
-    the minimum of the coset-weight table over its subspace."""
+def unpruned_walk(Cp: LinearCode):
+    """C'-perp's basis and the search's walk on C' with pruning off."""
     perp = dual(Cp).basis_ints()
     reps = gf2._quotient_basis(dual(Cp), Cp)
     weights = _coset_weights(perp, reps, Cp.n)
     lifts = _ints(_span_limbs(reps, Cp.n), Cp.n)
-    leaves = []
-    for rows, m in _isotropic_bases(lifts, Cp.k - Cp.n // 2, weights, lambda m: False):
-        basis = [lifts[v] for v in rows]
-        leaves.append((LinearCode(perp + basis, Cp.n), _subcode_key(perp, basis), m))
-    return leaves
+    return perp, _isotropic_bases(lifts, Cp.k - Cp.n // 2, weights, perp, lambda m: False)
+
+
+def isotropic_leaves(Cp: LinearCode) -> list[tuple[LinearCode, tuple, int]]:
+    """Every leaf of the search on C' with pruning off: the code spanned
+    by C'-perp and the leaf's lifts, the key the walk yields for it, and
+    the minimum of the coset-weight table over its subspace."""
+    perp, walk = unpruned_walk(Cp)
+    return [(LinearCode(perp + basis, Cp.n), key, m) for basis, m, key in walk]
