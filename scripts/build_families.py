@@ -4,7 +4,7 @@
 One line per member: "F m=M ell=L: " and then the line that
 `qsteane family F M L --build` prints for it (`family F5 M L` for F5,
 which has no build).  A member that cannot be built gets its
-closed-form parameters and the reason.  Exits with the worst code of
+parameters and the reason.  Exits with the worst code of
 the members' lines: 1 if any prints "FAIL" or "unverified", else 0."""
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ def main() -> int:
         for family in FAMILIES:
             for ell in range(0, 1 << m):
                 spec = FamilySpec(family, m, ell)
-                if not spec.condition()[0]:
+                if not spec.condition():
                     continue
                 try:
                     line, code = family_line(spec, build=family != "F5")

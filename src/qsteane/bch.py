@@ -5,15 +5,19 @@ Dual containment holds exactly when the designed distance 2t+1 stays
 below 2^ceil(m/2); inside that regime the codes have dimension
 2^m - 1 - m*t and, by the BCH bound, distance at least the designed
 2t+1.  The test suite checks that the distance equals it at
-(m, t) = (4, 1), (5, 1), (5, 2) and (5, 3).  The distance bound a
-family build passes on is derived from those proven bounds alone
-(`family_bound`), never taken from the closed form.
+(m, t) = (4, 1), (5, 1), (5, 2) and (5, 3).
+
+Each family member is fixed by the t values of the BCH codes it is
+built from (`_FAMILY_TS`), and everything else is derived from them:
+whether the member exists, its [[n, K, d]], with d the bound those t
+values prove (`family_bound`), and its build.  F5(m, ell) is F0(m,
+ell + 1) under the propagation rule [[n, K, d]] -> [[n, K + 1, d - 1]].
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 from .gf2 import DEFAULT_ENUM_CAP, CodeConstructionError, LinearCode, _quotient_basis, extend_parity, is_dual_containing, is_subcode
 from .steane import QuantumCode, certified_enlarge
@@ -38,17 +42,29 @@ PRIMITIVE_POLYS = {
     16: 0b10001000000001011,
 }
 
-FAMILIES = ("F0", "F2", "F3", "F4", "F5")
+# The BCH t values a family member is built from, by ell: t of C, t of
+# C' (for F4, of the ambient code the coset is taken from) and, for F4
+# only, t of C1.  F5 is propagated from F0 at ell + 1 (Calderbank, Rains,
+# Shor and Sloane, IEEE Trans. IT 44, 1998, Thm 6), so it has F0's t
+# values there.
+_FAMILY_TS = {
+    "F0": lambda ell: (3 * ell - 1, 2 * ell - 1, None),
+    "F2": lambda ell: (3 * ell, 2 * ell, None),
+    "F3": lambda ell: (3 * ell + 1, 2 * ell, None),
+    "F4": lambda ell: (3 * ell + 1, 2 * ell, 2 * ell + 1),
+    "F5": lambda ell: _FAMILY_TS["F0"](ell + 1),
+}
+FAMILIES = tuple(_FAMILY_TS)
 
 
 class Gf2mField:
     """GF(2^m) with log/antilog tables over a primitive polynomial."""
 
-    def __init__(self, m: int, modulus: Optional[int] = None):
+    def __init__(self, m: int):
         if m not in PRIMITIVE_POLYS:
             raise ValueError(f"m must be in [2, 16], got {m}")
         self.m = m
-        self.modulus = modulus if modulus is not None else PRIMITIVE_POLYS[m]
+        modulus = PRIMITIVE_POLYS[m]
         size = 1 << m
         self.antilog = [0] * (size - 1)
         self.log = [0] * size
@@ -58,9 +74,9 @@ class Gf2mField:
             self.log[x] = i
             x <<= 1
             if x & size:
-                x ^= self.modulus
+                x ^= modulus
         if x != 1 or len(set(self.antilog)) != size - 1:
-            raise ValueError(f"modulus {self.modulus:#b} is not primitive for m={m}")
+            raise ValueError(f"modulus {modulus:#b} is not primitive for m={m}")
 
     @property
     def order(self) -> int:
@@ -107,17 +123,13 @@ class FamilySpec:
         if self.m not in PRIMITIVE_POLYS:
             raise ValueError(f"m must be in [2, 16], got {self.m}")
 
-    def condition(self) -> tuple[bool, str]:
-        """(holds, text) for the family's validity condition on (m, ell)."""
-        half = 1 << ((self.m + 1) // 2)
-        checks = {
-            "F0": (self.ell >= 1 and 6 * self.ell <= half, "6*ell <= 2^ceil(m/2) with ell >= 1"),
-            "F2": (self.ell >= 0 and 6 * self.ell + 2 <= half, "6*ell + 2 <= 2^ceil(m/2)"),
-            "F3": (self.ell >= 0 and 6 * self.ell + 4 <= half, "6*ell + 4 <= 2^ceil(m/2)"),
-            "F4": (self.ell >= 0 and 6 * self.ell + 4 <= half, "6*ell + 4 <= 2^ceil(m/2)"),
-            "F5": (self.ell >= 0 and 6 * self.ell + 6 <= half, "6*ell + 6 <= 2^ceil(m/2)"),
-        }
-        return checks[self.family]
+    def condition(self) -> bool:
+        """Whether the member exists: every BCH t it is built from is in
+        the dual-containing regime.  The t of C' is the least and the t
+        of C the largest, so those two decide; t of C' >= 0 also forces
+        ell >= 0."""
+        tc, tp, _ = _FAMILY_TS[self.family](self.ell)
+        return tp >= 0 and BchSpec(self.m, tc).in_dual_containing_regime()
 
 
 def bch_code(spec: BchSpec) -> LinearCode:
@@ -162,8 +174,8 @@ def extended_bch(m: int, t: int) -> LinearCode:
 
 def verify_nesting(m: int) -> bool:
     """Check the chain property and dual containment for every valid t."""
-    t_max = ((1 << ((m + 1) // 2)) - 2) // 2
-    codes = [bch_code(BchSpec(m, t)) for t in range(1, t_max + 1)]
+    specs = itertools.takewhile(BchSpec.in_dual_containing_regime, (BchSpec(m, t) for t in itertools.count(1)))
+    codes = [bch_code(spec) for spec in specs]
     for smaller, larger in zip(codes[1:], codes):
         if not is_subcode(smaller, larger):
             return False
@@ -171,41 +183,25 @@ def verify_nesting(m: int) -> bool:
 
 
 def family_params(spec: FamilySpec) -> tuple[int, int, int]:
-    """Closed-form [[n, K, d]] for the family, without building anything."""
-    holds, text = spec.condition()
-    if not holds:
+    """[[n, K, d]] of the member, from its BCH t values, without building
+    anything: n = 2^m, K = k(t of C) + k' - n with k(t) = 2^m - 1 - m*t
+    and k' = k(t of C'), or k(t of C1) + 1 for F4's one added coset, and
+    d = `family_bound`.  F5 adds one to K and takes one from d."""
+    tc, tp, t1 = _FAMILY_TS[spec.family](spec.ell)
+    if not spec.condition():
         raise CodeConstructionError(
-            f"{spec.family} requires {text}; violated by m={spec.m}, ell={spec.ell}"
+            f"{spec.family} m={spec.m} ell={spec.ell} needs BCH t={tp if tp < 0 else tc}, outside "
+            "the dual-containing regime t >= 0, 2t+1 <= 2^ceil(m/2) - 1"
         )
-    n = 1 << spec.m
-    m, ell = spec.m, spec.ell
-    if spec.family == "F0":
-        return (n, n - (5 * ell - 2) * m - 2, 6 * ell)
-    if spec.family == "F2":
-        return (n, n - 5 * ell * m - 2, 6 * ell + 2)
-    if spec.family == "F3":
-        return (n, n - (5 * ell + 1) * m - 2, 6 * ell + 3)
-    if spec.family == "F4":
-        return (n, n - (5 * ell + 2) * m - 1, 6 * ell + 4)
-    return (n, n - (5 * ell + 3) * m - 1, 6 * ell + 5)
-
-
-def _family_ts(spec: FamilySpec) -> tuple[int, int, Optional[int]]:
-    """The BCH t values a member is built from: t of C, t of C' (for
-    F4, of the ambient code the coset is taken from) and, for F4 only,
-    t of C1."""
-    ell = spec.ell
-    return {
-        "F0": (3 * ell - 1, 2 * ell - 1, None),
-        "F2": (3 * ell, 2 * ell, None),
-        "F3": (3 * ell + 1, 2 * ell, None),
-        "F4": (3 * ell + 1, 2 * ell, 2 * ell + 1),
-    }[spec.family]
+    n, m, d = 1 << spec.m, spec.m, family_bound(spec)
+    K = (n - 1 - m * tc) + (n - 1 - m * tp if t1 is None else n - m * t1) - n
+    return (n, K + 1, d - 1) if spec.family == "F5" else (n, K, d)
 
 
 def family_bound(spec: FamilySpec) -> int:
-    """The enlargement bound min(d(C), d2(C')) for an F0/F2/F3/F4 member,
-    proven from the t values it is built from:
+    """The enlargement bound min(d(C), d2(C')) for a family member,
+    proven from the t values it is built from (for F5, those of F0 at
+    ell + 1, whose bound `family_params` lowers by one):
 
     (a) d(extended_bch(m, t)) >= 2t + 2: the BCH bound, plus the parity
         bit, which makes every odd weight even;
@@ -223,7 +219,7 @@ def family_bound(spec: FamilySpec) -> int:
     scan or coset sweep, not proven (it is 3 at every m >= 3, below the 4
     returned here; see the README's theorem).
     """
-    dc, dp, d1 = (None if t is None else 2 * t + 2 for t in _family_ts(spec))  # (a)
+    dc, dp, d1 = (None if t is None else 2 * t + 2 for t in _FAMILY_TS[spec.family](spec.ell))  # (a)
     d2 = -(-3 * dp // 2) if d1 is None else -(-(d1 + 2 * dp) // 2)  # (b), (c)
     return min(dc, d2)
 
@@ -249,34 +245,28 @@ def build_family_code(spec: FamilySpec, cap: int = DEFAULT_ENUM_CAP) -> QuantumC
     F4 enlarges into the union of a BCH code with one coset inside the
     next code of the chain.  F5 has no in-scope construction and is
     refused (its parameters remain available via family_params).  The
-    distance bound passed on is `family_bound`'s; a closed form claiming
-    more is refused.  `cap` bounds the scans
+    distance bound passed on is `family_bound`'s, and K is checked
+    against the BCH dimensions.  `cap` bounds the scans
     `certified_enlarge` runs, as everywhere.
     """
-    n, K, d = family_params(spec)
-    m, ell = spec.m, spec.ell
+    _, K, _ = family_params(spec)
     if spec.family == "F5":
         raise CodeConstructionError(
             "F5 is a parameters-only family (derived from F0 by an external "
             "construction); use family_params"
         )
-    proven = family_bound(spec)
-    if d > proven:
-        raise CodeConstructionError(
-            f"claimed distance d={d} exceeds the proven bound d={proven}"
-        )
-    tc, tp, t1 = _family_ts(spec)
-    C, Cp = extended_bch(m, tc), extended_bch(m, tp)
+    tc, tp, t1 = _FAMILY_TS[spec.family](spec.ell)
+    C, Cp = extended_bch(spec.m, tc), extended_bch(spec.m, tp)
     if t1 is not None:  # F4; at ell = 0, C1 is C
-        Cp = coset_extend(C if t1 == tc else extended_bch(m, t1), Cp)
+        Cp = coset_extend(C if t1 == tc else extended_bch(spec.m, t1), Cp)
     if Cp.k == C.k:
         raise CodeConstructionError(
-            f"{spec.family} degenerates at ell={ell}: C' equals C, so there "
+            f"{spec.family} degenerates at ell={spec.ell}: C' equals C, so there "
             "is nothing to enlarge (the closed-form parameters still hold)"
         )
-    Q = certified_enlarge(C, Cp, d_lower=proven, cap=cap)
+    Q = certified_enlarge(C, Cp, d_lower=family_bound(spec), cap=cap)
     if Q.K != K:
         raise CodeConstructionError(
-            f"constructed K={Q.K} disagrees with the closed form K={K}"
+            f"constructed K={Q.K} disagrees with K={K} from the BCH dimensions"
         )
     return Q

@@ -28,7 +28,7 @@ class CertificateError(RuntimeError):
     is not.  Such a result is never returned."""
 
 
-def _coset_distances(C: LinearCode, w: int, stop: int) -> list[int]:
+def _coset_distances(C: LinearCode, w: int) -> list[int]:
     """Exact distance of every enlargement span{(C|0), (0|C), (w|v)} of a
     dual-containing C by one completion row w, one v per coset v + C.
 
@@ -42,14 +42,13 @@ def _coset_distances(C: LinearCode, w: int, stop: int) -> list[int]:
     MacWilliams identities turn each into a distance
     (`_enumerator_distances`).
 
-    Entry i is d of coset i when it is at most `stop`; the first coset
-    above `stop` gets its exact d too, and the others above it read
-    stop + 1.  Costs 2^(2(n-k)) pairs; memory is one block of pairs
-    (`gf2._blocks`) and the 2^(n-k) * (n + 1) int64 counts.
+    Entry i is the exact d of coset i.  Costs 2^(2(n-k)) pairs; memory
+    is one block of pairs (`gf2._blocks`) and the 2^(n-k) * (n + 1)
+    int64 counts.
     """
     n, q = C.n, C.n - C.k
     T, f = _coset_histograms(_dual_rows(C), w, n)
-    return _enumerator_distances(_coset_enumerators(T, f), n, 2 * q - 1, stop)
+    return _enumerator_distances(_coset_enumerators(T, f), n, 2 * q - 1)
 
 
 def _coset_word(C: LinearCode, i: int) -> int:
@@ -114,7 +113,7 @@ def _krawtchouk(n: int, j: int, i: int) -> int:
     return sum((-1) ** s * 3 ** (j - s) * math.comb(i, s) * math.comb(n - i, j - s) for s in range(j + 1))
 
 
-def _enumerator_distances(A: np.ndarray, n: int, log_size: int, stop: int) -> list[int]:
+def _enumerator_distances(A: np.ndarray, n: int, log_size: int) -> list[int]:
     """Distance of each stabiliser code whose stabiliser S, of size
     2^log_size, has weight enumerator row A[i]; its normaliser N = S-perp
     must contain S.
@@ -123,14 +122,12 @@ def _enumerator_distances(A: np.ndarray, n: int, log_size: int, stop: int) -> li
     Rains, IEEE Trans. IT 44, 1998) give N's enumerator,
     B_j = 2^-log_size sum_t A[t] K_j(t), and d = min{j >= 1 : B_j > A_j}.
     Rows j = 0, 1, ... are taken in exact integers while a code is open,
-    up to j = stop for every code; the first code still open then is
-    carried on to its exact d, and the others read stop + 1.  Raises
-    CertificateError unless every sum divides exactly, B_0 = 1 and
-    B_j >= A_j.
+    so every code gets its exact d.  Raises CertificateError unless
+    every sum divides exactly, B_0 = 1 and B_j >= A_j.
     """
     weights = np.flatnonzero(A.any(axis=0)).tolist()
     counts = A[:, weights].tolist()  # Python ints: the sums are exact
-    d = [stop + 1] * len(A)
+    d = [0] * len(A)
     open_ = list(range(len(A)))
     j = 0
     while open_ and j <= n:
@@ -147,8 +144,6 @@ def _enumerator_distances(A: np.ndarray, n: int, log_size: int, stop: int) -> li
             else:
                 still.append(i)
         open_ = still
-        if j == stop:
-            open_ = open_[:1]
         j += 1
     if open_:
         raise CertificateError("normaliser has no element outside the stabiliser")

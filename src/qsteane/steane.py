@@ -168,7 +168,7 @@ def certified_enlarge(
         Q = dataclasses.replace(Q, d_exact=quantum_distance_exact(Q, cap=cap).value)
     if not single or 2 * (C.n - C.k) > cap or Q.d_exact is not None and Q.d_exact >= d_lower:
         return Q
-    ds = _coset_distances(C, gp_rows[0], d_lower - 1)
+    ds = _coset_distances(C, gp_rows[0])
     if Q.d_exact is not None and ds[0] != Q.d_exact:
         raise CertificateError(f"coset sweep gives d={ds[0]} for v = 0, the scan d={Q.d_exact}")
     best = next((i for i, d in enumerate(ds) if d >= d_lower), None)

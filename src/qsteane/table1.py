@@ -58,8 +58,8 @@ def load_fixture(name: str) -> LinearCode:
 
 
 @functools.lru_cache(maxsize=None)
-def _self_dual_from_fixture(name: str) -> LinearCode:
-    return find_self_dual_subcode(load_fixture(name))
+def _self_dual_from_fixture(name: str, cap: int) -> LinearCode:
+    return find_self_dual_subcode(load_fixture(name), cap=cap)
 
 
 # The C' fixture of each row, keyed by (n, k'); rows without one use
@@ -80,15 +80,16 @@ def enlargement_code_for_row(row: Table1Row) -> LinearCode:
     return even_weight_code(row.n)
 
 
-def self_dual_code_for_row(row: Table1Row) -> LinearCode:
+def self_dual_code_for_row(row: Table1Row, cap: int = DEFAULT_ENUM_CAP) -> LinearCode:
+    """The self-dual C of a row, found by a search that `cap` bounds."""
     if (row.n, row.kprime) == (12, 11):
         # No search target: any self-dual code is automatically inside
         # the even-weight code, so reuse the one found for k'=10.
-        return _self_dual_from_fixture("c12_10_2a.txt")
+        return _self_dual_from_fixture("c12_10_2a.txt", cap)
     name = _ROW_FIXTURES.get((row.n, row.kprime))
     if name is not None:
-        return _self_dual_from_fixture(name)
-    return find_self_dual_subcode(even_weight_code(row.n))
+        return _self_dual_from_fixture(name, cap)
+    return find_self_dual_subcode(even_weight_code(row.n), cap=cap)
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def check_row(row: Table1Row, cap: int = DEFAULT_ENUM_CAP) -> RowCheck:
     """Rebuild the row's quantum code and verify every printed value."""
     Cp = enlargement_code_for_row(row)
     try:
-        C = self_dual_code_for_row(row)
+        C = self_dual_code_for_row(row, cap=cap)
     except CodeConstructionError as exc:
         return RowCheck(row=row, quantum=None, ok=False, details=f"no self-dual C: {exc}")
     failures = []

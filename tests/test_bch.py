@@ -14,7 +14,6 @@ from qsteane.bch import (
     build_family_code,
     coset_extend,
     extended_bch,
-    family_bound,
     family_params,
     verify_nesting,
 )
@@ -54,10 +53,11 @@ class TestGf2mField:
         assert field.mul(field.power(3), field.power(5)) == field.power(8)
         assert field.mul(0, 7) == 0
 
-    def test_rejects_non_primitive_modulus(self):
+    def test_rejects_non_primitive_modulus(self, monkeypatch):
         # x^4 + x^3 + x^2 + x + 1 is irreducible but its root has order 5.
+        monkeypatch.setitem(bch.PRIMITIVE_POLYS, 4, 0b11111)
         with pytest.raises(ValueError, match="primitive"):
-            Gf2mField(4, modulus=0b11111)
+            Gf2mField(4)
 
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):
@@ -156,24 +156,41 @@ class TestFamilyParams:
     def test_spot_values(self, family, m, ell, expected):
         assert family_params(FamilySpec(family, m, ell)) == expected
 
-    def test_proven_bound_equals_closed_form(self, monkeypatch):
-        # Arithmetic only: nothing is built.
+    def test_derived_params_match_the_papers_closed_forms(self, monkeypatch):
+        # The paper's validity conditions and [[n, K, d]], written out;
+        # the t values of the family table must give the same members.
+        # Every member has 6 ell < 2^ceil(m/2), so the ell walked cover
+        # them all.  Arithmetic only: nothing is built.
         monkeypatch.setattr(bch, "extended_bch", None)
         members = 0
-        for family in ("F0", "F2", "F3", "F4"):
-            for m in range(3, 17):
-                for ell in range(1 << m):
+        for m in range(2, 17):
+            n, half = 1 << m, 1 << ((m + 1) // 2)
+            for ell in range(-2, half):
+                closed = {
+                    "F0": (ell >= 1 and 6 * ell <= half, (n, n - (5 * ell - 2) * m - 2, 6 * ell)),
+                    "F2": (ell >= 0 and 6 * ell + 2 <= half, (n, n - 5 * ell * m - 2, 6 * ell + 2)),
+                    "F3": (ell >= 0 and 6 * ell + 4 <= half, (n, n - (5 * ell + 1) * m - 2, 6 * ell + 3)),
+                    "F4": (ell >= 0 and 6 * ell + 4 <= half, (n, n - (5 * ell + 2) * m - 1, 6 * ell + 4)),
+                    "F5": (ell >= 0 and 6 * ell + 6 <= half, (n, n - (5 * ell + 3) * m - 1, 6 * ell + 5)),
+                }
+                for family, (valid, params) in closed.items():
                     spec = FamilySpec(family, m, ell)
-                    if spec.condition()[0]:
+                    assert spec.condition() == valid, spec
+                    if valid:
                         members += 1
-                        assert family_bound(spec) == family_params(spec)[2], spec
-                    elif ell:
-                        break
-        assert members == 678
+                        assert family_params(spec) == params, spec
+                    else:
+                        with pytest.raises(CodeConstructionError, match="dual-containing regime"):
+                            family_params(spec)
+        assert members == 841
 
     def test_condition_violation(self):
-        with pytest.raises(CodeConstructionError, match="requires"):
-            family_params(FamilySpec("F0", 4, 1))  # 6 > 2^2
+        # 6 > 2^2: C's t = 2 has 2t + 1 = 5 > 2^2 - 1.
+        with pytest.raises(CodeConstructionError, match=r"^F0 m=4 ell=1 needs BCH t=2, outside the dual-containing regime"):
+            family_params(FamilySpec("F0", 4, 1))
+        # C''s t = 2 ell - 1 = -1.
+        with pytest.raises(CodeConstructionError, match=r"^F0 m=5 ell=0 needs BCH t=-1,"):
+            family_params(FamilySpec("F0", 5, 0))
 
     def test_family_name_validation(self):
         with pytest.raises(ValueError):
@@ -222,7 +239,7 @@ class TestCosetExtend:
     @pytest.mark.parametrize("m", range(3, 9))
     def test_f4_enlargement_matches_reference(self, m):
         for ell in range(3):
-            if FamilySpec("F4", m, ell).condition()[0]:
+            if FamilySpec("F4", m, ell).condition():
                 C1, big = extended_bch(m, 2 * ell + 1), extended_bch(m, 2 * ell)
                 assert coset_extend(C1, big) == reference_coset_extend(C1, big)
 

@@ -148,6 +148,12 @@ class TestTable1:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_cap_bounds_the_self_dual_search(self, capsys):
+        # The first row's C' is the [8,7] even-weight code: its coset
+        # table over 2^7 words is refused before any distance scan.
+        assert main(["--cap", "6", "table1"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", "error: coset-weight table over 2^7 words of C' exceeds cap k' <= 6\n")
+
     @pytest.mark.parametrize("cap, r", [(12, 16), (16, 17)])
     def test_row_over_the_cap_is_input_error(self, capsys, cap, r):
         # A row whose k + k' generators exceed the cap is left unscanned:
@@ -177,7 +183,7 @@ class TestFamily:
         assert capsys.readouterr().out == "[[32,21,4]] exact d=3 FAIL\n"
 
     def test_failed_certificate_is_verification_failure(self, capsys, monkeypatch):
-        def fail(C, w, stop):
+        def fail(C, w):
             raise CertificateError("coset enumerator numerator is odd")
 
         monkeypatch.setattr(steane, "_coset_distances", fail)
@@ -214,15 +220,13 @@ class TestFamily:
         assert main(["family", "F0", "6", "1", "--build"]) == EXIT_OK
         assert capsys.readouterr().out == "[[64,44,6]] bound holds by construction\n"
 
-    def test_claim_above_the_proven_bound_is_refused(self, capsys, monkeypatch):
-        # A closed form claiming one more than the bound its t values
-        # prove is an input error, never "bound holds by construction".
+    def test_claim_above_the_proven_bound_never_reaches_a_build(self, capsys, monkeypatch):
+        # A build prints the bound its t values prove, whatever
+        # family_params claims.
         params = bch.family_params
         monkeypatch.setattr(bch, "family_params", lambda spec: (*params(spec)[:2], params(spec)[2] + 1))
-        for member in (["F0", "6", "1"], ["F2", "5", "1"], ["F0", "10", "1"]):
-            assert main(["family", *member, "--build"]) == EXIT_INPUT_ERROR
-            out, err = capsys.readouterr()
-            assert out == "" and "exceeds the proven bound" in err
+        assert main(["family", "F0", "6", "1", "--build"]) == EXIT_OK
+        assert capsys.readouterr().out == "[[64,44,6]] bound holds by construction\n"
 
     @pytest.mark.parametrize(
         "argv, line",

@@ -271,7 +271,7 @@ class TestCertifiedEnlarge:
         # F4 m=3: the zero coset has d = 2 < 4, so the sweep runs and its
         # value for v = 0 is checked against the scan's.
         C, Cp = f4_pair(3)
-        monkeypatch.setattr(steane, "_coset_distances", lambda C, w, stop: [3] * (1 << (C.n - C.k)))
+        monkeypatch.setattr(steane, "_coset_distances", lambda C, w: [3] * (1 << (C.n - C.k)))
         with pytest.raises(CertificateError, match="v = 0"):
             certified_enlarge(C, Cp, d_lower=4)
 
@@ -281,13 +281,7 @@ class TestCosetSweep:
         for C, Cp in sweep_cases():
             (w,) = _completion_rows(C, Cp)
             want, _ = reference_coset_sweep(C, Cp, 1)
-            assert _coset_distances(C, w, C.n) == want
-            # Below `stop` exact; above it, the first exact, the rest stop + 1.
-            for stop in range(max(want) + 1):
-                above = [i for i, d in enumerate(want) if d > stop]
-                assert _coset_distances(C, w, stop) == [
-                    d if d <= stop or i == above[0] else stop + 1 for i, d in enumerate(want)
-                ]
+            assert _coset_distances(C, w) == want
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_f4_histogram(self, m):
@@ -295,7 +289,7 @@ class TestCosetSweep:
         # and the counts follow 2^m + 2 / 2^m - 2.
         C, Cp = f4_pair(m)
         (w,) = _completion_rows(C, Cp)
-        assert Counter(_coset_distances(C, w, C.n)) == {2: 2**m + 2, 3: 2**m - 2}
+        assert Counter(_coset_distances(C, w)) == {2: 2**m + 2, 3: 2**m - 2}
 
     @pytest.mark.parametrize("m", range(3, 11))
     def test_f4_ell_0_theorem(self, m):
@@ -359,7 +353,7 @@ class TestCosetSweep:
                 assert (dist[-1] == 2) == (sv in reach)
             assert Counter(dist) == {2: 2**m + 2, 3: 2**m - 2}
             if m <= 8:
-                assert _coset_distances(C, w, n) == dist
+                assert _coset_distances(C, w) == dist
 
     def test_corrupted_histograms_raise(self):
         C, Cp = f4_pair(3)
@@ -367,7 +361,7 @@ class TestCosetSweep:
         T, f = _coset_histograms(gf2._dual_rows(C), w, C.n)
         A = _coset_enumerators(T, f)
         log_size = 2 * (C.n - C.k) - 1
-        assert _enumerator_distances(A, C.n, log_size, C.n) == _coset_distances(C, w, C.n)
+        assert _enumerator_distances(A, C.n, log_size) == _coset_distances(C, w)
 
         odd = f.copy()
         odd[1, 4] += 1
@@ -386,11 +380,11 @@ class TestCosetSweep:
         moved[:, 4] -= 1
         moved[:, 5] += 1
         with pytest.raises(CertificateError, match="MacWilliams row 1 "):
-            _enumerator_distances(moved, C.n, log_size, C.n)
+            _enumerator_distances(moved, C.n, log_size)
         with pytest.raises(CertificateError, match="MacWilliams row 0 "):
-            _enumerator_distances(A, C.n, log_size + 1, C.n)  # B_0 = 1/2
+            _enumerator_distances(A, C.n, log_size + 1)  # B_0 = 1/2
         with pytest.raises(CertificateError, match="MacWilliams row 0 "):
-            _enumerator_distances(A, C.n, log_size - 1, C.n)  # B_0 = 2
+            _enumerator_distances(A, C.n, log_size - 1)  # B_0 = 2
 
 
 def f4_pair(m: int):
