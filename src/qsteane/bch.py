@@ -262,7 +262,7 @@ def build_family_code(spec: FamilySpec, cap: int = DEFAULT_ENUM_CAP) -> QuantumC
     if Cp.k == C.k:
         raise CodeConstructionError(
             f"{spec.family} degenerates at ell={spec.ell}: C' equals C, so there "
-            "is nothing to enlarge (the closed-form parameters still hold)"
+            "is nothing to enlarge (family_params still gives [[n, K, d]] from its t values in _FAMILY_TS)"
         )
     Q = certified_enlarge(C, Cp, d_lower=family_bound(spec), cap=cap)
     if Q.K != K:

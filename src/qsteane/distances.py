@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from . import gf2  # gf2._BLOCK is read at call time, so one setattr resizes every pass
-from .gf2 import DEFAULT_ENUM_CAP, EnumerationCapError, LinearCode, _bits, _blocks, _combinations, _dual_rows, _pack, _unpack
+from .gf2 import DEFAULT_ENUM_CAP, EnumerationCapError, LinearCode, _bits, _blocks, _combinations, _dual_rows, _pack, _unchecked_code, _unpack
 
 if TYPE_CHECKING:
     from .steane import QuantumCode
@@ -371,7 +371,7 @@ def _quantum_scan_errors(gx, gz, n, self_orthogonal, budget):
     if n > 64 or len(gx) > 64:
         return None
     # S holds the (x | z) with x.gz_i + z.gx_i = 0: the dual of the rows (gz_i | gx_i).
-    hs = _dual_rows(LinearCode([z << n | x for x, z in zip(gx, gz)], 2 * n))
+    hs = _dual_rows(_unchecked_code([z << n | x for x, z in zip(gx, gz)], 2 * n))
     if len(hs) > 64:
         return None
     # table[q, P] for P = X, Z, Y on qubit q: the syndrome against S (of

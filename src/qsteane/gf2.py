@@ -295,11 +295,13 @@ class LinearCode:
         rows = list(rows)
         if rows and (min(rows) < 0 or max(rows) >> n):
             raise ValueError(f"row outside [0, 2^{n}): not a word of length {n}")
-        work, rank, pivots = rref_ints(rows, n)
-        self.n = n
-        self.k = rank
-        self._basis = work[:rank]
-        self._pivots = pivots
+        self._span(rows, n)
+
+    def _span(self, rows: list[int], n: int) -> "LinearCode":
+        """Make self the span of rows, words of length n, unchecked."""
+        work, self.k, self._pivots = rref_ints(rows, n)
+        self.n, self._basis = n, work[: self.k]
+        return self
 
     def basis_ints(self) -> list[int]:
         return list(self._basis)
@@ -341,9 +343,17 @@ def _dual_rows(C: LinearCode) -> list[int]:
     return rows
 
 
+def _unchecked_code(rows: list[int], n: int) -> LinearCode:
+    """LinearCode(rows, n) without its checks, for rows known to be words
+    of length n.  n may exceed MAX_LENGTH, which bounds the codes read
+    from outside: the symplectic matrix of a length-n quantum code has
+    2n columns."""
+    return object.__new__(LinearCode)._span(rows, n)
+
+
 def dual(C: LinearCode) -> LinearCode:
     """Euclidean dual: the [n, n-k] null space of the generator matrix."""
-    return LinearCode(_dual_rows(C), C.n)
+    return _unchecked_code(_dual_rows(C), C.n)
 
 
 def _residuals(words: list[int], B: LinearCode) -> Iterable[int]:
@@ -439,7 +449,9 @@ def parse_matrix(text: str) -> tuple[list[int], int]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        digits = stripped.replace(" ", "").replace("\t", "")
+        digits = stripped
+        if " " in digits or "\t" in digits:
+            digits = digits.replace(" ", "").replace("\t", "")
         try:
             row = int(digits, 2)
         except ValueError:

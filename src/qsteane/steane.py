@@ -39,6 +39,7 @@ from .gf2 import (
     _all_in,
     _completion_rows,
     _quotient_basis,
+    _unchecked_code,
     dual,
     is_dual_containing,
     is_subcode,
@@ -187,13 +188,13 @@ def symplectic_dual(Q: QuantumCode) -> list[int]:
     n = Q.n
     # Null space of the r x 2n matrix [Gz | Gx]: symplectic orthogonality
     # swaps the halves against (vx | vz).
-    return dual(LinearCode([z << n | x for x, z in zip(Q.gx, Q.gz)], 2 * n)).basis_ints()
+    return dual(_unchecked_code([z << n | x for x, z in zip(Q.gx, Q.gz)], 2 * n)).basis_ints()
 
 
 def is_stabilizer_code(Q: QuantumCode) -> bool:
     """True iff the symplectic dual of C lies inside C (C-perp <= C)."""
     n = Q.n
-    span = LinearCode([x << n | z for x, z in zip(Q.gx, Q.gz)], 2 * n)
+    span = _unchecked_code([x << n | z for x, z in zip(Q.gx, Q.gz)], 2 * n)
     return _all_in(symplectic_dual(Q), span)
 
 

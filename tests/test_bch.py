@@ -251,6 +251,12 @@ class TestBuildFamilyCode:
         assert Q.bound_proven
         assert is_stabilizer_code(Q)
 
+    def test_f3_m10_is_a_stabilizer_code(self):
+        # n = 1024: the symplectic matrix has 2048 columns, past MAX_LENGTH.
+        Q = build_family_code(FamilySpec("F3", 10, 0))
+        assert (Q.n, Q.K) == (1024, 1012)
+        assert is_stabilizer_code(Q)
+
     def test_f3_desk_scale_certifies_exactly(self):
         Q = build_family_code(FamilySpec("F3", 4, 0))
         assert (Q.n, Q.K, Q.d_lower) == (16, 10, 3)

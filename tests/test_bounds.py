@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsteane import bounds
+from qsteane import bounds, cli
 from qsteane.bounds import (
     LOG2_3,
     bound_cs,
@@ -30,6 +30,30 @@ from conftest import reference_curve, reference_curve_csv
 
 unit_interval = st.floats(0.0, 1.0, allow_nan=False)
 half_interval = st.floats(0.0, 0.5, allow_nan=False)
+
+
+def _cells_csv_of(values: list[float]) -> str:
+    """write_curve_csv of a curve record array holding values, five a row."""
+    buf = io.StringIO()
+    write_curve_csv(np.array(values, np.float64).view(bounds._CURVE_DTYPE).view(np.recarray), buf)
+    return buf.getvalue()
+
+
+def _near_ties() -> list[float]:
+    """Exact decimal ties v * 10^6 = k + 1/2 (the odd multiples of 1/128,
+    the only ones a float64 holds), the nearest floats to other ties, and
+    the floats one and two ulps either side of each."""
+    rng = random.Random(26)
+    ties = [j / 128 for j in range(1, 128, 2)] + [(rng.randrange(10**6) + 0.5) / 1e6 for _ in range(2000)]
+    ties += [2.5e-6, 0.9999995]
+    out = []
+    for v in ties:
+        lo = hi = v
+        for _ in range(2):
+            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)
+            out += [lo, hi]
+        out.append(v)
+    return out
 
 
 def _oracle_grids():
@@ -247,6 +271,46 @@ class TestEmitCurve:
             tracemalloc.stop()
         assert len(pts) == 20001
         assert peak <= 2 * 10**6
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(unit_interval, min_size=1, max_size=60))
+    def test_cells_equal_percent_format(self, values):
+        values = values + [0.0] * (-len(values) % 5)
+        cells = _cells_csv_of(values).replace("\n", ",").split(",")[5:-1]
+        assert cells == ["%.6f" % v for v in values]
+
+    @pytest.mark.parametrize("block", [1024, 4])
+    def test_ties_and_near_ties(self, block, monkeypatch):
+        monkeypatch.setattr(bounds, "_CSV_BLOCK", block)
+        values = _near_ties() + [0.0, 1.0, 0.5, 5e-324, math.nextafter(1.0, 0.0), 5e-7, 1.5e-6]
+        values += [0.0] * (-len(values) % 5)
+        want = ["%.6f" % v for v in values]
+        # rint(v * 10^6) alone misprints some of them: the tie band is needed.
+        assert any(q != int(w.replace(".", "")) for q, w in zip(np.rint(np.array(values) * 1e6).tolist(), want))
+        assert _cells_csv_of(values).replace("\n", ",").split(",")[5:-1] == want
+
+    @pytest.mark.parametrize("block", [1024, 4])
+    @pytest.mark.parametrize("odd", [math.nan, -math.nan, -1e-9, -0.0, 1.0000000000000002, 2.5, math.inf, -math.inf])
+    def test_out_of_range_blocks_take_the_row_format(self, odd, block, monkeypatch):
+        monkeypatch.setattr(bounds, "_CSV_BLOCK", block)
+        rng = random.Random(7)
+        values = [rng.random() for _ in range(5 * 11)]
+        values[23] = odd
+        want = "delta,gf4,cs,steane,thm4\n" + "".join(
+            bounds._CSV_ROW % tuple(values[i : i + 5]) for i in range(0, len(values), 5)
+        )
+        assert _cells_csv_of(values) == want
+
+    def test_cli_bytes_on_the_benchmark_grid(self, tmp_path, capsys):
+        # lo in [0, 0.05) and 20,000 steps, as the benchmark writes them.
+        rng = random.Random(11)
+        for lo in [0.0, 0.0499] + [rng.randrange(0, 500) / 10000 for _ in range(3)]:
+            step = (0.5 - lo) / 20000
+            path = tmp_path / "bounds.csv"
+            assert cli.main(["bounds", repr(lo), "0.5", repr(step), str(path)]) == 0
+            assert capsys.readouterr().out == "wrote 20001 points to %s\n" % path
+            want = reference_curve_csv(reference_curve(lo, 0.5, step))
+            assert path.read_bytes() == want.encode("ascii"), lo
 
     def test_csv_format(self):
         buf = io.StringIO()

@@ -147,6 +147,21 @@ class TestSteaneEnlarge:
             vx, vz = row >> Q.n, row & 0xFF
             assert all(((vx & z).bit_count() + (vz & x).bit_count()) % 2 == 0 for x, z in zip(Q.gx, Q.gz))
 
+    def test_symplectic_dual_past_half_max_length(self):
+        # n = 600: the 1200-column symplectic matrix is longer than any
+        # LinearCode read from outside may be.
+        rng = random.Random(600)
+        n = 600
+        gx, gz = [rng.getrandbits(n) for _ in range(40)], [rng.getrandbits(n) for _ in range(40)]
+        Q = QuantumCode(n=n, gx=gx, gz=gz, K=0, d_lower=1)
+        S = symplectic_dual(Q)
+        assert len(S) == 2 * n - 40
+        assert gf2.rref_ints(S, 2 * n)[1] == len(S)
+        for row in S:
+            vx, vz = row >> n, row & ((1 << n) - 1)
+            assert all(((vx & z).bit_count() + (vz & x).bit_count()) % 2 == 0 for x, z in zip(gx, gz))
+        assert not is_stabilizer_code(Q)
+
     @pytest.mark.parametrize("half", [20, 80])
     def test_is_stabilizer_code_on_both_paths(self, half, monkeypatch):
         # CSS on a dual-containing C is a stabilizer code; one foreign row
