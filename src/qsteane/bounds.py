@@ -26,8 +26,8 @@ of a half-integer q is read off `"%.6f" % v` instead; outside the band
 both round the same way.  The characters of q come from two tables of
 ASCII words, indexed by q // 1000 and q % 1000.  A block holding any
 other value (NaN, a negative value, -0.0, above 1) is formatted by `%`
-row by row, so the bytes are those of `_CSV_ROW` for every contiguous
-float64 record array.  Entropies and rates are evaluated `_EVAL_BLOCK` points
+row by row, so the bytes are those of `_CSV_ROW` for every float64
+record array.  Entropies and rates are evaluated `_EVAL_BLOCK` points
 at a time and the CSV is formatted `_CSV_BLOCK` rows at a time, so the
 temporaries stay small next to the 40 bytes per point of the returned
 record array: a 20,001-point curve, emitted and written, allocates at
@@ -211,7 +211,7 @@ def write_curve_csv(points: np.recarray, out: TextIO) -> None:
     """
     out.write("delta,gf4,cs,steane,thm4\n")
     high, low = _cell_words()
-    values = np.asarray(points).view(np.float64)  # five cells a row
+    values = np.ascontiguousarray(points).view(np.float64)  # five cells a row
     for lo in range(0, len(values), 5 * _CSV_BLOCK):
         v = values[lo : lo + 5 * _CSV_BLOCK]
         if not (~np.signbit(v) & (v <= 1.0)).all():

@@ -13,7 +13,7 @@ from .bch import FAMILIES, FamilySpec, build_family_code, family_params
 from .bounds import emit_curve, write_curve_csv
 from .distances import min_distance, second_gdw
 from .enumerators import CertificateError
-from .gf2 import DEFAULT_ENUM_CAP, CodeConstructionError, LinearCode, is_dual_containing, parse_matrix
+from .gf2 import DEFAULT_ENUM_CAP, MAX_LENGTH, CodeConstructionError, LinearCode, is_dual_containing, parse_matrix
 from .steane import QuantumCode, certified_enlarge, find_self_dual_subcode
 from .table1 import check_all_rows
 
@@ -89,19 +89,36 @@ def cmd_table1(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
 
 
-def family_line(spec: FamilySpec, build: bool, cap: int = DEFAULT_ENUM_CAP) -> tuple[str, int]:
-    """The line `family` prints for a member, and its exit code: with
-    `build`, the verdict on the built code."""
-    if not build:
-        n, K, d = family_params(spec)
-        return f"[[{n},{K},{d}]]" + (" (params only)" if spec.family == "F5" else ""), EXIT_OK
-    return _verdict(build_family_code(spec, cap=cap), " exact d={} verified")
-
-
 def cmd_family(args) -> int:
-    line, code = family_line(FamilySpec(args.family, args.m, args.ell), args.build, args.cap)
-    print(line)
-    return code
+    """One member's line, or with none given every valid member's for
+    m = 2 .. log2(MAX_LENGTH), labelled "F m=M ell=L: ".  The worst line
+    sets the exit code; with `--build` the listing keeps F5's
+    parameters-only line and prints why a member cannot be built."""
+    member = (args.family, args.m, args.ell)
+    listing = member == (None, None, None)
+    if listing:
+        every = (FamilySpec(f, m, ell) for m in range(2, MAX_LENGTH.bit_length()) for f in FAMILIES for ell in range(1 << m))
+        specs = [spec for spec in every if spec.condition()]
+    elif None in member:
+        args.error("give the family, m and ell, or none of them")
+    else:
+        specs = [FamilySpec(*member)]
+    worst = EXIT_OK
+    for spec in specs:
+        n, K, d = family_params(spec)
+        line, code = f"[[{n},{K},{d}]]", EXIT_OK
+        if args.build and not (listing and spec.family == "F5"):
+            try:
+                line, code = _verdict(build_family_code(spec, cap=args.cap), " exact d={} verified")
+            except CodeConstructionError as exc:
+                if not listing:
+                    raise
+                line += f" ({exc})"
+        elif spec.family == "F5":
+            line += " (params only)"
+        print(f"{spec.family} m={spec.m} ell={spec.ell}: " * listing + line)
+        worst = max(worst, code)
+    return worst
 
 
 def cmd_bounds(args) -> int:
@@ -143,12 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table1", help="recompute every published table row")
     p.set_defaults(func=cmd_table1)
 
-    p = sub.add_parser("family", help="family parameters, optionally built and verified")
-    p.add_argument("family", type=str.upper, choices=FAMILIES)
-    p.add_argument("m", type=int)
-    p.add_argument("ell", type=int)
+    p = sub.add_parser("family", help="family parameters, optionally built and verified; all members if none given")
+    p.add_argument("family", nargs="?", type=str.upper, choices=FAMILIES)
+    p.add_argument("m", nargs="?", type=int)
+    p.add_argument("ell", nargs="?", type=int)
     p.add_argument("--build", action="store_true")
-    p.set_defaults(func=cmd_family)
+    p.set_defaults(func=cmd_family, error=p.error)
 
     p = sub.add_parser("bounds", help="emit the four rate-bound curves as CSV")
     p.add_argument("delta_min", type=float)

@@ -192,6 +192,21 @@ class TestFamilyParams:
         with pytest.raises(CodeConstructionError, match=r"^F0 m=5 ell=0 needs BCH t=-1,"):
             family_params(FamilySpec("F0", 5, 0))
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: BchSpec(1, 0), "m must be in [2, 16], got 1"),
+            (lambda: BchSpec(4, -1), "t must be >= 0"),
+            (lambda: FamilySpec("F0", 17, 1), "m must be in [2, 16], got 17"),
+            (lambda: coset_extend(extended_bch(4, 1), extended_bch(4, 1)), "ambient code equals C1: no coset to add"),
+        ],
+        ids=["BchSpec-m=1", "BchSpec-t=-1", "FamilySpec-m=17", "coset_extend-C1=ambient"],
+    )
+    def test_out_of_range_specs_are_refused(self, make, message):
+        with pytest.raises(ValueError) as refused:
+            make()
+        assert str(refused.value) == message
+
     def test_family_name_validation(self):
         with pytest.raises(ValueError):
             FamilySpec("F1", 4, 0)

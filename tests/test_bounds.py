@@ -251,6 +251,14 @@ class TestEmitCurve:
             rows = "".join(bounds._CSV_ROW % row for row in pts.tolist())
             assert buf.getvalue() == "delta,gf4,cs,steane,thm4\n" + rows, grid
 
+    def test_strided_records_format_row_by_row(self):
+        # Every other point: a view whose records are not adjacent.
+        pts = emit_curve(0, 0.5, 0.01)[::2]
+        buf = io.StringIO()
+        write_curve_csv(pts, buf)
+        rows = "".join(bounds._CSV_ROW % row for row in pts.tolist())
+        assert buf.getvalue() == "delta,gf4,cs,steane,thm4\n" + rows
+
     def test_negative_zero_endpoints_become_zero(self):
         for grid in ((-0.0, -0.0, 0.1), (-0.0, 0.0, 0.1), (-0.0, 0.1, 0.05)):
             pts = emit_curve(*grid)

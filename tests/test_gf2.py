@@ -173,6 +173,20 @@ class TestLinearCode:
                 LinearCode([row], 3)
         assert LinearCode([], 3).k == 0
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: LinearCode([], 0), f"n must be in [1, {MAX_LENGTH}]"),
+            (lambda: LinearCode([1], MAX_LENGTH + 1), f"n must be in [1, {MAX_LENGTH}]"),
+            (lambda: even_weight_code(1), "n >= 2 required"),
+        ],
+        ids=["LinearCode-n=0", "LinearCode-n=1025", "even_weight_code-n=1"],
+    )
+    def test_lengths_out_of_range_are_refused(self, make, message):
+        with pytest.raises(ValueError) as refused:
+            make()
+        assert str(refused.value) == message
+
 
 class TestDual:
     @settings(max_examples=60, deadline=None)

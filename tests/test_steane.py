@@ -187,6 +187,12 @@ class TestQuantumCode:
             with pytest.raises(ValueError, match="outside"):
                 QuantumCode(n=3, gx=[0b111], gz=[bad], K=0, d_lower=1)
 
+    @pytest.mark.parametrize("n", [0, gf2.MAX_LENGTH + 1])
+    def test_length_out_of_range_is_refused(self, n):
+        with pytest.raises(ValueError) as refused:
+            QuantumCode(n=n, gx=[], gz=[], K=0, d_lower=1)
+        assert str(refused.value) == f"n must be in [1, {gf2.MAX_LENGTH}]"
+
     def test_halves_are_int_tuples(self):
         Q = QuantumCode(n=2, gx=[0b11, 0b00], gz=[0b00, 0b11], K=0, d_lower=1)
         assert (Q.gx, Q.gz, Q.num_generators) == ((0b11, 0b00), (0b00, 0b11), 2)
