@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -282,6 +282,13 @@ def quantum_distance_exact(Q: "QuantumCode", cap: int = DEFAULT_ENUM_CAP) -> Dis
     return DistanceReport(value=value, witness=wit, enumerated_count=visited, method=method, note=note)
 
 
+def _stabiliser_rows(gx: Sequence[int], gz: Sequence[int], n: int) -> list[int]:
+    """A basis of S, the symplectic dual of span(gx|gz): 2n - rank rows
+    x << n | z, one per non-pivot column (`gf2._dual_rows`).  S holds the
+    (x | z) with x.gz_i + z.gx_i = 0, the dual of the rows (gz_i | gx_i)."""
+    return _dual_rows(_unchecked_code([z << n | x for x, z in zip(gx, gz)], 2 * n))
+
+
 def _syndrome(ux: int, uz: int, rx: list[int], rz: list[int]) -> int:
     """Bit i is the symplectic product of (ux|uz) with row (rx[i]|rz[i])."""
     s = 0
@@ -370,8 +377,7 @@ def _quantum_scan_errors(gx, gz, n, self_orthogonal, budget):
     """
     if n > 64 or len(gx) > 64:
         return None
-    # S holds the (x | z) with x.gz_i + z.gx_i = 0: the dual of the rows (gz_i | gx_i).
-    hs = _dual_rows(_unchecked_code([z << n | x for x, z in zip(gx, gz)], 2 * n))
+    hs = _stabiliser_rows(gx, gz, n)
     if len(hs) > 64:
         return None
     # table[q, P] for P = X, Z, Y on qubit q: the syndrome against S (of

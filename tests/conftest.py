@@ -209,6 +209,12 @@ def count_weight(gx, gz, n, w) -> int:
     return sum(((v >> n) | v & ((1 << n) - 1)).bit_count() == w for v in enumerate_span(rows))
 
 
+def krawtchouk(n: int, j: int, i: int) -> int:
+    """Quaternary Krawtchouk polynomial K_j(i) for length n, by its
+    closed form: the coefficient of z^j in (1 + 3z)^(n - i) (1 - z)^i."""
+    return sum((-1) ** s * 3 ** (j - s) * math.comb(i, s) * math.comb(n - i, j - s) for s in range(j + 1))
+
+
 def enlargement_code(C: LinearCode, Cp: LinearCode, halves: Sequence[int], d_lower: int = 1) -> QuantumCode:
     """The enlargement code with explicit second halves: generators
     (g|0) and (0|g) per row g of rref(C), and (w_i|halves[i]) per

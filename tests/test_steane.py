@@ -9,7 +9,7 @@ import pytest
 
 from qsteane import gf2, steane
 from qsteane.bch import Gf2mField, coset_extend, extended_bch
-from qsteane.distances import _coset_weights, _ints, _span_limbs, min_distance, quantum_distance_exact
+from qsteane.distances import _coset_weights, _ints, _span_limbs, _syndrome, min_distance, quantum_distance_exact
 from qsteane.enumerators import (
     CertificateError,
     _coset_distances,
@@ -17,6 +17,8 @@ from qsteane.enumerators import (
     _coset_histograms,
     _coset_word,
     _enumerator_distances,
+    _krawtchouk_rows,
+    _stabiliser_distance,
 )
 from qsteane.gf2 import (
     CodeConstructionError,
@@ -44,11 +46,13 @@ from conftest import (
     css_code,
     dual_containing_code,
     enlargement_code,
+    krawtchouk,
     random_code,
     random_self_orthogonal,
     reference_completion_rows,
     reference_coset_sweep,
     reference_isotropic_subcodes,
+    reference_quantum_scan,
     reference_self_dual_subcode,
     rref_subspaces,
 )
@@ -406,6 +410,64 @@ class TestCosetSweep:
             _enumerator_distances(A, C.n, log_size + 1)  # B_0 = 1/2
         with pytest.raises(CertificateError, match="MacWilliams row 0 "):
             _enumerator_distances(A, C.n, log_size - 1)  # B_0 = 2
+
+
+class TestStabiliserEnumerator:
+    def test_krawtchouk_recurrence_matches_closed_form(self):
+        for n in range(65):
+            rows = list(_krawtchouk_rows(n, list(range(n + 1))))
+            assert rows == [[krawtchouk(n, j, t) for t in range(n + 1)] for j in range(n + 1)]
+
+    def test_matches_scans(self, block):
+        # Random second halves keep every code a stabiliser code (C is
+        # dual-containing); the rows appended after it are dependent, so
+        # log2 |S| must come from the rank for the B_0 = 1 check to pass.
+        sizes = set()
+        for seed in range(60):
+            C, Cp = enlargement_pair(seed)
+            rng = random.Random(seed)
+            Q = enlargement_code(C, Cp, [rng.randrange(1 << C.n) for _ in range(Cp.k - C.k)])
+            gx, gz, n = list(Q.gx), list(Q.gz), Q.n
+            d = _stabiliser_distance(gx, gz, n)
+            assert d == quantum_distance_exact(Q).value
+            if len(gx) <= 16:
+                syn = [_syndrome(x, z, gx, gz) for x, z in zip(gx, gz)]
+                assert d == reference_quantum_scan(gx, gz, syn, n, False)[0]
+            extra = [(gx[0] ^ gx[-1], gz[0] ^ gz[-1]), (gx[1], gz[1]), (0, 0)]
+            assert _stabiliser_distance(gx + [x for x, _ in extra], gz + [z for _, z in extra], n) == d
+            sizes.add((Cp.k - C.k > 1, 2 * n - len(gx) > 6))
+        assert sizes == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_certified_enlarge_routes_by_stabiliser_size(self, monkeypatch):
+        # [[8,3,3]]: 11 generators, |S| = 2^5; [[8,1,3]]: 9, 2^7.
+        C = EXT_HAMMING_8_4
+        single = LinearCode(C.basis_ints() + [0b11000000], 8)
+        for Cp, log_size in ((even_weight_code(8), 5), (single, 7)):
+            calls = []
+            enumerate_, scan = steane._stabiliser_distance, steane.quantum_distance_exact
+            monkeypatch.setattr(steane, "_stabiliser_distance", lambda *a: calls.append("enum") or enumerate_(*a))
+            monkeypatch.setattr(steane, "quantum_distance_exact", lambda *a, **k: calls.append("scan") or scan(*a, **k))
+            monkeypatch.setattr(steane, "_ENUMERATOR_MAX_LOG", log_size)
+            below = certified_enlarge(C, Cp, d_lower=3)
+            assert calls == ["enum"]
+            calls.clear()
+            monkeypatch.setattr(steane, "_ENUMERATOR_MAX_LOG", log_size - 1)
+            above = certified_enlarge(C, Cp, d_lower=3)
+            assert calls == ["scan"]
+            assert below == above and below.d_exact == 3
+            monkeypatch.undo()
+
+
+def enlargement_pair(seed: int):
+    """Seeded dual-containing C < C' with n <= 14 and k + k' <= 22:
+    k' = k + 1 for even seeds, k' - k >= 2 for odd ones."""
+    rng = random.Random(seed)
+    while True:
+        n = rng.randrange(4, 15)
+        C = dual(random_self_orthogonal(rng, n, rng.randrange(1, n // 2 + 1)))
+        Cp = LinearCode(C.basis_ints() + [rng.randrange(1, 1 << n) for _ in range(1 + seed % 2 * 2)], n)
+        if Cp.k > C.k and (Cp.k == C.k + 1) == (seed % 2 == 0) and C.k + Cp.k <= 22:
+            return C, Cp
 
 
 def f4_pair(m: int):
