@@ -213,11 +213,12 @@ def family_bound(spec: FamilySpec) -> int:
         undercut because d(C1) >= d(A).
 
     With k' - k >= 2 the row mixing turns this into a proven quantum
-    distance bound.  F4 at ell = 0 (C1 = C) has k' = k + 1, where no
-    mixing applies: the chain then bounds only the classical d(C) and
-    d2(C'), and the quantum distance is certified by `certified_enlarge`'s
-    scan or coset sweep, not proven (it is 3 at every m >= 3, below the 4
-    returned here; see the README's theorem).
+    distance bound, and so does CSS(C, C) at k' = k (F2 at ell = 0).
+    F4 at ell = 0 (C1 = C) has k' = k + 1, where no mixing applies: the
+    chain then bounds only the classical d(C) and d2(C'), and the
+    quantum distance is certified by `certified_enlarge`'s scan or coset
+    sweep, not proven (it is 3 at every m >= 3, below the 4 returned
+    here; see the README's theorem).
     """
     dc, dp, d1 = (None if t is None else 2 * t + 2 for t in _FAMILY_TS[spec.family](spec.ell))  # (a)
     d2 = -(-3 * dp // 2) if d1 is None else -(-(d1 + 2 * dp) // 2)  # (b), (c)
@@ -241,13 +242,13 @@ def coset_extend(C1: LinearCode, big: LinearCode) -> LinearCode:
 def build_family_code(spec: FamilySpec, cap: int = DEFAULT_ENUM_CAP) -> QuantumCode:
     """Construct the family member as an explicit stabilizer code.
 
-    F0/F2/F3 run the enlargement on parity-extended nested BCH codes;
-    F4 enlarges into the union of a BCH code with one coset inside the
-    next code of the chain.  F5 has no in-scope construction and is
-    refused (its parameters remain available via family_params).  The
-    distance bound passed on is `family_bound`'s, and K is checked
-    against the BCH dimensions.  `cap` bounds the scans
-    `certified_enlarge` runs, as everywhere.
+    F0/F2/F3 run the enlargement on parity-extended nested BCH codes
+    (F2 at ell = 0 has C' = C: CSS(C, C)); F4 enlarges into the union of
+    a BCH code with one coset inside the next code of the chain.  F5 has
+    no in-scope construction and is refused (its parameters remain
+    available via family_params).  The distance bound passed on is
+    `family_bound`'s, and K is checked against the BCH dimensions.
+    `cap` bounds the scans `certified_enlarge` runs, as everywhere.
     """
     _, K, _ = family_params(spec)
     if spec.family == "F5":
@@ -259,11 +260,6 @@ def build_family_code(spec: FamilySpec, cap: int = DEFAULT_ENUM_CAP) -> QuantumC
     C, Cp = extended_bch(spec.m, tc), extended_bch(spec.m, tp)
     if t1 is not None:  # F4; at ell = 0, C1 is C
         Cp = coset_extend(C if t1 == tc else extended_bch(spec.m, t1), Cp)
-    if Cp.k == C.k:
-        raise CodeConstructionError(
-            f"{spec.family} degenerates at ell={spec.ell}: C' equals C, so there "
-            "is nothing to enlarge (family_params still gives [[n, K, d]] from its t values in _FAMILY_TS)"
-        )
     Q = certified_enlarge(C, Cp, d_lower=family_bound(spec), cap=cap)
     if Q.K != K:
         raise CodeConstructionError(

@@ -7,9 +7,10 @@
     (G' | H' )
 
 from a dual-containing C with generator G and an enlargement C' whose
-basis extends G by G', and settles the built code's distance.  With at
-least two rows in G', H' is G' under a fix-point-free invertible linear
-map of its rows, which proves the distance bound.  With one row, H'
+basis extends G by G', and settles the built code's distance.  With no
+row in G' (C' = C) the code is CSS(C, C), whose distance bound is
+proven.  With at least two, H' is G' under a fix-point-free invertible
+linear map of its rows, which proves the distance bound.  With one, H'
 matters only through its coset of C: when the zero coset's code falls
 short of the bound, one batched sweep over the pairs of C-perp x C-perp
 gives the exact distance of every coset at once.  A built code's exact
@@ -105,14 +106,14 @@ def mix_completion_rows(rows: Sequence[int]) -> list[int]:
     The map is the companion matrix of x^r + x + 1 acting on the row
     coefficients: it is invertible (nonzero constant term) and has no
     eigenvalue 1 (the polynomial does not vanish at 1), so every mixed
-    combination differs from its preimage.  Needs r >= 2.
+    combination differs from its preimage.  No rows (C' = C) map to
+    none; one row admits no such map and is refused.
     """
-    r = len(rows)
-    if r < 2:
-        raise CodeConstructionError("row mixing needs at least two completion rows")
+    if len(rows) == 1:
+        raise CodeConstructionError("row mixing needs no completion row or at least two")
     # Companion action: e_i -> e_{i+1} for i < r-1, and the reduction
     # x^r = x + 1 sends e_{r-1} -> e_0 + e_1.
-    return [rows[i + 1] for i in range(r - 1)] + [rows[0] ^ rows[1]]
+    return [*rows[1:], rows[0] ^ rows[1]] if rows else []
 
 
 def certified_enlarge(
@@ -125,12 +126,16 @@ def certified_enlarge(
     """The enlargement quantum code of C and C' >= C, its distance bound
     proved or exhaustively checked.
 
-    Requires dual(C) <= C and C a proper subcode of C'.  The logical
-    dimension is K = k + k' - n; the distance bound is min(d1(C),
-    d2(C')), computed here unless supplied by the caller (family builds
-    pass the bound `bch.family_bound` proves, to avoid huge pair scans).
-    The completion rows G' get second halves H' by k' - k:
+    Requires dual(C) <= C <= C' and K = k + k' - n >= 1 (K = 0 only
+    for a self-dual C = C').  The distance bound is min(d1(C), d2(C')),
+    computed here unless supplied by the caller (family builds pass the
+    bound `bch.family_bound` proves, to avoid huge pair scans).  The
+    completion rows G' get second halves H' by k' - k:
 
+    - k' = k: no completion rows; the code is CSS(C, C), with
+      stabiliser C-perp x C-perp.  A logical operator (x|z) has x or z
+      in C but not in C-perp, so d >= d(C) = min(d(C), d2(C)) holds by
+      construction.
     - k' - k >= 2: H' is G' under the fix-point-free row mixing
       (`mix_completion_rows`), and the bound holds by construction.
     - k' = k + 1 admits no such map.  The one completion row w gets a
@@ -166,10 +171,9 @@ def certified_enlarge(
         raise CodeConstructionError("C is not dual-containing: dual(C) not within C")
     if not is_subcode(C, Cp):
         raise CodeConstructionError("C is not a subcode of C'")
-    if Cp.k < C.k + 1:
-        raise CodeConstructionError(
-            f"k' too small: enlargement needs k' > k, got k'={Cp.k}, k={C.k}"
-        )
+    K = C.k + Cp.k - C.n
+    if K < 1:
+        raise CodeConstructionError(f"enlargement needs K = k + k' - n >= 1, got k={C.k}, k'={Cp.k}, n={C.n}")
     if d_lower is None:
         d_lower = min(min_distance(C, cap=cap).value, second_gdw(Cp, cap=cap).value)
     single = Cp.k == C.k + 1
@@ -179,7 +183,7 @@ def certified_enlarge(
         n=C.n,
         gx=g_rows + [0] * C.k + gp_rows,
         gz=[0] * C.k + g_rows + ([0] if single else mix_completion_rows(gp_rows)),
-        K=C.k + Cp.k - C.n,
+        K=K,
         d_lower=d_lower,
         bound_proven=not single,
     )

@@ -313,9 +313,13 @@ class TestBuildFamilyCode:
         want = certified_enlarge(C, coset_extend(build(m, 1), build(m, 0)), d_lower=4)
         assert (Q.gx, Q.gz) == (want.gx, want.gz)
 
-    def test_degenerate_refused(self):
-        with pytest.raises(CodeConstructionError, match="degenerates"):
-            build_family_code(FamilySpec("F2", 4, 0))
+    @pytest.mark.parametrize("m, d_exact", [(2, 2), (3, 2), (4, None)])
+    def test_f2_ell_0_builds_css_of_even_weight_code(self, m, d_exact):
+        # C' = C, the even-weight code: CSS(C, C), whose bound d(C) = 2 is
+        # proven; at m = 4 its 2n - 2 = 30 generators are over the cap.
+        Q = build_family_code(FamilySpec("F2", m, 0))
+        assert (Q.n, Q.K, Q.d_lower) == family_params(FamilySpec("F2", m, 0))
+        assert Q.bound_proven and Q.d_exact == d_exact
 
     def test_f5_is_params_only(self):
         with pytest.raises(CodeConstructionError, match="parameters-only"):

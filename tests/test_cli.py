@@ -52,6 +52,21 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+@pytest.mark.parametrize("cap", ["-1", "-3"])
+@pytest.mark.parametrize("argv", [["verify", fixture_path("c14_9_2.txt")], ["family", "F3", "3", "0", "--build"], ["table1"]])
+def test_negative_cap_is_usage_error(capsys, cap, argv):
+    with pytest.raises(SystemExit, match="2"):
+        main(["--cap", cap] + argv)
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"qsteane: error: argument --cap: must be >= 0, got {cap}\n")
+
+
+def test_zero_cap_is_accepted(capsys):
+    # Every scan is then refused, so verify reports no d or d2.
+    assert main(["--cap", "0", "verify", fixture_path("c14_9_2.txt")]) == EXIT_OK
+    assert capsys.readouterr().out == "n=14 k=9 dual_containing=yes\n"
+
+
 class TestVerify:
     def test_reports_parameters(self, capsys):
         assert main(["verify", fixture_path("c14_9_2.txt")]) == EXIT_OK
@@ -155,6 +170,19 @@ class TestSteane:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr() == ("[[8,3,3]] bound holds by construction\n", "")
 
+    def test_equal_codes_build_css(self, tmp_path, capsys):
+        # C' = C, the even-weight [8,7] code: CSS(C, C) = [[8,6,2]].
+        E8 = write_code(tmp_path / "e8.txt", even_weight_code(8))
+        assert main(["steane", E8, E8, "--exact"]) == EXIT_OK
+        assert capsys.readouterr() == ("[[8,6,2]] exact d=2\n", "")
+
+    @pytest.mark.parametrize("auto", [False, True])
+    def test_self_dual_code_alone_is_input_error(self, tmp_path, capsys, auto):
+        # C' = C self-dual gives K = 0; --auto recovers C' itself.
+        C = write_code(tmp_path / "c.txt", EXT_HAMMING_8_4)
+        assert main(["steane"] + (["--auto", C] if auto else [C, C])) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", "error: enlargement needs K = k + k' - n >= 1, got k=4, k'=4, n=8\n")
+
     def test_missing_inner_code(self, tmp_path, capsys):
         assert main(["steane", fixture_path("c14_9_2.txt")]) == EXIT_INPUT_ERROR
         capsys.readouterr()
@@ -202,6 +230,10 @@ class TestFamily:
         assert main(["family", "F5", "7", "1"]) == EXIT_OK
         assert capsys.readouterr().out == "[[128,71,11]] (params only)\n"
 
+    def test_params_only_with_build(self, capsys):
+        assert main(["family", "F5", "7", "1", "--build"]) == EXIT_OK
+        assert capsys.readouterr() == ("[[128,71,11]] (params only)\n", "")
+
     def test_lowercase_family(self, capsys):
         assert main(["family", "f0", "5", "1"]) == EXIT_OK
         assert capsys.readouterr().out == "[[32,15,6]]\n"
@@ -233,22 +265,16 @@ class TestFamily:
 
     def test_build_listing_prints_the_single_member_lines(self, family_build, capsys):
         # After its "F m=M ell=L: " label, each member's line is the one
-        # `family F M L --build` prints (`family F5 M L` for F5).  A
-        # member the build refuses (F2 at ell = 0) gets its parameters
-        # and the reason, which the single call prints as its error.
+        # `family F M L --build` prints, F5's "(params only)" included.
         built = 0
         for family, m, ell, rest in member_lines(family_build[0]):
             if int(m) > 5:
                 continue
-            if main(["family", family, m, ell] + ["--build"] * (family != "F5")) == EXIT_INPUT_ERROR:
-                reason = capsys.readouterr().err.removeprefix("error: ").rstrip("\n")
-                assert main(["family", family, m, ell]) == EXIT_OK
-                params = capsys.readouterr().out.rstrip("\n")
-                assert rest == f"{params} ({reason})"
-            else:
-                built += 1
-                assert capsys.readouterr().out == rest + "\n"
-        assert built == 9  # F0, F2, F5 at m = 5 and F3, F4 at m = 3, 4, 5
+            assert main(["family", family, m, ell, "--build"]) in (EXIT_OK, EXIT_VERIFY_FAIL)
+            assert capsys.readouterr() == (rest + "\n", "")
+            built += 1
+        # F0, F2 at ell = 1 and F5 at m = 5; F2 at ell = 0, m = 2..5; F3, F4 at m = 3, 4, 5.
+        assert built == 13
 
     def test_listing_without_build_prints_the_parameters(self, family_build, capsys):
         assert main(["family"]) == EXIT_OK

@@ -133,8 +133,25 @@ class TestSteaneEnlarge:
             certified_enlarge(C, Cp)
 
     def test_rejects_equal_codes(self):
-        with pytest.raises(CodeConstructionError, match="k'"):
+        # A self-dual C = C' has K = 0: refused before any scan runs.
+        with pytest.raises(CodeConstructionError, match=r"K = k \+ k' - n >= 1"):
             certified_enlarge(EXT_HAMMING_8_4, EXT_HAMMING_8_4)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equal_codes_build_css(self, seed):
+        # k' = k: CSS(C, C), its bound d(C) proven, and its exact d that
+        # of the plain CSS assembly.
+        rng = random.Random(seed)
+        while True:
+            n = rng.randrange(4, 15)
+            C = dual(random_self_orthogonal(rng, n, rng.randrange(1, n // 2 + 1)))
+            if 2 * C.k > n:
+                break
+        Q = certified_enlarge(C, C)
+        want = css_code(C, C)
+        assert (Q.gx, Q.gz, Q.K) == (want.gx, want.gz, want.K)
+        assert Q.bound_proven and Q.d_lower == min_distance(C).value
+        assert Q.d_exact == quantum_distance_exact(want).value >= Q.d_lower
 
     def test_is_stabilizer_code(self):
         Q = certified_enlarge(EXT_HAMMING_8_4, even_weight_code(8))
