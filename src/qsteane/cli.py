@@ -1,6 +1,8 @@
 """Command-line surface: verify | steane | table1 | family | bounds.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success; 1 a check ran and failed (an exact distance
+below the bound, or a failed certificate); 2 an input error or a cap
+refusal, with nothing printed for the refused build.
 """
 
 from __future__ import annotations
@@ -41,17 +43,14 @@ def cmd_verify(args) -> int:
 
 
 def _verdict(Q: QuantumCode, exact: str) -> tuple[str, int]:
-    """Q's [[n,K,d]] line and exit code: "exact d=D FAIL" for a known
-    exact distance below the bound and "distance bound unverified" for a
-    bound neither proven nor certified, both exit 1.  Else the line
-    passes with `exact` filled in with d when d is known, and with
-    " bound holds by construction" when it is not; an empty `exact`
-    adds nothing."""
+    """Q's [[n,K,d]] line and exit code: "exact d=D FAIL" and exit 1 for
+    a known exact distance below the bound.  Else the line passes with
+    `exact` filled in with d when d is known, and with " bound holds by
+    construction" when it is not, as `certified_enlarge` leaves d
+    unknown only for a proven bound; an empty `exact` adds nothing."""
     line = f"[[{Q.n},{Q.K},{Q.d_lower}]]"
     if Q.d_exact is not None and Q.d_exact < Q.d_lower:
         return f"{line} exact d={Q.d_exact} FAIL", EXIT_VERIFY_FAIL
-    if Q.d_exact is None and not Q.bound_proven:
-        return f"{line} distance bound unverified", EXIT_VERIFY_FAIL
     if exact and Q.d_exact is None:
         return line + " bound holds by construction", EXIT_OK
     return line + exact.format(Q.d_exact), EXIT_OK
@@ -92,8 +91,9 @@ def cmd_table1(args) -> int:
 def cmd_family(args) -> int:
     """One member's line, or with none given every valid member's for
     m = 2 .. log2(MAX_LENGTH), labelled "F m=M ell=L: ".  The worst line
-    sets the exit code.  F5 prints its parameters-only line, with or
-    without `--build`; with it every other member is built."""
+    sets the exit code, and a build the cap refuses ends the listing
+    (exit 2).  F5 prints its parameters-only line, with or without
+    `--build`; with it every other member is built."""
     member = (args.family, args.m, args.ell)
     listing = member == (None, None, None)
     if listing:

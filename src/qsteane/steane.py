@@ -62,7 +62,9 @@ _ENUMERATOR_MAX_LOG = 16
 @dataclass(frozen=True)
 class QuantumCode:
     """An [[n, K, d]] stabilizer code given by its generator halves:
-    generator i is (gx[i] | gz[i]), each half a word of length n."""
+    generator i is (gx[i] | gz[i]), each half a word of length n.
+    d_exact is the exact distance when known; `certified_enlarge`
+    leaves it None only where its construction proves d >= d_lower."""
 
     n: int
     gx: tuple
@@ -70,10 +72,6 @@ class QuantumCode:
     K: int
     d_lower: int
     d_exact: Optional[int] = None
-    #: True when the construction itself proves distance >= d_lower
-    #: (fix-point-free row mixing); False means the bound is a claim
-    #: needing exhaustive certification.
-    bound_proven: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "gx", tuple(self.gx))
@@ -90,12 +88,8 @@ class QuantumCode:
         return len(self.gx)
 
     def __repr__(self):
-        """[[n,K,d]]: d_exact when known, else ">=d_lower" for a proven
-        bound and "d_lower?" for an unverified one."""
-        if self.d_exact is not None:
-            d = self.d_exact
-        else:
-            d = f">={self.d_lower}" if self.bound_proven else f"{self.d_lower}?"
+        """[[n,K,d]]: d_exact when known, else ">=d_lower"."""
+        d = f">={self.d_lower}" if self.d_exact is None else self.d_exact
         return f"QuantumCode[[{self.n},{self.K},{d}]]"
 
 
@@ -129,8 +123,9 @@ def certified_enlarge(
     Requires dual(C) <= C <= C' and K = k + k' - n >= 1 (K = 0 only
     for a self-dual C = C').  The distance bound is min(d1(C), d2(C')),
     computed here unless supplied by the caller (family builds pass the
-    bound `bch.family_bound` proves, to avoid huge pair scans).  The
-    completion rows G' get second halves H' by k' - k:
+    bound `bch.family_bound` proves, to avoid huge pair scans); with
+    k' = k it is d(C), and no d2 scan runs.  The completion rows G' get
+    second halves H' by k' - k:
 
     - k' = k: no completion rows; the code is CSS(C, C), with
       stabiliser C-perp x C-perp.  A logical operator (x|z) has x or z
@@ -143,27 +138,28 @@ def certified_enlarge(
       coset v + C, so one representative per coset covers every choice:
       the words supported off the pivot columns of rref(C), the i-th
       setting the free columns picked by the bits of i, from v = 0.
+      Only the coset sweep below settles this bound, so 2(n - k) > cap
+      raises EnumerationCapError before any scan runs.
 
-    The one place that settles a built code's exact distance.  When the
-    k + k' generators are within the cap, d_exact comes from the cheaper
-    of two exact methods; otherwise it is left None.  The generators are
-    independent, so the stabiliser S has 2^(2n - k - k') elements.  Up
-    to 2^16 (`_ENUMERATOR_MAX_LOG`), S's weight enumerator and the
-    quantum MacWilliams identities give d
+    So every code returned has an exact distance or a proven bound.
+    This is the one place that settles a built code's exact distance.
+    When the k + k' generators are within the cap, d_exact comes from
+    the cheaper of two exact methods; otherwise it is left None.  The
+    generators are independent, so the stabiliser S has 2^(2n - k - k')
+    elements.  Up to 2^16 (`_ENUMERATOR_MAX_LOG`), S's weight enumerator
+    and the quantum MacWilliams identities give d
     (`enumerators._stabiliser_distance`, about 0.15 ms plus 8 ns per
     element of S).  Above it, `quantum_distance_exact` runs its
     error-side join, whose near-fixed 0.3-0.9 ms is then the smaller.
     With k' = k + 1 the zero coset's code is returned if its d reaches
     the bound.  Otherwise every coset's exact distance comes from one
     sweep over the 2^(2(n-k)) pairs of C-perp x C-perp
-    (`enumerators._coset_distances`), run when 2(n - k) <= cap and
-    checked against the zero coset's d.  A dual-containing C has
-    n - k <= k, so every zero coset within reach of the scan is within
-    reach of the sweep too.  The sweep keeps one block of temporaries
-    (`gf2._blocks`) and 2^(n-k) * (n + 1) int64 counts.  The first
-    coset to reach the bound is returned, else the first of highest
-    exact distance.  When the sweep is out of reach the zero coset is
-    returned uncertified.
+    (`enumerators._coset_distances`), checked against the zero coset's
+    d.  A dual-containing C has n - k <= k, so the sweep is within the
+    cap whenever the zero coset's 2k + 1 generators are.  It keeps one
+    block of temporaries (`gf2._blocks`) and 2^(n-k) * (n + 1) int64
+    counts.  The first coset to reach the bound is returned, else the
+    first of highest exact distance.
     """
     if C.n != Cp.n:
         raise CodeConstructionError("C and C' have different lengths")
@@ -174,9 +170,13 @@ def certified_enlarge(
     K = C.k + Cp.k - C.n
     if K < 1:
         raise CodeConstructionError(f"enlargement needs K = k + k' - n >= 1, got k={C.k}, k'={Cp.k}, n={C.n}")
-    if d_lower is None:
-        d_lower = min(min_distance(C, cap=cap).value, second_gdw(Cp, cap=cap).value)
     single = Cp.k == C.k + 1
+    if single and 2 * (C.n - C.k) > cap:
+        raise EnumerationCapError(f"coset sweep over 2^{2 * (C.n - C.k)} pairs of C-perp x C-perp exceeds cap {cap}")
+    if d_lower is None:
+        d_lower = min_distance(C, cap=cap).value
+        if Cp.k > C.k:
+            d_lower = min(d_lower, second_gdw(Cp, cap=cap).value)
     g_rows = C.basis_ints()
     gp_rows = _completion_rows(C, Cp)
     Q = QuantumCode(
@@ -185,7 +185,6 @@ def certified_enlarge(
         gz=[0] * C.k + g_rows + ([0] if single else mix_completion_rows(gp_rows)),
         K=K,
         d_lower=d_lower,
-        bound_proven=not single,
     )
     if Q.num_generators <= cap:
         # The generators are independent, so 2n - r is log2 |S|.
@@ -194,7 +193,7 @@ def certified_enlarge(
         else:
             d = quantum_distance_exact(Q, cap=cap).value
         Q = dataclasses.replace(Q, d_exact=d)
-    if not single or 2 * (C.n - C.k) > cap or Q.d_exact is not None and Q.d_exact >= d_lower:
+    if not single or Q.d_exact is not None and Q.d_exact >= d_lower:
         return Q
     ds = _coset_distances(C, gp_rows[0])
     if Q.d_exact is not None and ds[0] != Q.d_exact:

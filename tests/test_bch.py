@@ -263,7 +263,6 @@ class TestBuildFamilyCode:
     def test_f0_desk_scale(self):
         Q = build_family_code(FamilySpec("F0", 5, 1))
         assert (Q.n, Q.K, Q.d_lower) == (32, 15, 6)
-        assert Q.bound_proven
         assert is_stabilizer_code(Q)
 
     def test_f3_m10_is_a_stabilizer_code(self):
@@ -275,7 +274,6 @@ class TestBuildFamilyCode:
     def test_f3_desk_scale_certifies_exactly(self):
         Q = build_family_code(FamilySpec("F3", 4, 0))
         assert (Q.n, Q.K, Q.d_lower) == (16, 10, 3)
-        assert Q.bound_proven
         assert quantum_distance_exact(Q).value == 3
 
     def test_f4_second_weight_mechanism(self, f4_desk):
@@ -297,7 +295,6 @@ class TestBuildFamilyCode:
     def test_f4_desk_scale_is_certified(self, f4_desk):
         # k' = k + 1 leaves no provable mixing map; the builder records
         # the best exhaustively verified distance instead.
-        assert not f4_desk.bound_proven
         assert f4_desk.d_exact is not None
         assert is_stabilizer_code(f4_desk)
 
@@ -319,7 +316,7 @@ class TestBuildFamilyCode:
         # proven; at m = 4 its 2n - 2 = 30 generators are over the cap.
         Q = build_family_code(FamilySpec("F2", m, 0))
         assert (Q.n, Q.K, Q.d_lower) == family_params(FamilySpec("F2", m, 0))
-        assert Q.bound_proven and Q.d_exact == d_exact
+        assert Q.d_exact == d_exact
 
     def test_f5_is_params_only(self):
         with pytest.raises(CodeConstructionError, match="parameters-only"):

@@ -48,6 +48,16 @@ def member_lines(listing: str):
         yield family, m, ell, rest
 
 
+def forbid_scans(monkeypatch):
+    """Makes every distance scan `certified_enlarge` can run fail the test."""
+
+    def scan(*args, **kwargs):
+        raise AssertionError("a distance scan ran")
+
+    for name in ("min_distance", "second_gdw", "quantum_distance_exact", "_stabiliser_distance", "_coset_distances"):
+        monkeypatch.setattr(steane, name, scan)
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
@@ -154,14 +164,15 @@ class TestSteane:
         assert main(argv + exact) == EXIT_VERIFY_FAIL
         assert capsys.readouterr().out == "[[16,7,4]] exact d=3 FAIL\n"
 
-    def test_unverified_bound_is_verification_failure(self, tmp_path, capsys):
-        # k' = k + 1 with 9 generators and a 2^8-pair sweep, both over cap 7,
-        # so --exact runs no scan either.
+    def test_sweep_over_the_cap_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # k' = k + 1 with 9 generators and a 2^8-pair sweep, both over cap 7:
+        # refused before any scan, with or without --exact.
+        forbid_scans(monkeypatch)
         Cp = LinearCode(EXT_HAMMING_8_4.basis_ints() + [0b11000000], 8)
         argv = ["--cap", "7", "steane", write_code(tmp_path / "c.txt", EXT_HAMMING_8_4), write_code(tmp_path / "cp.txt", Cp)]
         for exact in ([], ["--exact"]):
-            assert main(argv + exact) == EXIT_VERIFY_FAIL
-            assert capsys.readouterr() == ("[[8,1,4]] distance bound unverified\n", "")
+            assert main(argv + exact) == EXIT_INPUT_ERROR
+            assert capsys.readouterr() == ("", "error: coset sweep over 2^8 pairs of C-perp x C-perp exceeds cap 7\n")
 
     def test_exact_over_the_cap_keeps_a_proven_bound(self, tmp_path, capsys):
         # k' = k + 3: the bound is proven, and its 11 generators are over cap 10.
@@ -170,11 +181,23 @@ class TestSteane:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr() == ("[[8,3,3]] bound holds by construction\n", "")
 
-    def test_equal_codes_build_css(self, tmp_path, capsys):
-        # C' = C, the even-weight [8,7] code: CSS(C, C) = [[8,6,2]].
+    def test_equal_codes_build_css(self, tmp_path, capsys, monkeypatch):
+        # C' = C, the even-weight [8,7] code: CSS(C, C) = [[8,6,2]], whose
+        # bound d(C) needs no d2 scan.
+        calls = []
+        d2 = steane.second_gdw
+        monkeypatch.setattr(steane, "second_gdw", lambda *a, **kw: calls.append(a) or d2(*a, **kw))
         E8 = write_code(tmp_path / "e8.txt", even_weight_code(8))
         assert main(["steane", E8, E8, "--exact"]) == EXIT_OK
         assert capsys.readouterr() == ("[[8,6,2]] exact d=2\n", "")
+        assert calls == []
+
+    def test_one_bit_code_builds_css(self, tmp_path, capsys):
+        # C = C' = GF(2), n = k = 1: the trivial-stabiliser [[1,1,1]] code.
+        one = tmp_path / "one.txt"
+        one.write_text("1\n")
+        assert main(["steane", str(one), str(one), "--exact"]) == EXIT_OK
+        assert capsys.readouterr() == ("[[1,1,1]] exact d=1\n", "")
 
     @pytest.mark.parametrize("auto", [False, True])
     def test_self_dual_code_alone_is_input_error(self, tmp_path, capsys, auto):
@@ -284,13 +307,16 @@ class TestFamily:
             assert main(["family", family, m, ell]) == EXIT_OK
             assert capsys.readouterr().out == rest + "\n"
 
-    def test_build_listing_respects_the_cap(self, capsys, monkeypatch):
-        # Members up to m = 5: F4 m=5's 2^12-pair sweep is over cap 11.
+    def test_build_listing_respects_the_cap(self, family_build, capsys, monkeypatch):
+        # Members up to m = 5: F4 m=5's 2^12-pair sweep is over cap 11, so
+        # the listing stops there, after the 11 members before it.
         monkeypatch.setattr(cli, "MAX_LENGTH", 32)
-        assert main(["--cap", "11", "family", "--build"]) == EXIT_VERIFY_FAIL
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 13
-        assert "F4 m=5 ell=0: [[32,21,4]] distance bound unverified" in lines
+        assert main(["--cap", "11", "family", "--build"]) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        members = [member[:3] for member in member_lines(family_build[0])]
+        assert members[11] == ("F4", "5", "0")
+        assert [member[:3] for member in member_lines(out)] == members[:11]
+        assert err == "error: coset sweep over 2^12 pairs of C-perp x C-perp exceeds cap 11\n"
 
     @pytest.mark.parametrize("argv", [["family", "F0"], ["family", "F0", "5"], ["family", "F0", "5", "--build"]])
     def test_partial_member_is_usage_error(self, capsys, argv):
@@ -320,17 +346,18 @@ class TestFamily:
         assert capsys.readouterr().out == "[[64,44,6]] bound holds by construction\n"
 
     @pytest.mark.parametrize(
-        "argv, line",
+        "cap, m, bits",
         [
             # 23 generators and 2(n - k) = 10 pairs' bits, both over cap 9.
-            (["--cap", "9", "family", "F4", "4", "0", "--build"], "[[16,7,4]] distance bound unverified\n"),
+            (9, 4, 10),
             # 53 generators and a 2^12-pair sweep, both over cap 11.
-            (["--cap", "11", "family", "F4", "5", "0", "--build"], "[[32,21,4]] distance bound unverified\n"),
+            (11, 5, 12),
         ],
     )
-    def test_build_respects_the_cap(self, capsys, argv, line):
-        assert main(argv) == EXIT_VERIFY_FAIL
-        assert capsys.readouterr().out == line
+    def test_build_respects_the_cap(self, capsys, monkeypatch, cap, m, bits):
+        forbid_scans(monkeypatch)
+        assert main(["--cap", str(cap), "family", "F4", str(m), "0", "--build"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", f"error: coset sweep over 2^{bits} pairs of C-perp x C-perp exceeds cap {cap}\n")
 
 
 class TestBounds:

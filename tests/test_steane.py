@@ -106,7 +106,6 @@ class TestSteaneEnlarge:
         assert (Q.n, Q.K) == (8, 3)
         assert Q.d_lower == min(4, 3) == 3
         assert Q.num_generators == 11
-        assert Q.bound_proven
         with pytest.raises(FrozenInstanceError):
             Q.d_exact = 3
 
@@ -115,10 +114,10 @@ class TestSteaneEnlarge:
         assert quantum_distance_exact(Q).value >= Q.d_lower
 
     def test_explicit_halves_are_not_proven(self):
-        # Second halves other than the mixing still give a stabilizer code.
+        # Second halves other than the mixing still give a stabilizer
+        # code, though not the proven bound (`TestSupportingPermutations`).
         C, Cp = EXT_HAMMING_8_4, even_weight_code(8)
         Q = enlargement_code(C, Cp, shift_halves(C, Cp))
-        assert not Q.bound_proven
         assert is_stabilizer_code(Q)
 
     def test_rejects_non_dual_containing(self):
@@ -150,7 +149,7 @@ class TestSteaneEnlarge:
         Q = certified_enlarge(C, C)
         want = css_code(C, C)
         assert (Q.gx, Q.gz, Q.K) == (want.gx, want.gz, want.K)
-        assert Q.bound_proven and Q.d_lower == min_distance(C).value
+        assert Q.d_lower == min_distance(C).value
         assert Q.d_exact == quantum_distance_exact(want).value >= Q.d_lower
 
     def test_is_stabilizer_code(self):
@@ -238,11 +237,10 @@ class TestCertifiedEnlarge:
         # k' - k = 3: the bound is proven, and the code is scanned once
         # when its 11 generators are within the cap.
         Q = certified_enlarge(EXT_HAMMING_8_4, even_weight_code(8))
-        assert Q.bound_proven
         assert Q.d_exact == quantum_distance_exact(Q).value >= Q.d_lower
         assert repr(Q) == "QuantumCode[[8,3,3]]"
         Q = certified_enlarge(EXT_HAMMING_8_4, even_weight_code(8), cap=Q.num_generators - 1)
-        assert Q.d_exact is None and Q.bound_proven
+        assert Q.d_exact is None
         assert repr(Q) == "QuantumCode[[8,3,>=3]]"  # the proven bound, unscanned
 
     def test_single_row_completion_is_scanned(self):
@@ -252,7 +250,6 @@ class TestCertifiedEnlarge:
         Cp = LinearCode(C.basis_ints() + [0b11000000], 8)
         assert Cp.k == C.k + 1
         Q = certified_enlarge(C, Cp)
-        assert not Q.bound_proven
         assert Q.d_exact is not None
         assert Q.d_exact == quantum_distance_exact(Q).value
 
@@ -274,15 +271,38 @@ class TestCertifiedEnlarge:
             reached.add(best >= Q.d_lower)
         assert reached == {True, False}  # both outcomes are exercised
 
-    def test_out_of_reach_returns_uncertified(self):
+    def test_out_of_reach_is_refused(self, monkeypatch):
         # Below 2(n - k) neither the zero-coset scan (k + k' generators)
-        # nor the sweep (2^(2(n - k)) pairs) is in reach.
+        # nor the sweep (2^(2(n - k)) pairs) is in reach: refused before
+        # the bound's own scans.
+        scans = count_bound_scans(monkeypatch)
         C = EXT_HAMMING_8_4
         Cp = LinearCode(C.basis_ints() + [0b11000000], 8)
-        Q = certified_enlarge(C, Cp, d_lower=3, cap=2 * (C.n - C.k) - 1)
-        assert Q.d_exact is None and not Q.bound_proven
-        assert Q.gz[-1] == 0  # the first coset, v = 0
-        assert repr(Q) == "QuantumCode[[8,1,3?]]"  # a bound neither proven nor checked
+        with pytest.raises(EnumerationCapError, match=r"^coset sweep over 2\^8 pairs of C-perp x C-perp exceeds cap 7$"):
+            certified_enlarge(C, Cp, cap=2 * (C.n - C.k) - 1)
+        assert scans == []
+
+    @pytest.mark.parametrize("extra", range(4))
+    def test_certified_or_refused(self, extra, monkeypatch):
+        # At every cap the code comes back with an exact d, or with d
+        # unknown and a bound its construction proves (k' != k + 1), or
+        # is refused, exactly when k' = k + 1 and the sweep's 2(n - k)
+        # bits exceed the cap, before any scan of the bound.
+        scans = count_bound_scans(monkeypatch)
+        for seed in range(10):
+            C, Cp = nested_case(seed, extra)
+            full = certified_enlarge(C, Cp)
+            for cap in range(27):
+                refused = extra == 1 and 2 * (C.n - C.k) > cap
+                scans.clear()
+                try:
+                    Q = certified_enlarge(C, Cp, d_lower=None if refused else full.d_lower, cap=cap)
+                except EnumerationCapError:
+                    assert refused and scans == []
+                    continue
+                assert not refused
+                assert Q.d_exact is not None or extra != 1
+                assert (Q.gx, Q.gz) == (full.gx, full.gz) and Q.d_exact in (None, full.d_exact)
 
     def test_sweep_alone_beyond_scan_cap(self):
         # cap = 2(n - k) = 8 < k + k' = 9: the zero coset is not scanned,
@@ -307,7 +327,7 @@ class TestCertifiedEnlarge:
                 assert len(calls) == 1
                 _, want = reference_coset_sweep(C, Cp, d_lower)
                 assert (Q.gx, Q.gz, Q.d_exact) == (want.gx, want.gz, want.d_exact)
-                assert Q.d_lower == d_lower and not Q.bound_proven
+                assert Q.d_lower == d_lower and Q.d_exact is not None
 
     def test_zero_coset_scan_disagreement_raises(self, monkeypatch):
         # F4 m=3: the zero coset has d = 2 < 4, so the sweep runs and its
@@ -497,6 +517,27 @@ def sweep_cases():
     """The k' = k + 1 cases checked against the per-coset oracle:
     `single_row_case` seeds 0-39 and F4 at m = 3 and 4."""
     return [single_row_case(seed) for seed in range(40)] + [f4_pair(3), f4_pair(4)]
+
+
+def nested_case(seed: int, extra: int):
+    """Seeded dual-containing C < C' with k' = k + extra, n <= 14 and K >= 1."""
+    rng = random.Random(seed)
+    while True:
+        n = rng.randrange(4, 15)
+        C = dual(random_self_orthogonal(rng, n, rng.randrange(1, n // 2 + 1)))
+        Cp = LinearCode(C.basis_ints() + [rng.randrange(1, 1 << n) for _ in range(extra)], n)
+        if Cp.k == C.k + extra and C.k + Cp.k > n:
+            return C, Cp
+
+
+def count_bound_scans(monkeypatch) -> list[str]:
+    """The names of the bound scans `certified_enlarge` runs from now on,
+    in order."""
+    scans = []
+    for name in ("min_distance", "second_gdw"):
+        scan = getattr(steane, name)
+        monkeypatch.setattr(steane, name, lambda *a, name=name, scan=scan, **kw: scans.append(name) or scan(*a, **kw))
+    return scans
 
 
 def single_row_case(seed: int):
