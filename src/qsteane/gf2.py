@@ -13,12 +13,19 @@ paths give.  The dual is always built on ints.  Elimination runs on
 packed rows: the big-endian bytes of the row's int, shifted left to fill
 ceil(n/64) 64-bit limbs, so coordinate c is bit 7 - c % 8 of byte c // 8
 and byte j holds the strip of columns 8j .. 8j + 7, most significant bit
-first.  A word's bits at the pivot columns, and the free columns of the
-Gram pass, are read off the unpacked rows, one 0/1 byte per column
-(`_bits`).
+first.  Each strip's pivot rows and lookup table are found on that byte
+column as a Python bytes object, by `bytes.translate` passes, and one
+numpy gather and XOR clears the strip.  A word's bits at the pivot
+columns, and the free columns of the Gram pass, are read off the
+unpacked rows, one 0/1 byte per column (`_bits`).
 `distances._span_limbs` reads the packed bytes as big-endian uint64
 limbs, so that comparing limbs compares words.  Every span, pair and
 Gram pass runs over the blocks of `_blocks`.
+
+Parsing takes the same column rule: a text of bare rows of at least
+_PACKED_MIN_COLS 0/1 digits is checked and packed by numpy, in blocks
+of rows, and any other text is read line by line, one `int(..., 2)`
+call per row; both give the same rows, and only the line loop raises.
 """
 
 from __future__ import annotations
@@ -31,19 +38,28 @@ MAX_LENGTH = 1024
 DEFAULT_ENUM_CAP = 26
 # Matrices (or batches of words) with at least this many columns and
 # rows go to the packed kernels.  Timed on random matrices (2-core x86-64,
-# numpy 2.4): the packed rref costs a near-fixed ~0.1 ms per strip of 8
-# pivots, the int one a Python step per row per pivot, and they cross at
-# 64-96 rows for n = 256..1024.  Batched membership is cheaper packed
-# from about 20 words, but no caller sends a batch of 20-63 words at
-# n >= 256, so one rule serves both.  Below n = 256 numpy's per-call cost
-# would dominate the many small codes the searches build.
+# numpy 2.4): the packed rref costs about 50-60 us per strip of 8 pivots
+# (65-75 us at 1,024 rows), the int one a Python step per row per pivot, and
+# they cross at 48-64 rows for n = 256..1024.  Batched membership is
+# cheaper packed from about 20 words, but no caller sends a batch of 20-63
+# words at n >= 256, so one rule serves both.  Below n = 256 numpy's
+# per-call cost would dominate the many small codes the searches build.
 _PACKED_MIN_COLS = 256
 _PACKED_MIN_ROWS = 64
 _BLOCK = 1 << 14  # most words in one block of `_blocks`
-# The nonzero byte values, scrambled (times 101 mod 256) so that the
-# first few a strip holds are likely independent: the first nine of the
-# full order already span GF(2)^8.
-_BYTE_ORDER = np.frombuffer(bytes(b * 101 % 256 for b in range(1, 256)), np.uint8)
+# `bytes.translate` tables of the Four-Russians strip: _IDENTITY maps
+# byte b to b, _BIT_LENGTH to b.bit_length().  As little-endian ints,
+# v * _ONES repeats byte v with no carry, so _IDENTITY ^ v * _ONES is the
+# table of b ^ v and _IDENTITY & v * _ONES that of b & v.  XOR by v is
+# XOR by its high nibble, then by its low one: 32 tables (9 KB), not 256
+# (74 KB, a measurable share of a wide `verify`'s peak memory).
+_IDENTITY = bytes(range(256))
+_BIT_LENGTH = bytes(b.bit_length() for b in range(256))
+_ONES = int.from_bytes(b"\1" * 256, "little")
+_XOR_HIGH, _XOR_LOW = (
+    [(int.from_bytes(_IDENTITY, "little") ^ v * _ONES).to_bytes(256, "little") for v in nibbles]
+    for nibbles in (range(0, 256, 16), range(16))
+)
 
 
 class MatrixParseError(ValueError):
@@ -168,66 +184,70 @@ def _combinations(R: np.ndarray) -> np.ndarray:
     return table
 
 
+def _byte_basis(strip: bytes) -> tuple[list[int], bytes]:
+    """An XOR basis of the bytes of strip, and its span.
+
+    Each basis byte is the first byte of strip outside the span of those
+    before it.  Span entry c is the sum of the basis bytes picked by the
+    bits of c; each new basis byte appends the coset it spans."""
+    basis: list[int] = []
+    span, rest = b"\0", strip.translate(None, b"\0")
+    while rest:
+        v = rest[0]
+        coset = span.translate(_XOR_HIGH[v >> 4]).translate(_XOR_LOW[v & 15])
+        rest = rest.translate(None, coset)  # the bytes still outside the span
+        span += coset
+        basis.append(v)
+    return basis, span
+
+
+def _strip_lut(span: bytes) -> tuple[list[int], bytes]:
+    """The pivot bits of a span of bytes (`_byte_basis`), highest (first
+    column) first, and the Four-Russians lut: lut byte b is the index c
+    of the one span entry that matches b on the pivot bits.
+
+    The pivots are the bits that lead some byte of the span; on them the
+    span's bytes take every value once, so the lut inverts that map."""
+    lens = span.translate(_BIT_LENGTH)
+    piv = [q for q in range(7, -1, -1) if q + 1 in lens]
+    pivot_bits = sum(1 << q for q in piv)
+    # The table of b -> b & pivot_bits.
+    on_pivots = (int.from_bytes(_IDENTITY, "little") & pivot_bits * _ONES).to_bytes(256, "little")
+    return piv, on_pivots.translate(bytes.maketrans(span.translate(on_pivots), _IDENTITY[: len(span)]))
+
+
 def _rref_packed(rows: list[int], cols: int) -> tuple[list[int], int, list[int]]:
     """`rref_ints` by the Method of Four Russians on uint64 limbs.
 
     Gauss-Jordan one strip of 8 columns (one byte of every row) at a
-    time.  The strip's pivots are found on small ints, from the distinct
-    bytes of the rows below the pivot rows found so far; all sums of the
-    chosen pivot rows go in one table, and a single gather-and-XOR clears
-    the strip's pivot columns from every other row.
+    time, on bytes objects: below the pivot rows found so far, the rows
+    whose bytes form `_byte_basis` become the strip's pivot rows.  All
+    sums of them go in one table, and a single gather-and-XOR, through
+    the lut of `_strip_lut`, clears the strip's pivot columns from every
+    other row.
     """
     m = len(rows)
     M = _pack(rows, cols)
     M8 = M.view(np.uint8)
-    seen = np.empty(256, dtype=bool)
     pivots: list[int] = []
     r = 0
     for j in range(-(-cols // 8)):
-        seen[:] = False
-        seen[M8[r:, j]] = True
-        # An XOR basis of the strip's bytes: each reduced byte is keyed by
-        # its highest bit (its first column) and tagged with the chosen
-        # rows it sums.
-        chosen: list[int] = []
-        basis: dict[int, tuple[int, int]] = {}
-        for v in _BYTE_ORDER[seen[_BYTE_ORDER]].tolist():
-            x, combo = v, 1 << len(chosen)
-            for p, (b, bc) in basis.items():
-                if x >> p & 1:
-                    x, combo = x ^ b, combo ^ bc
-            if x:
-                basis[x.bit_length() - 1] = (x, combo)
-                chosen.append(v)
-                if len(chosen) == 8:
-                    break
-        if not chosen:
+        col = M8[:, j].tobytes()
+        picked, span = _byte_basis(col[r:])
+        if not picked:
             continue
-        # Back-substitute, so each byte has one bit on the pivot columns.
-        piv, red = list(basis), list(basis.values())
-        for i in range(len(piv) - 2, -1, -1):
-            x, combo = red[i]
-            for q in range(i + 1, len(piv)):
-                if x >> piv[q] & 1:
-                    x, combo = x ^ red[q][0], combo ^ red[q][1]
-            red[i] = (x, combo)
-        unit = dict(zip(piv, (combo for _, combo in red)))
-        lut = np.zeros(256, dtype=np.uint8)  # byte -> chosen rows matching it on the pivots
-        for q in range(8):
-            np.bitwise_xor(lut[: 1 << q], unit.get(q, 0), out=lut[1 << q : 2 << q])
-        strip = M8[r:, j].tobytes()
-        at = [r + strip.find(v) for v in chosen]
-        table = _combinations(M[at])
-        M ^= table[lut[M8[:, j]]]
-        # The chosen rows are now zero: move the rows they displace into
+        piv, lut = _strip_lut(span)
+        at = [col.find(v, r) for v in picked]
+        table = _combinations(np.take(M, at, axis=0))
+        M ^= np.take(table, np.frombuffer(col.translate(lut), np.uint8), axis=0)
+        # The picked rows are now zero: move the rows they displace into
         # their slots and put the reduced pivot rows at r .. r + kb - 1.
-        kb = len(chosen)
+        kb = len(picked)
         holes = [a for a in at if a >= r + kb]
         if holes:
             M[holes] = M[[i for i in range(r, r + kb) if i not in at]]
-        piv.sort(reverse=True)  # by column
-        M[r : r + kb] = table[[unit[p] for p in piv]]
-        pivots += [8 * j + 7 - p for p in piv]
+        M[r : r + kb] = table[[lut[1 << q] for q in piv]]
+        pivots += [8 * j + 7 - q for q in piv]
         r += kb
         if r == m:
             break
@@ -278,7 +298,7 @@ def _residual_packed(words: list[int], basis: list[int], pivots: list[int], n: i
         # Byte q // 8 holds the coefficients of rows q .., the first at
         # its top bit: drop the unused low bits and take the rows reversed.
         rows = R[q : q + 8]
-        W ^= _combinations(rows[::-1])[coef[:, q // 8] >> (8 - len(rows))]
+        W ^= np.take(_combinations(rows[::-1]), coef[:, q // 8] >> (8 - len(rows)), axis=0)
     return W
 
 
@@ -433,6 +453,32 @@ def is_dual_containing(C: LinearCode) -> bool:
 _NOT_DIGITS = str.maketrans("", "", "01")
 
 
+def _parse_digit_rows(text: str) -> tuple[list[int], int] | None:
+    """`parse_matrix` of a text of rows of n 0/1 digits only, each ended
+    by '\n' (the last may lack it), n >= _PACKED_MIN_COLS; None for any
+    other text.  The text is encoded to ASCII, checked and packed by numpy
+    in blocks of whole rows of at most 4 * _BLOCK digits (64 KiB), so
+    that no temporary grows with the text."""
+    n = text.find("\n")  # the first row's length
+    if n < 0:
+        n = len(text)
+    m = -(-len(text) // (n + 1))
+    if n < _PACKED_MIN_COLS or len(text) < m * (n + 1) - 1 or not text.isascii():
+        return None
+    rows: list[int] = []
+    step = max(1, 4 * _BLOCK // n) * (n + 1)  # the characters of a block of rows
+    for start in range(0, len(text), step):
+        block = text[start : start + step].encode("ascii")
+        if len(block) % (n + 1):
+            block += b"\n"  # the last row, without its newline
+        lines = np.frombuffer(block, np.uint8).reshape(-1, n + 1)
+        bits = lines[:, :n] ^ ord("0")
+        if bits.max() > 1 or (lines[:, n] != ord("\n")).any():
+            return None
+        rows += _unpack(np.packbits(bits, axis=1), n)
+    return rows, n
+
+
 def parse_matrix(text: str) -> tuple[list[int], int]:
     """Parse a text block of 0/1 rows into (rows, n).
 
@@ -441,8 +487,13 @@ def parse_matrix(text: str) -> tuple[list[int], int]:
     digits are ignored; blank lines and lines starting with '#' are
     skipped.  Ragged rows or
     foreign characters raise MatrixParseError with the offending line
-    number.
+    number.  A wide text of bare 0/1 rows is read in numpy blocks
+    (`_parse_digit_rows`); every other text, and so every error, takes
+    the line loop, one `int(..., 2)` call per row.
     """
+    plain = _parse_digit_rows(text)
+    if plain is not None:
+        return plain
     rows: list[int] = []
     width = None
     for lineno, line in enumerate(text.split("\n"), start=1):

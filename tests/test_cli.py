@@ -104,6 +104,22 @@ class TestVerify:
         assert main(["verify", str(path)]) == EXIT_OK
         assert capsys.readouterr().out == "n=1024 k=612 dual_containing=no\n"
 
+    def test_wide_file_with_crlf_and_a_comment(self, tmp_path, capsys):
+        # Bare 0/1 rows are parsed in numpy blocks, the CRLF file with a
+        # comment by the line loop: same code, same line.
+        rng = random.Random(612)
+        rows = dual_containing_code(rng, 512, 100).basis_ints()
+        rows = [r ^ rows[rng.randrange(i + 1, len(rows))] if i < len(rows) - 1 else r for i, r in enumerate(rows)]
+        lines = [format(r, "01024b") for r in rows]
+        plain, crlf = tmp_path / "plain.txt", tmp_path / "crlf.txt"
+        plain.write_text("".join(line + "\n" for line in lines))
+        crlf.write_bytes("".join(line + "\r\n" for line in ["# 1024 columns"] + lines).encode())
+        outputs = []
+        for path in (plain, crlf):
+            assert main(["verify", str(path)]) == EXIT_OK
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] == ("n=1024 k=612 dual_containing=yes\n", "")
+
     @pytest.mark.parametrize(
         "n, code, out, err",
         [

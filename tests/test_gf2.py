@@ -86,6 +86,73 @@ class TestParseRender:
             parse_matrix("101\n\n# c\n011\n01\n")
 
 
+def _digit_lines(rows, n, end="\n"):
+    """rows as bare n-digit 0/1 lines, each ended by `end`."""
+    return "".join(format(r, f"0{n}b") + end for r in rows)
+
+
+def _outcome(parse, text):
+    """parse(text), or the text of the MatrixParseError it raises."""
+    try:
+        return parse(text)
+    except MatrixParseError as exc:
+        return f"MatrixParseError: {exc}"
+
+
+class TestWideParse:
+    """`parse_matrix` reads wide texts of bare 0/1 rows in numpy blocks;
+    every other text takes the line loop.  Both give the same result."""
+
+    FAST = ("plain", "no final newline")
+
+    @staticmethod
+    def _texts(n):
+        rng = random.Random(n)
+        rows = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(68)]
+        plain = _digit_lines(rows, n)
+        lines = plain.splitlines()
+
+        def replaced(lineno, line):
+            return "".join(x + "\n" for x in lines[: lineno - 1] + [line] + lines[lineno:])
+
+        return {
+            "plain": plain,
+            "no final newline": plain[:-1],
+            "crlf": _digit_lines(rows, n, "\r\n"),
+            "blank lines": "\n" + plain.replace("\n", "\n\n", 3) + "\n",
+            "comment": "# a wide code\n" + plain,
+            "spaces and tabs": replaced(2, " ".join(lines[1])).replace("0", "\t0", 3),
+            "ragged row at line 5": replaced(5, lines[4][:-1]),
+            "long row at line 5": replaced(5, lines[4] + "1"),
+            "x for the newline of line 3": plain.replace("\n", "x", 3).replace("x", "\n", 2),  # only the third
+            "2 at line 3": replaced(3, "2" + lines[2][1:]),
+            "x at line 3": replaced(3, lines[2][:-1] + "x"),
+            "fullwidth one at line 3": replaced(3, lines[2][:-1] + "\uff11"),
+            "empty": "",
+        }
+
+    @pytest.mark.parametrize("n", [256, 257, 1024])
+    def test_same_rows_or_error_as_the_line_loop(self, n, block, monkeypatch):
+        texts = self._texts(n)
+        fast = {name: _outcome(parse_matrix, text) for name, text in texts.items()}
+        for name, text in texts.items():
+            assert (gf2._parse_digit_rows(text) is not None) == (name in self.FAST), name
+        monkeypatch.setattr(gf2, "_PACKED_MIN_COLS", MAX_LENGTH + 1)
+        for name, text in texts.items():
+            assert gf2._parse_digit_rows(text) is None
+            assert fast[name] == _outcome(parse_matrix, text), name
+        rows = [int(line, 2) for line in texts["plain"].splitlines()]
+        assert fast["plain"] == fast["no final newline"] == fast["crlf"] == (rows, n)
+        assert fast["ragged row at line 5"] == f"MatrixParseError: line 5: row has {n - 1} columns, expected {n}"
+        assert fast["fullwidth one at line 3"].startswith("MatrixParseError: line 3: unexpected characters")
+
+    def test_narrow_texts_take_the_line_loop(self):
+        rows = [random.Random(7).getrandbits(255) for _ in range(70)]
+        text = _digit_lines(rows, 255)
+        assert gf2._parse_digit_rows(text) is None
+        assert parse_matrix(text) == (rows, 255)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 1024])
     def test_random_rows_at_limb_boundaries(self, n):
@@ -287,6 +354,44 @@ class TestPackedKernels:
             rows = _case_rows(rng, "random", n + 30, n)
             assert gf2._rref_packed(rows, n) == rref_ints(rows, n)
         assert gf2._rref_packed([], 300) == ([], 0, [])
+
+    @pytest.mark.parametrize("half, t", [(512, 100), (512, 460), (256, 200), (128, 60)])
+    def test_rref_on_mixed_dual_containing_codes(self, half, t, int_paths):
+        # The benchmark's shapes: [2 half, half + t] codes, their basis
+        # rows mixed by a random unitriangular change of basis.
+        rng = random.Random(half + t)
+        C = dual_containing_code(rng, half, t)
+        basis = C.basis_ints()
+        rows = [xor_sum([r] + [b for b in basis[i + 1 :] if rng.random() < 0.5]) for i, r in enumerate(basis)]
+        rng.shuffle(rows)
+        assert gf2._rref_packed(rows, C.n) == rref_ints(rows, C.n) == (basis, C.k, C._pivots)
+
+    def test_strip_basis_and_lut_match_their_definitions(self):
+        rng = random.Random(8)
+        for mask in range(256):  # every set of pivot bits
+            piv = [q for q in range(7, -1, -1) if mask >> q & 1]
+            red = [1 << q | rng.getrandbits(8) & ~mask & (1 << q) - 1 for q in piv]  # a reduced basis
+            for trial in range(3):
+                # Random sums of the reduced bytes, zeros among them; the
+                # first trial holds a mixed basis, so it spans them all.
+                mixed = [xor_sum([r] + [b for b in red[i + 1 :] if rng.random() < 0.5]) for i, r in enumerate(red)]
+                strip = [xor_sum([b for b in red if rng.random() < 0.5]) for _ in range(rng.randrange(30))]
+                strip += mixed if trial == 0 else []
+                rng.shuffle(strip)
+                picked, span = gf2._byte_basis(bytes(strip))
+                assert list(span) == [xor_sum([v for i, v in enumerate(picked) if c >> i & 1]) for c in range(len(span))]
+                closure = {0}
+                for b in strip:
+                    closure |= {x ^ b for x in closure}
+                assert set(span) == closure and len(span) == 1 << len(picked) == len(closure)
+                for i, v in enumerate(picked):  # the first byte outside the span of those before it
+                    assert v == next(b for b in strip if b not in span[: 1 << i])
+                got, lut = gf2._strip_lut(span)
+                pivots = sorted({b.bit_length() - 1 for b in span if b}, reverse=True)
+                assert got == pivots
+                assert trial or pivots == piv
+                on = sum(1 << q for q in pivots)
+                assert all(span[lut[b]] & on == b & on for b in range(256))
 
     SHAPES = [(n, k) for n in (256, 257, 263, 319, 320, 511, 1000, 1024) for k in (64, n // 2, n - 1)]
 
