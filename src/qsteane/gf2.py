@@ -14,10 +14,12 @@ packed rows: the big-endian bytes of the row's int, shifted left to fill
 ceil(n/64) 64-bit limbs, so coordinate c is bit 7 - c % 8 of byte c // 8
 and byte j holds the strip of columns 8j .. 8j + 7, most significant bit
 first.  Each strip's pivot rows and lookup table are found on that byte
-column as a Python bytes object, by `bytes.translate` passes, and one
-numpy gather and XOR clears the strip.  A word's bits at the pivot
-columns, and the free columns of the Gram pass, are read off the
-unpacked rows, one 0/1 byte per column (`_bits`).
+column as a Python bytes object, by `bytes.translate` passes; the table
+of the pivot rows' sums is built along a Gray code, in one gather and
+one cumulative XOR (`_gray_table`), and one numpy gather and XOR clears
+the strip.  A word's bits at the pivot columns, and the free columns of
+the Gram pass, are read off the unpacked rows, one 0/1 byte per column
+(`_bits`).
 `distances._span_limbs` reads the packed bytes as big-endian uint64
 limbs, so that comparing limbs compares words.  Every span, pair and
 Gram pass runs over the blocks of `_blocks`.
@@ -38,9 +40,11 @@ MAX_LENGTH = 1024
 DEFAULT_ENUM_CAP = 26
 # Matrices (or batches of words) with at least this many columns and
 # rows go to the packed kernels.  Timed on random matrices (2-core x86-64,
-# numpy 2.4): the packed rref costs about 50-60 us per strip of 8 pivots
-# (65-75 us at 1,024 rows), the int one a Python step per row per pivot, and
-# they cross at 48-64 rows for n = 256..1024.  Batched membership is
+# numpy 2.4, a shared host): the packed rref costs about 45-80 us per strip
+# of 8 pivots (72 us at 1,024 rows; 60-100 us, 83 us, with tables built by
+# doubling), the int one a Python step per row per pivot, and they cross
+# at 32-48 rows for n = 256..1024 (48-64 when timed with doubling, before
+# the Gray-code tables).  Batched membership is
 # cheaper packed from about 20 words, but no caller sends a batch of 20-63
 # words at n >= 256, so one rule serves both.  Below n = 256 numpy's
 # per-call cost would dominate the many small codes the searches build.
@@ -60,6 +64,13 @@ _XOR_HIGH, _XOR_LOW = (
     [(int.from_bytes(_IDENTITY, "little") ^ v * _ONES).to_bytes(256, "little") for v in nibbles]
     for nibbles in (range(0, 256, 16), range(16))
 )
+# Gray-code order of a Four-Russians table (`_gray_table`): entry i sums
+# the rows picked by the bits of i ^ i >> 1, and differs from entry i - 1
+# by row _CTZ[i], the count of trailing zeros of i.  _GRAY_INV maps c to
+# i with i ^ i >> 1 == c, the entry that sums the rows picked by c; it
+# permutes [0, 2^m) for every m <= 8 and commutes with right shifts.
+_CTZ = np.array([0] + [(i & -i).bit_length() - 1 for i in range(1, 256)], dtype=np.intp)
+_GRAY_INV = bytes(sorted(range(256), key=lambda i: i ^ i >> 1))
 
 
 class MatrixParseError(ValueError):
@@ -175,13 +186,32 @@ def _blocks(outer: np.ndarray, inner: np.ndarray, op, width: int = 1):
 
 def _combinations(R: np.ndarray) -> np.ndarray:
     """All 2^m sums of the rows of the (m, limbs) array R, m >= 0: entry x
-    sums the rows picked by the bits of x.  The Four-Russians table, and
-    every word of a span."""
+    sums the rows picked by the bits of x.  Every word of a span, built by
+    doubling, one XOR call per row.  It serves spans only: the Gray-code
+    build of `_gray_table` is one sequential pass, which loses on
+    span-sized tables of 1 limb (2^14 rows: 89 us against 54 us) and of 8
+    or more (16 limbs: 1.3 ms against 0.4 ms), though it wins at 2-4
+    limbs (91 us against 213 us at 2; 2-core x86-64, numpy 2.4)."""
     table = np.empty((1 << len(R), R.shape[1]), dtype=np.uint64)
     table[0] = 0
     for j, row in enumerate(R):
         np.bitwise_xor(table[: 1 << j], row, out=table[1 << j : 2 << j])
     return table
+
+
+def _gray_table(M: np.ndarray, at: Sequence[int]) -> np.ndarray:
+    """The Four-Russians table of the rows M[at[0]], .., M[at[m - 1]],
+    m <= 8, in Gray-code order: entry i sums the rows picked by the bits
+    of i ^ i >> 1, so entry _GRAY_INV[c] is entry c of `_combinations`.
+    Entry i is entry i - 1 plus row at[ctz(i)], so one gather lays out
+    the rows to add and one cumulative XOR adds them up: two numpy calls
+    where doubling takes one per row (8 rows of 16 limbs: 11 us against
+    24 us; 2-core x86-64, numpy 2.4)."""
+    table = np.empty((1 << len(at), M.shape[1]), dtype=np.uint64)
+    table[0] = 0
+    # mode="clip": the indices are in range, and "raise" would buffer `out`.
+    np.take(M, np.asarray(at, dtype=np.intp)[_CTZ[1 : len(table)]], axis=0, out=table[1:], mode="clip")
+    return np.bitwise_xor.accumulate(table, axis=0, out=table)
 
 
 def _byte_basis(strip: bytes) -> tuple[list[int], bytes]:
@@ -222,9 +252,11 @@ def _rref_packed(rows: list[int], cols: int) -> tuple[list[int], int, list[int]]
     Gauss-Jordan one strip of 8 columns (one byte of every row) at a
     time, on bytes objects: below the pivot rows found so far, the rows
     whose bytes form `_byte_basis` become the strip's pivot rows.  All
-    sums of them go in one table, and a single gather-and-XOR, through
-    the lut of `_strip_lut`, clears the strip's pivot columns from every
-    other row.
+    sums of them go in one table, built along a Gray code
+    (`_gray_table`), and a single gather-and-XOR clears the strip's
+    pivot columns from every other row.  The lut of `_strip_lut` names
+    the sum by its combination c; composed with _GRAY_INV, by one more
+    `bytes.translate`, it names the table entry that holds it.
     """
     m = len(rows)
     M = _pack(rows, cols)
@@ -237,8 +269,9 @@ def _rref_packed(rows: list[int], cols: int) -> tuple[list[int], int, list[int]]
         if not picked:
             continue
         piv, lut = _strip_lut(span)
+        lut = lut.translate(_GRAY_INV)
         at = [col.find(v, r) for v in picked]
-        table = _combinations(np.take(M, at, axis=0))
+        table = _gray_table(M, at)
         M ^= np.take(table, np.frombuffer(col.translate(lut), np.uint8), axis=0)
         # The picked rows are now zero: move the rows they displace into
         # their slots and put the reduced pivot rows at r .. r + kb - 1.
@@ -291,14 +324,18 @@ def _residual_packed(words: list[int], basis: list[int], pivots: list[int], n: i
     """Each word w plus sum_i w[pivots[i]] basis[i], packed: zero exactly
     when w lies in the span of the rref basis.  A word's coefficients are
     its own bits at the pivot columns, so every word is reduced in one
-    pass, eight basis rows (one table) at a time."""
+    pass, eight basis rows (one Gray-code table, `_gray_table`) at a
+    time.  Each coefficient byte c is mapped to _GRAY_INV[c], the table
+    entry that sums the rows c picks."""
     W, R = _pack(words, n), _pack(basis, n)
     coef = np.packbits(np.take(_bits(W, n), pivots, axis=1), axis=1)  # np.take: 2.5x faster than [:, pivots]
+    coef = np.frombuffer(_GRAY_INV, dtype=np.uint8)[coef]
     for q in range(0, len(basis), 8):
         # Byte q // 8 holds the coefficients of rows q .., the first at
-        # its top bit: drop the unused low bits and take the rows reversed.
-        rows = R[q : q + 8]
-        W ^= np.take(_combinations(rows[::-1]), coef[:, q // 8] >> (8 - len(rows)), axis=0)
+        # its top bit: drop the unused low bits (_GRAY_INV commutes with
+        # the shift) and take the rows reversed.
+        k = min(8, len(basis) - q)
+        W ^= np.take(_gray_table(R, range(q + k - 1, q - 1, -1)), coef[:, q // 8] >> (8 - k), axis=0)
     return W
 
 

@@ -8,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from qsteane import bch, cli, steane
+from qsteane import bch, cli, gf2, steane
 from qsteane.bch import coset_extend, extended_bch
 from qsteane.enumerators import CertificateError
 from qsteane.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAIL, build_parser, main
-from qsteane.gf2 import LinearCode, dual, even_weight_code, is_subcode, render_matrix
+from qsteane.gf2 import MAX_LENGTH, LinearCode, dual, even_weight_code, is_subcode, render_matrix
 
 from conftest import EXT_HAMMING_8_4, dual_containing_code
 
@@ -103,6 +103,27 @@ class TestVerify:
         path.write_text(render_matrix(rows, 1024))
         assert main(["verify", str(path)]) == EXIT_OK
         assert capsys.readouterr().out == "n=1024 k=612 dual_containing=no\n"
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_wide_rank_deficient_file_on_both_paths(self, tmp_path, capsys, monkeypatch, broken):
+        # Duplicate and zero rows among mixed basis rows, 173 = 5 mod 8 of
+        # them independent: every strip's table and the last, partial one.
+        rng = random.Random(256)
+        rows = dual_containing_code(rng, 128, 45).basis_ints()
+        if broken:
+            rows[-1] ^= 1
+        rows = [r ^ rows[rng.randrange(i + 1, len(rows))] if i < len(rows) - 1 else r for i, r in enumerate(rows)]
+        rows += rng.sample(rows, 40) + [0] * 12
+        rng.shuffle(rows)
+        path = tmp_path / "c.txt"
+        path.write_text(render_matrix(rows, 256))
+        outputs = []
+        for packed_min_cols in (256, MAX_LENGTH + 1):
+            monkeypatch.setattr(gf2, "_PACKED_MIN_COLS", packed_min_cols)
+            assert main(["verify", str(path)]) == EXIT_OK
+            outputs.append(capsys.readouterr())
+        verdict = "no" if broken else "yes"
+        assert outputs[0] == outputs[1] == (f"n=256 k=173 dual_containing={verdict}\n", "")
 
     def test_wide_file_with_crlf_and_a_comment(self, tmp_path, capsys):
         # Bare 0/1 rows are parsed in numpy blocks, the CRLF file with a

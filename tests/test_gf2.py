@@ -1,8 +1,10 @@
 """Bit-packed GF(2) linear algebra: parsing, rref, duals, enumeration."""
 
 import random
+from collections import Counter
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -344,9 +346,15 @@ class TestPackedKernels:
         rng = random.Random(2024)
         cases = [(n, min(48, rng.choice([0, 1, rng.randrange(2, 12), n + rng.randrange(1, 6)]))) for n in range(1, 301)]
         cases += [(n, m) for n in (255, 256, 257, 320) for m in (0, 64, 90)] + [(1024, 0), (1024, 70), (1024, 130)]
+        ranks, strip_sizes = set(), set()
         for i, (n, m) in enumerate(cases):
             rows = _case_rows(rng, self.KINDS[i % 4], m, n)
-            assert gf2._rref_packed(rows, n) == rref_ints(rows, n), (n, m)
+            got = gf2._rref_packed(rows, n)
+            assert got == rref_ints(rows, n), (n, m)
+            ranks.add(got[1] % 8)
+            strip_sizes |= set(Counter(c // 8 for c in got[2]).values())
+        # Every rank mod 8, and tables of every size 2^1 .. 2^8, were met.
+        assert ranks == set(range(8)) and strip_sizes == set(range(1, 9))
 
     def test_m_greater_than_n_and_empty(self, int_paths):
         rng = random.Random(9)
@@ -393,7 +401,46 @@ class TestPackedKernels:
                 on = sum(1 << q for q in pivots)
                 assert all(span[lut[b]] & on == b & on for b in range(256))
 
+    @pytest.mark.parametrize("limbs", [1, 2, 16])
+    def test_gray_table_matches_its_definition(self, limbs):
+        rng = np.random.default_rng(limbs)
+        for m in range(9):
+            M = rng.integers(0, 1 << 64, size=(m + 5, limbs), dtype=np.uint64)
+            at = rng.permutation(len(M))[:m]
+            table = gf2._gray_table(M, list(at))
+            assert table.shape == (1 << m, limbs)
+            for i in range(1, 1 << m):  # entry i is entry i - 1 plus row ctz(i)
+                assert (table[i] == table[i - 1] ^ M[at[(i & -i).bit_length() - 1]]).all()
+            sums = gf2._combinations(M[at])
+            assert all((table[gf2._GRAY_INV[c]] == sums[c]).all() for c in range(1 << m)), m
+
+    def test_gray_inverse_permutes_every_table(self):
+        inv = gf2._GRAY_INV
+        assert all(inv[i ^ i >> 1] == i for i in range(256))
+        for m in range(9):
+            assert sorted(inv[: 1 << m]) == list(range(1 << m))
+        # The coefficient bytes of `_residual_packed` are mapped before they are shifted.
+        assert all(inv[c] >> s == inv[c >> s] for c in range(256) for s in range(8))
+
+    def test_composed_lut_picks_the_same_row_sum(self):
+        rng = random.Random(33)
+        M = np.array([[rng.getrandbits(64) for _ in range(3)] for _ in range(40)], dtype=np.uint64)
+        dims = set()
+        for _ in range(300):
+            bits = rng.getrandbits(8)  # spans of every dimension 0 .. 8
+            strip = bytes(rng.getrandbits(8) & bits for _ in range(len(M)))
+            picked, span = gf2._byte_basis(strip)
+            dims.add(len(picked))
+            lut = gf2._strip_lut(span)[1]
+            at = [strip.find(v) for v in picked]
+            old, gray = gf2._combinations(M[at]), gf2._gray_table(M, at)
+            composed = lut.translate(gf2._GRAY_INV)
+            assert max(composed) < len(gray) == len(old)
+            assert all((gray[composed[b]] == old[lut[b]]).all() for b in range(256))
+        assert dims == set(range(9))
+
     SHAPES = [(n, k) for n in (256, 257, 263, 319, 320, 511, 1000, 1024) for k in (64, n // 2, n - 1)]
+    SHAPES += [(300, k) for k in range(65, 72)]  # a last, partial table of every size
 
     @staticmethod
     def _shape_codes(rng, n, k):
@@ -414,7 +461,7 @@ class TestPackedKernels:
 
     def test_residuals_match_reduce_word_by_word(self, monkeypatch):
         rng = random.Random(23)
-        calls = []
+        calls, sizes = [], set()
         residual = gf2._residual_packed
         monkeypatch.setattr(gf2, "_residual_packed", lambda *args: calls.append(1) or residual(*args))
         for n, k in self.SHAPES:
@@ -422,7 +469,9 @@ class TestPackedKernels:
                 basis = C.basis_ints()
                 words = [rng.getrandbits(n) for _ in range(32)] + [xor_sum(rng.sample(basis, 5)) for _ in range(32)]
                 assert list(gf2._residuals(words, C)) == [gf2._reduce(w, basis) for w in words], (n, C.k)
+                sizes.add(C.k % 8)
         assert len(calls) == 2 * len(self.SHAPES)  # every batch took the packed kernel
+        assert sizes == set(range(8))
 
     @pytest.mark.parametrize("n", [255, 256, 257, 320])
     def test_public_entry_points_agree_across_the_crossover(self, n, monkeypatch):
