@@ -13,7 +13,8 @@ against the symplectic dual S agree, so tables of the half-weight
 errors, sorted by syndrome, are matched with `np.searchsorted`.  The
 first weight holding an element of C outside S is the distance.  When
 the tables would hold more rows than the 2^r elements of C, or a
-syndrome does not fit one uint64 word, the scan walks the row space.
+syndrome does not fit one uint64 word, the public witness scan
+`quantum_distance_exact` walks the row space; `steane` never does.
 
 Words are ints with coordinate c at bit n - 1 - c (see `gf2`), so int
 order is lexicographic order.  Spans are numpy arrays built by doubling,
@@ -152,8 +153,8 @@ def _span_min(halves: list[list[int]], n: int, syn: Optional[list[int]] = None) 
     every nonzero element does.  The witness is the lexicographically
     smallest element attaining the minimum, compared half by half.
 
-    The one span walk of the module, for minimum distance at every n
-    and k and for the quantum span side; it runs over `_span_blocks`.
+    The one span walk of the module: minimum distance at every n and k,
+    and `quantum_distance_exact`'s span side; runs over `_span_blocks`.
     Returns (weight, one word per half), or (n + 1, None) when no
     element counts.
     """
@@ -264,6 +265,7 @@ def quantum_distance_exact(Q: "QuantumCode", cap: int = DEFAULT_ENUM_CAP) -> Dis
     first; beyond 2^r or _HALF_ROWS rows, or 64 qubits, generators or
     syndrome bits, the 2^r elements of C are walked (method "span").
     Either way the witness is the lex-smallest (ux, uz) of least weight.
+    This is the public witness scan; `steane` does not call it.
     """
     gx, gz = list(Q.gx), list(Q.gz)
     r, n = len(gx), Q.n

@@ -4,8 +4,8 @@ A stabiliser code's distance follows from the weight enumerator of its
 stabiliser S by the quantum MacWilliams identities
 (`_enumerator_distances`).  `_stabiliser_distance` histograms the 2^s
 elements of S for it; `steane.certified_enlarge` takes that path up to
-s = 16, where it beats the error-side join of
-`distances.quantum_distance_exact`.
+s = 16, where it beats the error-side join
+(`distances._quantum_scan_errors`), and above it when the join gives up.
 
 The k' = k + 1 enlargements of a dual-containing C differ only in one
 coset of C, and `_coset_distances` certifies all 2^(n-k) of them at

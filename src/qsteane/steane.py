@@ -14,8 +14,8 @@ linear map of its rows, which proves the distance bound.  With one, H'
 matters only through its coset of C: when the zero coset's code falls
 short of the bound, one batched sweep over the pairs of C-perp x C-perp
 gives the exact distance of every coset at once.  A built code's exact
-distance comes from its stabiliser's weight enumerator when the
-stabiliser is small, and from the error-side join otherwise.  Also
+distance comes from its stabiliser's weight enumerator, or, when the
+stabiliser is large, from the error-side join if that finishes.  Also
 provides the stabilizer checks and the search that recovers a self-dual
 code sitting between C'-perp and C': a depth-first walk over the
 isotropic subspaces of C'/C'-perp, which reads each candidate's distance
@@ -32,7 +32,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from .distances import _coset_weights, _stabiliser_rows, min_distance, quantum_distance_exact, second_gdw
+from .distances import _coset_weights, _quantum_scan_errors, _stabiliser_rows, min_distance, second_gdw
 from .enumerators import CertificateError, _coset_distances, _coset_word, _stabiliser_distance
 from .gf2 import (
     DEFAULT_ENUM_CAP,
@@ -50,7 +50,7 @@ from .gf2 import (
 )
 
 # `certified_enlarge` settles d from the stabiliser's weight enumerator
-# when |S| <= 2^16, else by the error-side join.  Timed on random
+# when |S| <= 2^16, else by the error-side join first.  Timed on random
 # dual-containing pairs, n = 12..24 (2-core x86-64, numpy 2.4): the
 # enumerator costs about 0.15 ms plus 8 ns per element of S, the join a
 # near-fixed 0.3-0.9 ms for d <= 4.  At 2^16 the enumerator took 0.50-0.53
@@ -143,20 +143,20 @@ def certified_enlarge(
 
     So every code returned has an exact distance or a proven bound.
     This is the one place that settles a built code's exact distance.
-    When the k + k' generators are within the cap, d_exact comes from
-    the cheaper of two exact methods; otherwise it is left None.  The
-    generators are independent, so the stabiliser S has 2^(2n - k - k')
-    elements.  Up to 2^16 (`_ENUMERATOR_MAX_LOG`), S's weight enumerator
-    and the quantum MacWilliams identities give d
-    (`enumerators._stabiliser_distance`, about 0.15 ms plus 8 ns per
-    element of S).  Above it, `quantum_distance_exact` runs its
-    error-side join, whose near-fixed 0.3-0.9 ms is then the smaller.
-    With k' = k + 1 the zero coset's code is returned if its d reaches
-    the bound.  Otherwise every coset's exact distance comes from one
-    sweep over the 2^(2(n-k)) pairs of C-perp x C-perp
-    (`enumerators._coset_distances`), checked against the zero coset's
-    d.  A dual-containing C has n - k <= k, so the sweep is within the
-    cap whenever the zero coset's 2k + 1 generators are.  It keeps one
+    The generators are independent, so the stabiliser S has
+    2^(2n - k - k') elements, fewer than the row space's 2^(k + k');
+    d_exact is settled when 2n - k - k' <= cap, else left None.  Up to
+    2^16 (`_ENUMERATOR_MAX_LOG`), S's weight enumerator and the quantum
+    MacWilliams identities give d (`enumerators._stabiliser_distance`).
+    Above it the error-side join (`distances._quantum_scan_errors`, a
+    near-fixed 0.3-0.9 ms) runs first, and the enumerator answers when
+    it gives up: past 64 qubits, generators or rows of S, or at more
+    half-table rows than S has elements.  With k' = k + 1 the zero
+    coset's code is returned if its d reaches the bound.  Otherwise
+    every coset's exact distance comes from one sweep over the
+    2^(2(n-k)) pairs of C-perp x C-perp (`enumerators._coset_distances`),
+    checked against the zero coset's d, which is always known: its S has
+    2^(2(n-k)-1) elements, within the sweep's gate.  The sweep keeps one
     block of temporaries (`gf2._blocks`) and 2^(n-k) * (n + 1) int64
     counts.  The first coset to reach the bound is returned, else the
     first of highest exact distance.
@@ -186,17 +186,15 @@ def certified_enlarge(
         K=K,
         d_lower=d_lower,
     )
-    if Q.num_generators <= cap:
-        # The generators are independent, so 2n - r is log2 |S|.
-        if 2 * Q.n - Q.num_generators <= _ENUMERATOR_MAX_LOG:
-            d = _stabiliser_distance(Q.gx, Q.gz, Q.n)
-        else:
-            d = quantum_distance_exact(Q, cap=cap).value
-        Q = dataclasses.replace(Q, d_exact=d)
-    if not single or Q.d_exact is not None and Q.d_exact >= d_lower:
+    # The generators are independent, so S has 2^(2n - r) elements.
+    log_s = 2 * Q.n - Q.num_generators
+    if log_s <= cap:
+        found = _quantum_scan_errors(Q.gx, Q.gz, Q.n, False, budget=1 << log_s) if log_s > _ENUMERATOR_MAX_LOG else None
+        Q = dataclasses.replace(Q, d_exact=found[0] if found else _stabiliser_distance(Q.gx, Q.gz, Q.n))
+    if not single or Q.d_exact >= d_lower:
         return Q
     ds = _coset_distances(C, gp_rows[0])
-    if Q.d_exact is not None and ds[0] != Q.d_exact:
+    if ds[0] != Q.d_exact:
         raise CertificateError(f"coset sweep gives d={ds[0]} for v = 0, the scan d={Q.d_exact}")
     best = next((i for i, d in enumerate(ds) if d >= d_lower), None)
     if best is None:

@@ -125,7 +125,7 @@ def check_row(row: Table1Row, cap: int = DEFAULT_ENUM_CAP) -> RowCheck:
     if not is_stabilizer_code(Q):
         failures.append("not a stabilizer code")
     if Q.d_exact is None:
-        raise EnumerationCapError(f"quantum distance over 2^{Q.num_generators} vectors exceeds cap {cap}")
+        raise EnumerationCapError(f"stabiliser enumeration over 2^{2 * Q.n - Q.num_generators} elements exceeds cap {cap}")
     if Q.d_exact != row.d_quantum:
         failures.append(f"d_exact={Q.d_exact}!={row.d_quantum}")
     details = "; ".join(failures) if failures else f"d2'={d2p}"

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qsteane import bch, gf2
+from qsteane import bch, distances, gf2, steane
 from qsteane.bch import (
     PRIMITIVE_POLYS,
     BchSpec,
@@ -18,6 +18,7 @@ from qsteane.bch import (
     verify_nesting,
 )
 from qsteane.distances import min_distance, quantum_distance_exact, second_gdw
+from qsteane.enumerators import CertificateError
 from qsteane.gf2 import (
     CodeConstructionError,
     LinearCode,
@@ -292,6 +293,26 @@ class TestBuildFamilyCode:
         assert family_params(spec) == (16, 7, 4)
         assert (f4_desk.n, f4_desk.K) == (16, 7)
 
+    def test_wide_build_never_walks_the_generator_span(self, monkeypatch):
+        # F0 m=7 ell=1: 233 generators, but |S| = 2^23 is within the
+        # default cap; n = 128 stops the join, and the enumerator answers.
+        def scan(*args, **kwargs):
+            raise AssertionError("a span walk ran")
+
+        monkeypatch.setattr(distances, "_span_min", scan)
+        monkeypatch.setattr(distances, "quantum_distance_exact", scan)
+        Q = build_family_code(FamilySpec("F0", 7, 1))
+        assert (Q.n, Q.K, Q.num_generators, Q.d_exact) == (128, 105, 233, 6)
+
+    def test_zero_coset_cross_check_always_runs(self, monkeypatch):
+        # F4 m=5: 53 generators, over the cap, but the zero coset's
+        # |S| = 2^11 is within it, so a sweep whose coset 0 disagrees
+        # with the enumerator is caught.
+        sweep = steane._coset_distances
+        monkeypatch.setattr(steane, "_coset_distances", lambda C, w: [d + (i == 0) for i, d in enumerate(sweep(C, w))])
+        with pytest.raises(CertificateError, match="^coset sweep gives d=3 for v = 0, the scan d=2$"):
+            build_family_code(FamilySpec("F4", 5, 0))
+
     def test_f4_desk_scale_is_certified(self, f4_desk):
         # k' = k + 1 leaves no provable mixing map; the builder records
         # the best exhaustively verified distance instead.
@@ -310,10 +331,11 @@ class TestBuildFamilyCode:
         want = certified_enlarge(C, coset_extend(build(m, 1), build(m, 0)), d_lower=4)
         assert (Q.gx, Q.gz) == (want.gx, want.gz)
 
-    @pytest.mark.parametrize("m, d_exact", [(2, 2), (3, 2), (4, None)])
+    @pytest.mark.parametrize("m, d_exact", [(2, 2), (3, 2), (4, 2)])
     def test_f2_ell_0_builds_css_of_even_weight_code(self, m, d_exact):
         # C' = C, the even-weight code: CSS(C, C), whose bound d(C) = 2 is
-        # proven; at m = 4 its 2n - 2 = 30 generators are over the cap.
+        # proven; at every m its 2n - 2 generators leave |S| = 2^2, so
+        # the stabiliser enumerator settles d even where they are over the cap.
         Q = build_family_code(FamilySpec("F2", m, 0))
         assert (Q.n, Q.K, Q.d_lower) == family_params(FamilySpec("F2", m, 0))
         assert Q.d_exact == d_exact

@@ -54,7 +54,7 @@ def forbid_scans(monkeypatch):
     def scan(*args, **kwargs):
         raise AssertionError("a distance scan ran")
 
-    for name in ("min_distance", "second_gdw", "quantum_distance_exact", "_stabiliser_distance", "_coset_distances"):
+    for name in ("min_distance", "second_gdw", "_quantum_scan_errors", "_stabiliser_distance", "_coset_distances"):
         monkeypatch.setattr(steane, name, scan)
 
 
@@ -212,11 +212,14 @@ class TestSteane:
             assert capsys.readouterr() == ("", "error: coset sweep over 2^8 pairs of C-perp x C-perp exceeds cap 7\n")
 
     def test_exact_over_the_cap_keeps_a_proven_bound(self, tmp_path, capsys):
-        # k' = k + 3: the bound is proven, and its 11 generators are over cap 10.
-        inner = write_code(tmp_path / "c.txt", EXT_HAMMING_8_4)
-        argv = ["--cap", "10", "steane", inner, write_code(tmp_path / "cp.txt", even_weight_code(8)), "--exact"]
-        assert main(argv) == EXIT_OK
-        assert capsys.readouterr() == ("[[8,3,3]] bound holds by construction\n", "")
+        # C = H8 + H8 in C' = E8 + H8, k' = k + 3: the bound is proven, and
+        # |S| = 2^(32 - 19) = 2^13 is over cap 12, within cap 13.
+        H8, E8 = EXT_HAMMING_8_4.basis_ints(), even_weight_code(8).basis_ints()
+        inner = write_code(tmp_path / "c.txt", LinearCode([r << 8 for r in H8] + H8, 16))
+        outer = write_code(tmp_path / "cp.txt", LinearCode([r << 8 for r in E8] + H8, 16))
+        for cap, verdict in (("12", "bound holds by construction"), ("13", "exact d=3")):
+            assert main(["--cap", cap, "steane", inner, outer, "--exact"]) == EXIT_OK
+            assert capsys.readouterr() == (f"[[16,3,3]] {verdict}\n", "")
 
     def test_equal_codes_build_css(self, tmp_path, capsys, monkeypatch):
         # C' = C, the even-weight [8,7] code: CSS(C, C) = [[8,6,2]], whose
@@ -277,12 +280,23 @@ class TestTable1:
         assert main(["--cap", "6", "table1"]) == EXIT_INPUT_ERROR
         assert capsys.readouterr() == ("", "error: coset-weight table over 2^7 words of C' exceeds cap k' <= 6\n")
 
-    @pytest.mark.parametrize("cap, r", [(12, 16), (16, 17)])
-    def test_row_over_the_cap_is_input_error(self, capsys, cap, r):
-        # A row whose k + k' generators exceed the cap is left unscanned:
-        # an input error, never a failed row.
+    @pytest.mark.parametrize("cap, log_size", [(11, 12)])
+    def test_row_over_the_cap_is_input_error(self, capsys, cap, log_size):
+        # A row whose stabiliser S is over the cap is left unscanned: an
+        # input error, never a failed row.  At cap 11 every search and
+        # classical scan runs (k' <= 11) and rows 1-3 settle (|S| <= 2^8);
+        # row (14,7,9) has |S| = 2^12.  Below 11, row (12,6,11)'s d' scan
+        # over 2^11 words is refused first.
         assert main(["--cap", str(cap), "table1"]) == EXIT_INPUT_ERROR
-        assert capsys.readouterr() == ("", f"error: quantum distance over 2^{r} vectors exceeds cap {cap}\n")
+        assert capsys.readouterr() == ("", f"error: stabiliser enumeration over 2^{log_size} elements exceeds cap {cap}\n")
+
+    def test_rows_settle_once_the_stabiliser_is_within_the_cap(self, capsys):
+        # |S| is at most 2^12 on every row rebuilt, so cap 12 prints what
+        # the default cap does, though rows have up to 17 generators.
+        main(["table1"])
+        default = capsys.readouterr()
+        assert main(["--cap", "12", "table1"]) == EXIT_VERIFY_FAIL
+        assert capsys.readouterr() == default
 
 
 class TestFamily:
@@ -300,7 +314,7 @@ class TestFamily:
 
     def test_build_proven(self, capsys):
         assert main(["family", "F0", "5", "1", "--build"]) == EXIT_OK
-        assert capsys.readouterr().out == "[[32,15,6]] bound holds by construction\n"
+        assert capsys.readouterr().out == "[[32,15,6]] exact d=6 verified\n"
 
     def test_build_refuted_is_verification_failure(self, capsys):
         # 53 generators exceed the default scan cap, but the coset sweep
@@ -368,11 +382,17 @@ class TestFamily:
     def test_build_beyond_desk_scale(self, capsys):
         # The cap governs every scan a build runs, so no m is refused:
         # the coset sweep refutes F4 m=6 (2(n - k) = 14 <= 26), and F0
-        # m=6 has at least two completion rows.
+        # m=6, with at least two completion rows, has |S| = 2^20.
         assert main(["family", "F4", "6", "0", "--build"]) == EXIT_VERIFY_FAIL
         assert capsys.readouterr().out == "[[64,51,4]] exact d=3 FAIL\n"
         assert main(["family", "F0", "6", "1", "--build"]) == EXIT_OK
-        assert capsys.readouterr().out == "[[64,44,6]] bound holds by construction\n"
+        assert capsys.readouterr().out == "[[64,44,6]] exact d=6 verified\n"
+
+    def test_raised_cap_settles_a_wide_build(self, capsys):
+        # F0 m=7: 233 generators pass cap 240, n = 128 stops the join, and
+        # the stabiliser enumerator walks |S| = 2^23, never the 2^233 span.
+        assert main(["--cap", "240", "family", "F0", "7", "1", "--build"]) == EXIT_OK
+        assert capsys.readouterr() == ("[[128,105,6]] exact d=6 verified\n", "")
 
     def test_claim_above_the_proven_bound_never_reaches_a_build(self, capsys, monkeypatch):
         # A build prints the bound its t values prove, whatever
@@ -380,7 +400,7 @@ class TestFamily:
         params = bch.family_params
         monkeypatch.setattr(bch, "family_params", lambda spec: (*params(spec)[:2], params(spec)[2] + 1))
         assert main(["family", "F0", "6", "1", "--build"]) == EXIT_OK
-        assert capsys.readouterr().out == "[[64,44,6]] bound holds by construction\n"
+        assert capsys.readouterr().out == "[[64,44,6]] exact d=6 verified\n"
 
     @pytest.mark.parametrize(
         "cap, m, bits",

@@ -234,12 +234,12 @@ class TestSupportingPermutations:
 
 class TestCertifiedEnlarge:
     def test_wide_completion_uses_proven_mixing(self):
-        # k' - k = 3: the bound is proven, and the code is scanned once
-        # when its 11 generators are within the cap.
+        # k' - k = 3: the bound is proven, and d is settled once its
+        # stabiliser, |S| = 2^5, is within the cap.
         Q = certified_enlarge(EXT_HAMMING_8_4, even_weight_code(8))
         assert Q.d_exact == quantum_distance_exact(Q).value >= Q.d_lower
         assert repr(Q) == "QuantumCode[[8,3,3]]"
-        Q = certified_enlarge(EXT_HAMMING_8_4, even_weight_code(8), cap=Q.num_generators - 1)
+        Q = certified_enlarge(EXT_HAMMING_8_4, even_weight_code(8), d_lower=3, cap=4)
         assert Q.d_exact is None
         assert repr(Q) == "QuantumCode[[8,3,>=3]]"  # the proven bound, unscanned
 
@@ -476,21 +476,24 @@ class TestStabiliserEnumerator:
         assert sizes == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_certified_enlarge_routes_by_stabiliser_size(self, monkeypatch):
-        # [[8,3,3]]: 11 generators, |S| = 2^5; [[8,1,3]]: 9, 2^7.
+        # [[8,3,3]]: 11 generators, |S| = 2^5, and the join gives up, as
+        # weight 3 needs 276 half-table rows, more than S's 32 elements.
+        # [[8,1,3]]: 9 generators, |S| = 2^7, and the join finds the zero
+        # coset's d = 2 from 24 rows; the coset sweep then settles d = 3.
         C = EXT_HAMMING_8_4
         single = LinearCode(C.basis_ints() + [0b11000000], 8)
-        for Cp, log_size in ((even_weight_code(8), 5), (single, 7)):
+        for Cp, log_size, above_calls in ((even_weight_code(8), 5, ["join", "enum"]), (single, 7, ["join"])):
             calls = []
-            enumerate_, scan = steane._stabiliser_distance, steane.quantum_distance_exact
+            enumerate_, join = steane._stabiliser_distance, steane._quantum_scan_errors
             monkeypatch.setattr(steane, "_stabiliser_distance", lambda *a: calls.append("enum") or enumerate_(*a))
-            monkeypatch.setattr(steane, "quantum_distance_exact", lambda *a, **k: calls.append("scan") or scan(*a, **k))
+            monkeypatch.setattr(steane, "_quantum_scan_errors", lambda *a, **k: calls.append("join") or join(*a, **k))
             monkeypatch.setattr(steane, "_ENUMERATOR_MAX_LOG", log_size)
             below = certified_enlarge(C, Cp, d_lower=3)
             assert calls == ["enum"]
             calls.clear()
             monkeypatch.setattr(steane, "_ENUMERATOR_MAX_LOG", log_size - 1)
             above = certified_enlarge(C, Cp, d_lower=3)
-            assert calls == ["scan"]
+            assert calls == above_calls
             assert below == above and below.d_exact == 3
             monkeypatch.undo()
 
