@@ -290,12 +290,13 @@ class TestTable1:
         assert main(["--cap", str(cap), "table1"]) == EXIT_INPUT_ERROR
         assert capsys.readouterr() == ("", f"error: stabiliser enumeration over 2^{log_size} elements exceeds cap {cap}\n")
 
-    def test_rows_settle_once_the_stabiliser_is_within_the_cap(self, capsys):
-        # |S| is at most 2^12 on every row rebuilt, so cap 12 prints what
-        # the default cap does, though rows have up to 17 generators.
+    @pytest.mark.parametrize("cap", [12, 16])
+    def test_rows_settle_once_the_stabiliser_is_within_the_cap(self, capsys, cap):
+        # |S| is at most 2^12 on every row rebuilt, so caps 12 and 16 print
+        # what the default cap does, though rows have up to 17 generators.
         main(["table1"])
         default = capsys.readouterr()
-        assert main(["--cap", "12", "table1"]) == EXIT_VERIFY_FAIL
+        assert main(["--cap", str(cap), "table1"]) == EXIT_VERIFY_FAIL
         assert capsys.readouterr() == default
 
 
