@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .gf2 import DEFAULT_ENUM_CAP, CodeConstructionError, LinearCode, _quotient_basis, extend_parity, is_dual_containing, is_subcode
+from .gf2 import DEFAULT_ENUM_CAP, MAX_LENGTH, CodeConstructionError, LinearCode, _completion_rows, extend_parity, is_dual_containing, is_subcode
 from .steane import QuantumCode, certified_enlarge
 
 # One canonical primitive polynomial per extension degree (bit i is the
@@ -149,6 +149,8 @@ def bch_code(spec: BchSpec) -> LinearCode:
         )
     m, t = spec.m, spec.t
     n = (1 << m) - 1
+    if n > MAX_LENGTH:  # refused before the field and 2^m big-int rows are built
+        raise ValueError(f"n must be in [1, {MAX_LENGTH}]")
     field = Gf2mField(m)
     gen = [1]  # coefficients in GF(2^m), x^0 first
     for r in {(s << i) % n for s in range(1, 2 * t, 2) for i in range(m)}:
@@ -229,14 +231,18 @@ def coset_extend(C1: LinearCode, big: LinearCode) -> LinearCode:
     """span(C1 + {c}) for the lexicographically smallest c in big \\ C1.
 
     The lex-smallest words of the cosets of C1 in big, with 0, are the
-    span of `gf2._quotient_basis` (the residual modulo C1 is linear), so
-    c is its last row: any other combination has a higher pivot.
+    span of the quotient basis of `gf2._completion_rows`, so c is its
+    last row: any other combination has a higher pivot.  The same call
+    decides C1 <= big.
     """
-    if not is_subcode(C1, big):
+    if C1.n != big.n:
+        raise ValueError(f"length mismatch: {C1.n} != {big.n}")
+    rows, quotient = _completion_rows(C1, big)
+    if C1.k + len(rows) != big.k:
         raise CodeConstructionError("C1 is not a subcode of the ambient code")
-    if big.k < C1.k + 1:
+    if not quotient:
         raise CodeConstructionError("ambient code equals C1: no coset to add")
-    return LinearCode(C1.basis_ints() + [_quotient_basis(C1, big)[-1]], C1.n)
+    return LinearCode(C1.basis_ints() + [quotient[-1]], C1.n)
 
 
 def build_family_code(spec: FamilySpec, cap: int = DEFAULT_ENUM_CAP) -> QuantumCode:

@@ -430,14 +430,16 @@ def _all_in(words: list[int], B: LinearCode) -> bool:
     return not any(_residuals(words, B))
 
 
-def _completion_rows(C: LinearCode, Cp: LinearCode) -> list[int]:
-    """Rows of rref(C') that extend the basis of C to a basis of C' >= C.
+def _completion_rows(C: LinearCode, Cp: LinearCode) -> tuple[list[int], list[int]]:
+    """(rows, quotient): the rows of rref(C') that extend the basis of C
+    to one of C + C', and the rref basis of C + C' modulo C, zero on C's
+    pivot columns.  C <= C' iff C.k + len(rows) == C'.k.
 
-    A row is picked when it lies outside the span of C and the rows
-    picked before it, that is, when its residual modulo C lies outside
-    the span of theirs.  So the rows are reduced modulo C in one
-    `_residuals` call, and a running rref basis holds only the picked
-    residuals."""
+    A row is picked when its residual modulo C lies outside the span of
+    the picked rows' residuals.  So the rows are reduced modulo C in one
+    `_residuals` call, and a running basis holds the picked residuals,
+    fully reduced: sorted, it is the rref quotient basis, whose span
+    holds the lex-smallest word of each coset of C in C'."""
     out: list[int] = []
     echelon: list[int] = []
     for row, left in zip(Cp._basis, _residuals(Cp._basis, C)):
@@ -448,15 +450,7 @@ def _completion_rows(C: LinearCode, Cp: LinearCode) -> list[int]:
             # reduced and `_reduce` may take its rows in any order.
             top = 1 << (left.bit_length() - 1)
             echelon = [e ^ left if e & top else e for e in echelon] + [left]
-    assert C.k + len(out) == Cp.k
-    return out
-
-
-def _quotient_basis(C: LinearCode, B: LinearCode) -> list[int]:
-    """Basis of B/C, C <= B: the rref of the completion rows' residuals
-    modulo C, zero on C's pivot columns."""
-    rows, rank, _ = rref_ints(_residuals(_completion_rows(C, B), C), C.n)
-    return rows[:rank]
+    return out, sorted(echelon, reverse=True)
 
 
 def is_subcode(A: LinearCode, B: LinearCode) -> bool:

@@ -42,11 +42,9 @@ from .gf2 import (
     LinearCode,
     _all_in,
     _completion_rows,
-    _quotient_basis,
     _unchecked_code,
     dual,
     is_dual_containing,
-    is_subcode,
 )
 
 # `certified_enlarge` settles d from the stabiliser's weight enumerator
@@ -165,7 +163,8 @@ def certified_enlarge(
         raise CodeConstructionError("C and C' have different lengths")
     if not is_dual_containing(C):
         raise CodeConstructionError("C is not dual-containing: dual(C) not within C")
-    if not is_subcode(C, Cp):
+    gp_rows = _completion_rows(C, Cp)[0]
+    if C.k + len(gp_rows) != Cp.k:
         raise CodeConstructionError("C is not a subcode of C'")
     K = C.k + Cp.k - C.n
     if K < 1:
@@ -178,7 +177,6 @@ def certified_enlarge(
         if Cp.k > C.k:
             d_lower = min(d_lower, second_gdw(Cp, cap=cap).value)
     g_rows = C.basis_ints()
-    gp_rows = _completion_rows(C, Cp)
     Q = QuantumCode(
         n=C.n,
         gx=g_rows + [0] * C.k + gp_rows,
@@ -216,7 +214,7 @@ def is_stabilizer_code(Q: QuantumCode) -> bool:
     """True iff the symplectic dual of C lies inside C (C-perp <= C)."""
     n = Q.n
     span = _unchecked_code([x << n | z for x, z in zip(Q.gx, Q.gz)], 2 * n)
-    return _all_in(symplectic_dual(Q), span)
+    return _all_in(_stabiliser_rows(Q.gx, Q.gz, n), span)
 
 
 def _isotropic_bases(
@@ -349,7 +347,7 @@ def find_self_dual_subcode(Cp: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> Linea
     # The reps are in rref and zero on dual(C')'s pivot columns, so the
     # lifts of a canonical basis are in rref too.
     perp_basis = Cperp.basis_ints()
-    reps = _quotient_basis(Cperp, Cp)
+    reps = _completion_rows(Cperp, Cp)[1]
     weights = _coset_weights(perp_basis, reps, n)
     lifts = [0]  # lifts[v]: the sum of the reps picked by the bits of v
     for rep in reps:

@@ -8,8 +8,10 @@ The oracles deliberately avoid the library's scan machinery: plain
 itertools/numpy reimplementations used to cross-check the optimized
 paths, among them the Gray-code walks that check the numpy span
 kernel, the prefix-loop error scan that checks the meet-in-the-middle
-join, and the running-echelon completion rows and coset-leader subset
-walk that check `_completion_rows` and `coset_extend`.  The one
+join, the running-echelon completion rows, the Gauss-Jordan rref of
+their residuals modulo C (the quotient basis `_completion_rows` also
+returns) and the coset-leader subset walk that check `_completion_rows`
+and `coset_extend`.  The one
 exception is the per-coset k' = k + 1 loop, which checks the batched
 coset sweep with the library's own distance scan, on codes assembled
 here from the running-echelon completion rows (`enlargement_code`,
@@ -395,6 +397,28 @@ def reference_completion_rows(C: LinearCode, Cp: LinearCode) -> list[int]:
             out.append(row)
             pivots[left.bit_length() - 1] = left
     return out
+
+
+def reference_quotient_basis(C: LinearCode, Cp: LinearCode) -> list[int]:
+    """The rref basis of (C + C') modulo C: the completion rows'
+    residuals, every pivot column of rref(C) cleared, brought to reduced
+    row-echelon form by plain Gauss-Jordan elimination."""
+    pivots: dict[int, int] = {}
+    for w in reference_completion_rows(C, Cp):
+        for row in C.basis_ints():
+            w = min(w, w ^ row)
+        w = _reduce(w, pivots)
+        if w:
+            pivots[w.bit_length() - 1] = w
+    rows = sorted(pivots.values(), reverse=True)
+    # Clear each pivot from the rows above it; a lower row never holds a
+    # higher pivot, so no cleared bit comes back.
+    for i, row in enumerate(rows):
+        top = 1 << (row.bit_length() - 1)
+        for j in range(i):
+            if rows[j] & top:
+                rows[j] ^= row
+    return rows
 
 
 def reference_coset_extend(C1: LinearCode, big: LinearCode) -> LinearCode:

@@ -200,8 +200,9 @@ class TestFamilyParams:
             (lambda: BchSpec(4, -1), "t must be >= 0"),
             (lambda: FamilySpec("F0", 17, 1), "m must be in [2, 16], got 17"),
             (lambda: coset_extend(extended_bch(4, 1), extended_bch(4, 1)), "ambient code equals C1: no coset to add"),
+            (lambda: coset_extend(extended_bch(3, 1), extended_bch(4, 0)), "length mismatch: 8 != 16"),
         ],
-        ids=["BchSpec-m=1", "BchSpec-t=-1", "FamilySpec-m=17", "coset_extend-C1=ambient"],
+        ids=["BchSpec-m=1", "BchSpec-t=-1", "FamilySpec-m=17", "coset_extend-C1=ambient", "coset_extend-lengths"],
     )
     def test_out_of_range_specs_are_refused(self, make, message):
         with pytest.raises(ValueError) as refused:
@@ -226,8 +227,13 @@ class TestCosetExtend:
         assert Cp == LinearCode(C1.basis_ints() + [best], big.n)
 
     def test_requires_nesting(self):
-        with pytest.raises(CodeConstructionError):
+        with pytest.raises(CodeConstructionError, match=r"^C1 is not a subcode of the ambient code$"):
             coset_extend(extended_bch(4, 0), extended_bch(4, 1))
+        # Not nested, though the ambient code is the larger.
+        big = extended_bch(4, 1)
+        C1 = LinearCode(big.basis_ints()[1:] + [1], big.n)
+        with pytest.raises(CodeConstructionError, match=r"^C1 is not a subcode of the ambient code$"):
+            coset_extend(C1, big)
 
     @pytest.mark.parametrize("n", [*range(8, 41, 4), 256, 512])
     def test_matches_reference_on_random_nested_pairs(self, n, monkeypatch):
@@ -240,13 +246,15 @@ class TestCosetExtend:
             rows = big.basis_ints()
             C1 = LinearCode([xor_sum(rng.sample(rows, rng.randrange(1, big.k + 1))) for _ in range(big.k - rng.randrange(1, min(7, big.k + 1)))], n)
             calls.clear()
-            assert _completion_rows(C1, big) == reference_completion_rows(C1, big)
-            # From n = 256 and 64 rows of C' the rows are reduced packed.
+            picked, quotient = _completion_rows(C1, big)
+            assert picked == reference_completion_rows(C1, big)
+            # From n = 256 and 64 rows of C' the rows are reduced packed,
+            # once for the completion and once for all of coset_extend.
             assert calls == ([big.k] if n >= 256 else [])
             assert coset_extend(C1, big) == reference_coset_extend(C1, big)
+            assert calls == ([big.k] * 2 if n >= 256 else [])
             # A basis of big/C1 in rref, zero on C1's pivot columns: that
             # fixes it, and its last row is the lex-smallest coset leader.
-            quotient = gf2._quotient_basis(C1, big)
             pivots = sum(1 << (row.bit_length() - 1) for row in C1.basis_ints())
             assert quotient == LinearCode(quotient, n).basis_ints() and not any(w & pivots for w in quotient)
             assert len(quotient) == big.k - C1.k and LinearCode(C1.basis_ints() + quotient, n) == big

@@ -380,6 +380,17 @@ class TestFamily:
     def test_invalid_parameters(self, capsys):
         assert main(["family", "F0", "4", "1"]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("family, ell", [("F4", 42), ("F2", 21), ("F0", 1)])
+    def test_oversize_build_is_refused_before_the_field(self, capsys, monkeypatch, family, ell):
+        # n = 2^16 - 1 is over MAX_LENGTH: refused before GF(2^16) and
+        # the BCH code's 2^16 big-int rows are built.
+        def field(m):
+            raise AssertionError(f"GF(2^{m}) was built")
+
+        monkeypatch.setattr(bch, "Gf2mField", field)
+        assert main(["family", family, "16", str(ell), "--build"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", "error: n must be in [1, 1024]\n")
+
     def test_build_beyond_desk_scale(self, capsys):
         # The cap governs every scan a build runs, so no m is refused:
         # the coset sweep refutes F4 m=6 (2(n - k) = 14 <= 26), and F0

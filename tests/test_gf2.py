@@ -28,7 +28,16 @@ from qsteane.gf2 import (
     rref_ints,
 )
 
-from conftest import dual_containing_code, enumerate_codewords, enumerate_span, lex, span_words, xor_sum
+from conftest import (
+    dual_containing_code,
+    enumerate_codewords,
+    enumerate_span,
+    lex,
+    reference_completion_rows,
+    reference_quotient_basis,
+    span_words,
+    xor_sum,
+)
 
 
 small_matrices = st.integers(2, 10).flatmap(
@@ -304,6 +313,31 @@ class TestSubcodeAndEnumeration:
         for scan in (min_distance, second_gdw):
             with pytest.raises(EnumerationCapError):
                 scan(big, cap=10)
+
+
+class TestCompletionRows:
+    """`_completion_rows` against the plain-int oracles, on pairs that are
+    nested and pairs that are not, on both residual paths."""
+
+    @pytest.mark.parametrize("n", [8, 16, 40, 255, 256, 300])
+    def test_rows_and_quotient_match_reference(self, n, monkeypatch):
+        rng = random.Random(n + 7)
+        calls, nested = [], Counter()
+        residual = gf2._residual_packed
+        monkeypatch.setattr(gf2, "_residual_packed", lambda words, *rest: calls.append(len(words)) or residual(words, *rest))
+        for _ in range(12):
+            Cp = LinearCode([rng.getrandbits(n) for _ in range(rng.randrange(2, n) if n < 64 else rng.randrange(64, 100))], n)
+            inside = [xor_sum(rng.sample(Cp.basis_ints(), rng.randrange(1, Cp.k + 1))) for _ in range(rng.randrange(Cp.k + 1))]
+            C = LinearCode(inside + [rng.getrandbits(n) for _ in range(rng.randrange(2))], n)
+            calls.clear()
+            rows, quotient = gf2._completion_rows(C, Cp)
+            # From n = 256 and 64 rows of C' the rows are reduced packed, once.
+            assert calls == ([Cp.k] if n >= 256 else [])
+            assert rows == reference_completion_rows(C, Cp)
+            assert quotient == reference_quotient_basis(C, Cp)
+            assert (C.k + len(rows) == Cp.k) is is_subcode(C, Cp)
+            nested[is_subcode(C, Cp)] += 1
+        assert min(nested[True], nested[False]) >= 3, nested
 
 
 class TestStandardCodes:

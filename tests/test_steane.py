@@ -127,9 +127,10 @@ class TestSteaneEnlarge:
 
     def test_rejects_non_nested(self):
         C = EXT_HAMMING_8_4
-        Cp = LinearCode([0b10000001, 0b10000010, 0b10000100], 8)
-        with pytest.raises(CodeConstructionError, match="subcode"):
-            certified_enlarge(C, Cp)
+        # k' < k, and k' > k with C' the words zero at coordinate 7.
+        for Cp in (LinearCode([0b10000001, 0b10000010, 0b10000100], 8), LinearCode([1 << c for c in range(1, 8)], 8)):
+            with pytest.raises(CodeConstructionError, match=r"^C is not a subcode of C'$"):
+                certified_enlarge(C, Cp)
 
     def test_rejects_equal_codes(self):
         # A self-dual C = C' has K = 0: refused before any scan runs.
@@ -341,7 +342,7 @@ class TestCertifiedEnlarge:
 class TestCosetSweep:
     def test_distances_match_per_coset_oracle(self, block):
         for C, Cp in sweep_cases():
-            (w,) = _completion_rows(C, Cp)
+            (w,), _ = _completion_rows(C, Cp)
             want, _ = reference_coset_sweep(C, Cp, 1)
             assert _coset_distances(C, w) == want
 
@@ -350,7 +351,7 @@ class TestCosetSweep:
         # Every completion of the ell = 0 member reaches at most d = 3,
         # and the counts follow 2^m + 2 / 2^m - 2.
         C, Cp = f4_pair(m)
-        (w,) = _completion_rows(C, Cp)
+        (w,), _ = _completion_rows(C, Cp)
         assert Counter(_coset_distances(C, w)) == {2: 2**m + 2, 3: 2**m - 2}
 
     @pytest.mark.parametrize("m", range(3, 11))
@@ -386,7 +387,7 @@ class TestCosetSweep:
         cosets = [_coset_word(C, i) for i in range(1 << (m + 1))]
         syndromes = [sigma(v) for v in cosets]
         rng = random.Random(m)
-        words = list(_completion_rows(C, Cp))
+        words, _ = _completion_rows(C, Cp)
         while len(words) < 4:
             u = rng.getrandbits(n)
             u ^= u.bit_count() & 1  # even, through the parity coordinate
@@ -419,7 +420,7 @@ class TestCosetSweep:
 
     def test_corrupted_histograms_raise(self):
         C, Cp = f4_pair(3)
-        (w,) = _completion_rows(C, Cp)
+        (w,), _ = _completion_rows(C, Cp)
         T, f = _coset_histograms(gf2._dual_rows(C), w, C.n)
         A = _coset_enumerators(T, f)
         log_size = 2 * (C.n - C.k) - 1
@@ -718,7 +719,7 @@ def search_cases() -> list[LinearCode]:
 def unpruned_walk(Cp: LinearCode):
     """C'-perp's basis and the search's walk on C' with pruning off."""
     perp = dual(Cp).basis_ints()
-    reps = gf2._quotient_basis(dual(Cp), Cp)
+    reps = _completion_rows(dual(Cp), Cp)[1]
     weights = _coset_weights(perp, reps, Cp.n)
     lifts = _ints(_span_limbs(reps, Cp.n), Cp.n)
     return perp, _isotropic_bases(lifts, Cp.k - Cp.n // 2, weights, perp, lambda m: False)
