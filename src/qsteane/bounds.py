@@ -38,10 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 LOG2_3 = math.log2(3)
 # Points per block of entropy evaluation, and rows per CSV write.
@@ -132,6 +134,10 @@ def pair_count_identity(t: int) -> PairCountIdentity:
     of unordered pairs of distinct nonzero even-weight vectors whose
     bitwise OR is a fixed weight-t vector.
     """
+    # Imported here, its only use: `fractions` pulls in `decimal`, which
+    # no CLI command needs at start-up.
+    from fractions import Fraction
+
     if not 1 <= t <= 30:
         raise ValueError(f"t must be in [1, 30], got {t}")
     lhs = Fraction(1, 2) * sum(

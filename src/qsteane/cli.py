@@ -15,7 +15,7 @@ from .bch import FAMILIES, FamilySpec, build_family_code, family_params
 from .bounds import emit_curve, write_curve_csv
 from .distances import min_distance, second_gdw
 from .enumerators import CertificateError
-from .gf2 import DEFAULT_ENUM_CAP, MAX_LENGTH, CodeConstructionError, LinearCode, is_dual_containing, parse_matrix
+from .gf2 import DEFAULT_ENUM_CAP, MAX_LENGTH, CodeConstructionError, LinearCode, is_dual_containing, load_code
 from .steane import QuantumCode, certified_enlarge, find_self_dual_subcode
 from .table1 import check_all_rows
 
@@ -25,8 +25,8 @@ EXIT_INPUT_ERROR = 2
 
 
 def _load_code(path: str) -> LinearCode:
-    with open(path) as fh:
-        return LinearCode(*parse_matrix(fh.read()))
+    with open(path, "rb") as fh:
+        return load_code(fh.read())
 
 
 def cmd_verify(args) -> int:

@@ -24,10 +24,16 @@ the Gram pass, are read off the unpacked rows, one 0/1 byte per column
 limbs, so that comparing limbs compares words.  Every span, pair and
 Gram pass runs over the blocks of `_blocks`.
 
-Parsing takes the same column rule: a text of bare rows of at least
-_PACKED_MIN_COLS 0/1 digits is checked and packed by numpy, in blocks
-of rows, and any other text is read line by line, one `int(..., 2)`
-call per row; both give the same rows, and only the line loop raises.
+Matrix files are read as bytes (`load_code`), with the same column
+rule: a file of bare rows of at least _PACKED_MIN_COLS 0/1 digits is
+checked and packed by numpy, in blocks of rows, straight into the
+elimination's layout; when `_packed`, the strip loop reduces that
+array, so its rows become ints once, from the reduced basis.  Any
+other file is decoded as text mode decodes it and read by
+`parse_matrix`, which packs a text of bare rows the same way and reads
+any other text line by line, one `int(..., 2)` call per row.  All give
+the same rows, and only the line loop raises.  The Gram pass covers
+one triangle of the symmetric AᵀA.
 """
 
 from __future__ import annotations
@@ -167,7 +173,7 @@ def _bits(M: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(M.view(np.uint8), axis=1, count=n)
 
 
-def _blocks(outer: np.ndarray, inner: np.ndarray, op, width: int = 1):
+def _blocks(outer: np.ndarray, inner: np.ndarray, op, width: int = 1, upper: bool = False):
     """Yield (start, op(outer[start : start + step], inner)) over outer.
 
     Rows hold uint64 limbs: `width` n-bit words, then any limbs that ride
@@ -176,12 +182,14 @@ def _blocks(outer: np.ndarray, inner: np.ndarray, op, width: int = 1):
     This is the block rule of every span, pair and Gram pass: a block
     holds at most _BLOCK words or one row of outer, so a pass keeps one
     block of temporaries, a few times _BLOCK * limbs * 8 bytes, at any
-    size.
+    size.  With `upper`, a block meets only inner[start:], the rows from
+    its own first row onward: a symmetric pass of outer against itself
+    then covers one triangle and the diagonal.
     """
     inner = np.ascontiguousarray(inner.T)
     step = max(1, _BLOCK // (width * inner.shape[1]))
     for start in range(0, len(outer), step):
-        yield start, op(outer[start : start + step, :, None], inner)
+        yield start, op(outer[start : start + step, :, None], inner[:, start:] if upper else inner)
 
 
 def _combinations(R: np.ndarray) -> np.ndarray:
@@ -247,7 +255,14 @@ def _strip_lut(span: bytes) -> tuple[list[int], bytes]:
 
 
 def _rref_packed(rows: list[int], cols: int) -> tuple[list[int], int, list[int]]:
-    """`rref_ints` by the Method of Four Russians on uint64 limbs.
+    """`rref_ints` by the Method of Four Russians on uint64 limbs: the
+    rows packed (`_pack`) and reduced by `_rref_strips`."""
+    return _rref_strips(_pack(rows, cols), cols)
+
+
+def _rref_strips(M: np.ndarray, cols: int) -> tuple[list[int], int, list[int]]:
+    """`rref_ints` of the packed rows M (`_pack`'s layout, writable),
+    reduced in place; the reduced rows become ints only here, at the end.
 
     Gauss-Jordan one strip of 8 columns (one byte of every row) at a
     time, on bytes objects: below the pivot rows found so far, the rows
@@ -258,8 +273,7 @@ def _rref_packed(rows: list[int], cols: int) -> tuple[list[int], int, list[int]]
     the sum by its combination c; composed with _GRAY_INV, by one more
     `bytes.translate`, it names the table entry that holds it.
     """
-    m = len(rows)
-    M = _pack(rows, cols)
+    m = len(M)
     M8 = M.view(np.uint8)
     pivots: list[int] = []
     r = 0
@@ -307,14 +321,17 @@ def _odd_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _gram_is_identity(A: np.ndarray) -> bool:
     """Whether AᵀA = I over GF(2), for the 0/1 bytes A (k, f): the columns
-    of A packed as rows of uint64 limbs, one `_blocks` pass of parities,
-    stopping at the first block that differs from the identity."""
+    of A packed as rows of uint64 limbs (from a contiguous copy of Aᵀ,
+    which packs about 3x faster than the transposed view), one `_blocks`
+    pass of parities over the upper triangle of the symmetric AᵀA, the
+    diagonal included, stopping at the first block that differs from
+    the identity."""
     k, f = A.shape
     cols = np.zeros((f, -(-k // 64) * 8), dtype=np.uint8)
-    cols[:, : -(-k // 8)] = np.packbits(A.T, axis=1)
+    cols[:, : -(-k // 8)] = np.packbits(np.ascontiguousarray(A.T), axis=1)
     cols = cols.view(np.uint64)
-    for start, odd in _blocks(cols, cols, _odd_overlaps):
-        odd[np.arange(len(odd)), np.arange(start, start + len(odd))] ^= 1
+    for _, odd in _blocks(cols, cols, _odd_overlaps, upper=True):
+        odd[np.arange(len(odd)), np.arange(len(odd))] ^= 1  # the block's diagonal
         if odd.any():
             return False
     return True
@@ -354,9 +371,10 @@ class LinearCode:
             raise ValueError(f"row outside [0, 2^{n}): not a word of length {n}")
         self._span(rows, n)
 
-    def _span(self, rows: list[int], n: int) -> "LinearCode":
-        """Make self the span of rows, words of length n, unchecked."""
-        work, self.k, self._pivots = rref_ints(rows, n)
+    def _span(self, rows, n: int, rref=rref_ints) -> "LinearCode":
+        """Make self the span of rows, unchecked: words of length n, or
+        with rref=`_rref_strips` their packed array (`_pack`)."""
+        work, self.k, self._pivots = rref(rows, n)
         self.n, self._basis = n, work[: self.k]
         return self
 
@@ -484,30 +502,39 @@ def is_dual_containing(C: LinearCode) -> bool:
 _NOT_DIGITS = str.maketrans("", "", "01")
 
 
-def _parse_digit_rows(text: str) -> tuple[list[int], int] | None:
-    """`parse_matrix` of a text of rows of n 0/1 digits only, each ended
-    by '\n' (the last may lack it), n >= _PACKED_MIN_COLS; None for any
-    other text.  The text is encoded to ASCII, checked and packed by numpy
-    in blocks of whole rows of at most 4 * _BLOCK digits (64 KiB), so
-    that no temporary grows with the text."""
-    n = text.find("\n")  # the first row's length
+def _digit_rows(data: bytes) -> tuple[np.ndarray, int] | None:
+    """The rows of a file of rows of n 0/1 digits only, each ended by
+    '\n' (the last may lack it), n >= _PACKED_MIN_COLS, packed in
+    `_pack`'s layout; None for any other file.  The bytes are checked
+    and packed by numpy in blocks of whole rows of at most 4 * _BLOCK
+    digits (64 KiB), so that no temporary grows with the file."""
+    n = data.find(b"\n")  # the first row's length
     if n < 0:
-        n = len(text)
-    m = -(-len(text) // (n + 1))
-    if n < _PACKED_MIN_COLS or len(text) < m * (n + 1) - 1 or not text.isascii():
+        n = len(data)
+    m = -(-len(data) // (n + 1))
+    if n < _PACKED_MIN_COLS or len(data) < m * (n + 1) - 1:
         return None
-    rows: list[int] = []
-    step = max(1, 4 * _BLOCK // n) * (n + 1)  # the characters of a block of rows
-    for start in range(0, len(text), step):
-        block = text[start : start + step].encode("ascii")
+    M = np.zeros((m, -(-n // 64)), dtype=np.uint64)
+    M8 = M.view(np.uint8)
+    step = max(1, 4 * _BLOCK // n)  # the rows of a block
+    for start in range(0, m, step):
+        block = data[start * (n + 1) : (start + step) * (n + 1)]
         if len(block) % (n + 1):
             block += b"\n"  # the last row, without its newline
         lines = np.frombuffer(block, np.uint8).reshape(-1, n + 1)
         bits = lines[:, :n] ^ ord("0")
         if bits.max() > 1 or (lines[:, n] != ord("\n")).any():
             return None
-        rows += _unpack(np.packbits(bits, axis=1), n)
-    return rows, n
+        M8[start : start + len(lines), : -(-n // 8)] = np.packbits(bits, axis=1)
+    return M, n
+
+
+def _parse_digit_rows(text: str) -> tuple[list[int], int] | None:
+    """`parse_matrix` of a text of rows of n 0/1 digits only, each ended
+    by '\n' (the last may lack it), n >= _PACKED_MIN_COLS; None for any
+    other text.  The text is encoded to ASCII and read by `_digit_rows`."""
+    plain = _digit_rows(text.encode("ascii")) if text.isascii() else None
+    return None if plain is None else (_unpack(*plain), plain[1])
 
 
 def parse_matrix(text: str) -> tuple[list[int], int]:
@@ -520,7 +547,10 @@ def parse_matrix(text: str) -> tuple[list[int], int]:
     foreign characters raise MatrixParseError with the offending line
     number.  A wide text of bare 0/1 rows is read in numpy blocks
     (`_parse_digit_rows`); every other text, and so every error, takes
-    the line loop, one `int(..., 2)` call per row.
+    the line loop, one `int(..., 2)` call per row.  Files are read as
+    bytes by `load_code`: a bare-row file never reaches this function,
+    and any other file reaches it decoded as text mode decodes it,
+    with its line ends mapped to '\n'.
     """
     plain = _parse_digit_rows(text)
     if plain is not None:
@@ -554,6 +584,33 @@ def parse_matrix(text: str) -> tuple[list[int], int]:
     if width is None:
         raise MatrixParseError("no matrix rows found")
     return rows, width
+
+
+def load_code(data: bytes) -> LinearCode:
+    """The code spanned by the rows of a matrix file's bytes, read as
+    text mode reads the file (UTF-8, '\r\n' and '\r' ending lines).
+
+    A file of bare rows (`_digit_rows`, on the bytes with their line
+    ends mapped to '\n') goes from bytes to packed rows and, when
+    `_packed`, through the strip loop (`_rref_strips`), so its rows
+    become ints once, from the reduced basis.  Any other file is decoded
+    and read by `parse_matrix`: the same rows, and the same errors, a
+    decoding error naming the byte's offset in the file.
+    """
+    # The test first: replace(b"\r\n", ..) scans a file about 70x slower
+    # than `in` does, even when it finds nothing.
+    plain = _digit_rows(data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data)
+    if plain is None:
+        # Decoded before the line ends are mapped, so that a decoding
+        # error names the byte's offset in the file, as text mode's does.
+        text = data.decode()
+        return LinearCode(*parse_matrix(text.replace("\r\n", "\n").replace("\r", "\n")))
+    M, n = plain
+    if n > MAX_LENGTH:
+        raise ValueError(f"n must be in [1, {MAX_LENGTH}]")
+    if not _packed(n, M):
+        return LinearCode(_unpack(M, n), n)
+    return object.__new__(LinearCode)._span(M, n, _rref_strips)
 
 
 def render_matrix(rows: Sequence[int], n: int) -> str:

@@ -20,7 +20,7 @@ from .gf2 import (
     EnumerationCapError,
     LinearCode,
     even_weight_code,
-    parse_matrix,
+    load_code,
 )
 from .steane import QuantumCode, certified_enlarge, find_self_dual_subcode, is_stabilizer_code
 
@@ -53,8 +53,7 @@ TABLE1_ROWS = (
 @functools.lru_cache(maxsize=None)
 def load_fixture(name: str) -> LinearCode:
     """The shipped code `name`, parsed once per process."""
-    text = resources.files("qsteane.fixtures").joinpath(name).read_text()
-    return LinearCode(*parse_matrix(text))
+    return load_code(resources.files("qsteane.fixtures").joinpath(name).read_bytes())
 
 
 @functools.lru_cache(maxsize=None)

@@ -2,7 +2,10 @@
 
 import contextlib
 import io
+import os
 import random
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from qsteane.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAIL, build_parse
 from qsteane.gf2 import MAX_LENGTH, LinearCode, dual, even_weight_code, is_subcode, render_matrix
 
 from conftest import EXT_HAMMING_8_4, dual_containing_code
+import test_gf2
 
 
 def fixture_path(name: str) -> str:
@@ -56,6 +60,59 @@ def forbid_scans(monkeypatch):
 
     for name in ("min_distance", "second_gdw", "_quantum_scan_errors", "_stabiliser_distance", "_coset_distances"):
         monkeypatch.setattr(steane, name, scan)
+
+
+def text_mode_load(path: str) -> LinearCode:
+    """The loader before files were read as bytes: text mode, UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        return LinearCode(*gf2.parse_matrix(fh.read()))
+
+
+def wide_files(n: int) -> dict:
+    """Matrix files of n columns by name: each wide-parse text, also with
+    CRLF and with lone-CR line ends, and a BOM, invalid UTF-8 (after LF
+    and after CRLF line ends) and 63 rows."""
+    files = {}
+    for name, text in test_gf2.TestWideParse._texts(n).items():
+        data = text.encode()
+        files |= {name: data, f"{name}, CRLF": data.replace(b"\n", b"\r\n"), f"{name}, CR": data.replace(b"\n", b"\r")}
+    lines = files["plain"].splitlines(keepends=True)
+    bad = b"".join(lines[:2]) + b"\xff" + b"".join(lines[2:])[1:]
+    files |= {"BOM": b"\xef\xbb\xbf" + files["plain"], "invalid UTF-8": bad, "invalid UTF-8, CRLF": bad.replace(b"\n", b"\r\n")}
+    files["63 rows"] = b"".join(lines[:63])
+    return files
+
+
+@pytest.mark.parametrize("n", [256, 257, 1024, 1025])
+def test_byte_loader_matches_the_text_mode_read(tmp_path, capsys, monkeypatch, n):
+    # Same stdout, stderr and exit code; the bare-row files, whatever
+    # their line ends, are packed straight from the bytes.
+    byte_load, digit_rows, packed = cli._load_code, gf2._digit_rows, []
+    monkeypatch.setattr(gf2, "_digit_rows", lambda data: packed.append(digit_rows(data)) or packed[-1])
+    path, fast, results = tmp_path / "c.txt", set(), {}
+    for name, data in wide_files(n).items():
+        path.write_bytes(data)
+        outputs = []
+        for load in (byte_load, text_mode_load):
+            monkeypatch.setattr(cli, "_load_code", load)
+            outputs.append((main(["verify", str(path)]), *capsys.readouterr()))
+            if load is byte_load and packed[0] is not None:
+                fast.add(name)
+            packed.clear()
+        assert outputs[0] == outputs[1], name
+        results[name] = outputs[0]
+    plain = {f"{name}{end}" for name in ("plain", "no final newline") for end in ("", ", CRLF", ", CR")}
+    assert fast == plain | {"crlf", "63 rows"}
+    if n > MAX_LENGTH:
+        assert results["plain"] == results["63 rows"] == (EXIT_INPUT_ERROR, "", f"error: n must be in [1, {MAX_LENGTH}]\n")
+
+
+def test_cli_import_leaves_out_fractions_and_decimal():
+    # `bounds` imports `Fraction` only inside `pair_count_identity`.
+    probe = "import sys, qsteane.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_parser_is_built_once():

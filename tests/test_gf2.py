@@ -157,6 +157,16 @@ class TestWideParse:
         assert fast["ragged row at line 5"] == f"MatrixParseError: line 5: row has {n - 1} columns, expected {n}"
         assert fast["fullwidth one at line 3"].startswith("MatrixParseError: line 3: unexpected characters")
 
+    @pytest.mark.parametrize("n", [256, 257, 300, 1024])
+    def test_digit_rows_are_packed_as_pack_packs_them(self, n, block):
+        # Padding bits zero, rows in order, across several blocks at 2^3.
+        rows = [random.Random(n).getrandbits(n) for _ in range(70)]
+        text = _digit_lines(rows, n)
+        for data in (text.encode(), text[:-1].encode()):
+            M, width = gf2._digit_rows(data)
+            assert width == n and M.flags.writeable and M.dtype == np.uint64
+            assert np.array_equal(M, gf2._pack(rows, n))
+
     def test_narrow_texts_take_the_line_loop(self):
         rows = [random.Random(7).getrandbits(255) for _ in range(70)]
         text = _digit_lines(rows, 255)
@@ -389,6 +399,16 @@ class TestPackedKernels:
             strip_sizes |= set(Counter(c // 8 for c in got[2]).values())
         # Every rank mod 8, and tables of every size 2^1 .. 2^8, were met.
         assert ranks == set(range(8)) and strip_sizes == set(range(1, 9))
+
+    @pytest.mark.parametrize("n", [256, 257, 300, 1024])
+    def test_strips_on_a_packed_array_match_int_elimination(self, n, int_paths):
+        # `_rref_strips` takes the array the byte loader packs; zero and
+        # repeated rows among random ones, from the 64-row threshold up.
+        rng = random.Random(n)
+        for kind in ("zeros", "duplicates"):
+            for m in (64, 70, 129):
+                rows = _case_rows(rng, kind, m, n)
+                assert gf2._rref_strips(gf2._pack(rows, n), n) == rref_ints(rows, n), (kind, m)
 
     def test_m_greater_than_n_and_empty(self, int_paths):
         rng = random.Random(9)
@@ -653,6 +673,17 @@ class TestGramRule:
             C = LinearCode([1 << (n - 1 - i) | a for i, a in enumerate(A)], n)
             blocks = self._spy(monkeypatch, "_odd_overlaps")
             assert is_dual_containing(C) is want is is_subcode(dual(C), C)
+            assert len(blocks) == -(-f // step)  # every block ran
+        # A last column c with rows f-2, f and f+1 set: AᵀA differs from I
+        # only at (f-2, f-1) and (f-1, f-2), which the upper triangle meets
+        # in the block of row f-2, the last one at the default _BLOCK.
+        cols = [1 << g for g in range(f - 1)] + [1 << f - 2 | 1 << f | 1 << f + 1]
+        A = [sum((col >> i & 1) << (f - 1 - g) for g, col in enumerate(cols)) for i in range(k)]
+        C_pair = LinearCode([1 << (n - 1 - i) | a for i, a in enumerate(A)], n)
+        blocks = self._spy(monkeypatch, "_odd_overlaps")
+        assert is_dual_containing(C_pair) is False is is_subcode(dual(C_pair), C_pair)
+        assert len(blocks) == (f - 2) // step + 1
+        if block == 14:
             assert len(blocks) == -(-f // step)  # every block ran
         broken = LinearCode(C.basis_ints()[:-1] + [random.Random(5).getrandbits(n)], n)
         blocks = self._spy(monkeypatch, "_odd_overlaps")

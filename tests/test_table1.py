@@ -42,8 +42,8 @@ class TestFixtures:
     def test_each_fixture_is_parsed_once(self, monkeypatch):
         load_fixture.cache_clear()
         table1._self_dual_from_fixture.cache_clear()
-        parsed, parse = [], table1.parse_matrix
-        monkeypatch.setattr(table1, "parse_matrix", lambda text: parsed.append(text) or parse(text))
+        parsed, load = [], table1.load_code
+        monkeypatch.setattr(table1, "load_code", lambda data: parsed.append(data) or load(data))
         check_all_rows()
         check_all_rows()
         # c12_10_2a, c14_9_2, c14_10_2 and c18_12_4, once each.
