@@ -24,16 +24,14 @@ the Gram pass, are read off the unpacked rows, one 0/1 byte per column
 limbs, so that comparing limbs compares words.  Every span, pair and
 Gram pass runs over the blocks of `_blocks`.
 
-Matrix files are read as bytes (`load_code`), with the same column
-rule: a file of bare rows of at least _PACKED_MIN_COLS 0/1 digits is
-checked and packed by numpy, in blocks of rows, straight into the
-elimination's layout; when `_packed`, the strip loop reduces that
-array, so its rows become ints once, from the reduced basis.  Any
-other file is decoded as text mode decodes it and read by
-`parse_matrix`, which packs a text of bare rows the same way and reads
-any other text line by line, one `int(..., 2)` call per row.  All give
-the same rows, and only the line loop raises.  The Gram pass covers
-one triangle of the symmetric AᵀA.
+Matrix files have two readers.  `load_code` reads a file's bytes: a
+file of bare rows of at least _PACKED_MIN_COLS 0/1 digits is checked and
+packed by numpy, in blocks of rows, straight into the elimination's
+layout and reduced by the strip loop, so its rows become ints once,
+from the reduced basis.  Any other file is decoded and read by
+`parse_matrix`, the plain line parser (no numpy), which gives the same
+rows and raises every parse error.  The Gram pass covers one triangle
+of the symmetric AᵀA.
 """
 
 from __future__ import annotations
@@ -529,32 +527,18 @@ def _digit_rows(data: bytes) -> tuple[np.ndarray, int] | None:
     return M, n
 
 
-def _parse_digit_rows(text: str) -> tuple[list[int], int] | None:
-    """`parse_matrix` of a text of rows of n 0/1 digits only, each ended
-    by '\n' (the last may lack it), n >= _PACKED_MIN_COLS; None for any
-    other text.  The text is encoded to ASCII and read by `_digit_rows`."""
-    plain = _digit_rows(text.encode("ascii")) if text.isascii() else None
-    return None if plain is None else (_unpack(*plain), plain[1])
-
-
 def parse_matrix(text: str) -> tuple[list[int], int]:
     """Parse a text block of 0/1 rows into (rows, n).
 
     Each row is read as a binary number, so its first digit is
     coordinate 0.  Lines end at '\n' only.  Spaces and tabs between
     digits are ignored; blank lines and lines starting with '#' are
-    skipped.  Ragged rows or
-    foreign characters raise MatrixParseError with the offending line
-    number.  A wide text of bare 0/1 rows is read in numpy blocks
-    (`_parse_digit_rows`); every other text, and so every error, takes
-    the line loop, one `int(..., 2)` call per row.  Files are read as
-    bytes by `load_code`: a bare-row file never reaches this function,
-    and any other file reaches it decoded as text mode decodes it,
-    with its line ends mapped to '\n'.
+    skipped.  Ragged rows or foreign characters raise MatrixParseError
+    with the offending line number.  One `int(..., 2)` call per row and
+    no numpy: this is the plain reader, and the oracle of `load_code`,
+    which sends it every file but the bare-row ones, decoded as text
+    mode decodes it, with its line ends mapped to '\n'.
     """
-    plain = _parse_digit_rows(text)
-    if plain is not None:
-        return plain
     rows: list[int] = []
     width = None
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -591,8 +575,8 @@ def load_code(data: bytes) -> LinearCode:
     text mode reads the file (UTF-8, '\r\n' and '\r' ending lines).
 
     A file of bare rows (`_digit_rows`, on the bytes with their line
-    ends mapped to '\n') goes from bytes to packed rows and, when
-    `_packed`, through the strip loop (`_rref_strips`), so its rows
+    ends mapped to '\n') goes from bytes to packed rows and through the
+    strip loop (`_rref_strips`), whatever its row count, so its rows
     become ints once, from the reduced basis.  Any other file is decoded
     and read by `parse_matrix`: the same rows, and the same errors, a
     decoding error naming the byte's offset in the file.
@@ -608,8 +592,6 @@ def load_code(data: bytes) -> LinearCode:
     M, n = plain
     if n > MAX_LENGTH:
         raise ValueError(f"n must be in [1, {MAX_LENGTH}]")
-    if not _packed(n, M):
-        return LinearCode(_unpack(M, n), n)
     return object.__new__(LinearCode)._span(M, n, _rref_strips)
 
 

@@ -115,6 +115,34 @@ def test_cli_import_leaves_out_fractions_and_decimal():
     assert out == "[]\n"
 
 
+#: `qsteane table1`: five rows rebuilt, the n=18 row refused.
+TABLE1_LINES = [
+    "n=8 k=4 k'=7: [[8,3,3]] PASS (d2'=3)",
+    "n=12 k=6 k'=10: [[12,4,3]] PASS (d2'=3)",
+    "n=12 k=6 k'=11: [[12,5,3]] PASS (d2'=3)",
+    "n=14 k=7 k'=9: [[14,2,4]] PASS (d2'=4) d2'=4",
+    "n=14 k=7 k'=10: [[14,3,4]] PASS (d2'=4) d2'=4",
+    "n=18 k=9 k'=12: FAIL (no self-dual C: C' is not dual-containing) optimal",
+    "table1: FAIL",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, rc, out, err",
+    [
+        (["verify", fixture_path("c14_9_2.txt")], EXIT_OK, "n=14 k=9 d=2 d2=4 dual_containing=yes\n", ""),
+        (["verify", "/no/such/file"], EXIT_INPUT_ERROR, "", "error:"),
+        (["table1"], EXIT_VERIFY_FAIL, "".join(line + "\n" for line in TABLE1_LINES), ""),
+    ],
+)
+def test_module_run_exits_with_main_s_code(argv, rc, out, err):
+    # `python -m qsteane.cli` passes main's return value to sys.exit.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "qsteane.cli", *argv], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout) == (rc, out)
+    assert run.stderr.startswith(err) and bool(run.stderr) == bool(err)
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

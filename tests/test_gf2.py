@@ -22,6 +22,7 @@ from qsteane.gf2 import (
     in_rowspan,
     is_dual_containing,
     is_subcode,
+    load_code,
     parse_matrix,
     render_matrix,
     repetition_code,
@@ -111,8 +112,10 @@ def _outcome(parse, text):
 
 
 class TestWideParse:
-    """`parse_matrix` reads wide texts of bare 0/1 rows in numpy blocks;
-    every other text takes the line loop.  Both give the same result."""
+    """Matrix files have two readers: `load_code` packs a wide file of
+    bare 0/1 rows straight from its bytes (`_digit_rows`), and every
+    other file, and so every error, goes to the line parser
+    `parse_matrix`.  Both give the same rows."""
 
     FAST = ("plain", "no final newline")
 
@@ -143,19 +146,16 @@ class TestWideParse:
         }
 
     @pytest.mark.parametrize("n", [256, 257, 1024])
-    def test_same_rows_or_error_as_the_line_loop(self, n, block, monkeypatch):
+    def test_same_rows_or_error_as_the_line_loop(self, n, block):
         texts = self._texts(n)
-        fast = {name: _outcome(parse_matrix, text) for name, text in texts.items()}
         for name, text in texts.items():
-            assert (gf2._parse_digit_rows(text) is not None) == (name in self.FAST), name
-        monkeypatch.setattr(gf2, "_PACKED_MIN_COLS", MAX_LENGTH + 1)
-        for name, text in texts.items():
-            assert gf2._parse_digit_rows(text) is None
-            assert fast[name] == _outcome(parse_matrix, text), name
-        rows = [int(line, 2) for line in texts["plain"].splitlines()]
-        assert fast["plain"] == fast["no final newline"] == fast["crlf"] == (rows, n)
-        assert fast["ragged row at line 5"] == f"MatrixParseError: line 5: row has {n - 1} columns, expected {n}"
-        assert fast["fullwidth one at line 3"].startswith("MatrixParseError: line 3: unexpected characters")
+            assert (gf2._digit_rows(text.encode()) is not None) == (name in self.FAST), name
+            assert _outcome(load_code, text.encode()) == _outcome(lambda t: LinearCode(*parse_matrix(t)), text), name
+        line = {name: _outcome(parse_matrix, text) for name, text in texts.items()}
+        rows = [int(row, 2) for row in texts["plain"].splitlines()]
+        assert line["plain"] == line["no final newline"] == line["crlf"] == (rows, n)
+        assert line["ragged row at line 5"] == f"MatrixParseError: line 5: row has {n - 1} columns, expected {n}"
+        assert line["fullwidth one at line 3"].startswith("MatrixParseError: line 3: unexpected characters")
 
     @pytest.mark.parametrize("n", [256, 257, 300, 1024])
     def test_digit_rows_are_packed_as_pack_packs_them(self, n, block):
@@ -170,8 +170,36 @@ class TestWideParse:
     def test_narrow_texts_take_the_line_loop(self):
         rows = [random.Random(7).getrandbits(255) for _ in range(70)]
         text = _digit_lines(rows, 255)
-        assert gf2._parse_digit_rows(text) is None
+        assert gf2._digit_rows(text.encode()) is None
         assert parse_matrix(text) == (rows, 255)
+        assert load_code(text.encode()) == LinearCode(rows, 255)
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_line_parser_reads_wide_rows_without_numpy(self, n, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("parse_matrix reached a numpy reader")
+
+        monkeypatch.setattr(gf2, "_digit_rows", forbidden)
+        monkeypatch.setattr(gf2, "_unpack", forbidden)
+        rows = [random.Random(n).getrandbits(n) for _ in range(70)]
+        assert parse_matrix(_digit_lines(rows, n)) == (rows, n)
+
+    @pytest.mark.parametrize("n", [256, 300, 1024])
+    @pytest.mark.parametrize("m", [1, 63, 64])
+    def test_bare_files_take_the_strip_loop_once(self, n, m, monkeypatch):
+        # Whatever the row count: the rref is unique, so the strip loop
+        # gives the line parser's code, zero and repeated rows included.
+        strips, calls = gf2._rref_strips, []
+        monkeypatch.setattr(gf2, "_rref_strips", lambda M, cols: calls.append(cols) or strips(M, cols))
+        words = [random.Random(m * n).getrandbits(n) for _ in range(m)]
+        repeated = (words[: -(-m // 2)] * 2)[: m - 1] + [0]
+        for rows in (words, [0] * m, repeated):
+            calls.clear()
+            text = _digit_lines(rows, n)
+            C = load_code(text.encode())
+            assert calls == [n]
+            expected = LinearCode(*parse_matrix(text))
+            assert (C.n, C.k, C.basis_ints(), C._pivots) == (expected.n, expected.k, expected.basis_ints(), expected._pivots)
 
 
 class TestRoundTrip:

@@ -4,6 +4,7 @@ import hashlib
 import random
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 
@@ -731,3 +732,10 @@ def isotropic_leaves(Cp: LinearCode) -> list[tuple[LinearCode, tuple, int]]:
     the minimum of the coset-weight table over its subspace."""
     perp, walk = unpruned_walk(Cp)
     return [(LinearCode(perp + basis, Cp.n), key, m) for basis, m, key in walk]
+
+
+def test_readme_library_example_prints_its_code(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(example, {})
+    assert capsys.readouterr().out == "QuantumCode[[8,3,3]]\n"
